@@ -9,7 +9,7 @@ from .errors import (
     PartitionMismatchError,
     ToleranceError,
 )
-from .measure import PieceMeasure, StatePartition, refine, total_variation
+from .measure import PieceMeasure, StatePartition, total_variation
 from .model import (
     AbsorptionCertificate,
     AtomlessMDP,

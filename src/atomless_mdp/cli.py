@@ -33,11 +33,11 @@ from .model import (
     builtin,
     discounted_to_absorbing,
     doubling_corridor,
-    load_model_file,
+    load_model,
     save_model_file,
     weighted_transform,
 )
-from .occupancy import occupancy, occupancy_total_variation, performance
+from .occupancy import occupancy, occupancy_total_variation
 from .derandomize import derandomize, make_context, mix_pair, path_policy, tv_modulus
 from .lyapunov import IntervalSet, VectorMeasure, find_set, range_hull
 
@@ -61,9 +61,12 @@ class RunReport:
     notes: list = field(default_factory=list)
     wall_clock: float = 0.0
 
-    def add_input(self, path):
+    def add_input(self, path) -> bytes:
+        """Record the input's digest and return its content."""
         with open(path, "rb") as fh:
-            self.inputs[str(path)] = hashlib.sha256(fh.read()).hexdigest()[:16]
+            data = fh.read()
+        self.inputs[str(path)] = hashlib.sha256(data).hexdigest()[:16]
+        return data
 
     def render(self) -> str:
         lines = [f"command: {' '.join(self.command)}"]
@@ -126,6 +129,8 @@ def load_policy_file(path, model: AtomlessMDP):
             values = [float(t) for t in tokens]
         except ValueError:
             raise ModelFormatError(f"{path}:{lineno}", "non-numeric entry") from None
+        if not np.all(np.isfinite(values)):
+            raise ModelFormatError(f"{path}:{lineno}", "non-finite entry")
         entries.append((lineno, values[0], values[1], values[2:]))
     entries.sort(key=lambda e: e[1])
     _check_tiling([(ln, lo, hi) for ln, lo, hi, _ in entries], path)
@@ -189,15 +194,15 @@ def _write_csv(path, header, rows):
 
 
 def _load_any_model(path, report):
-    report.add_input(path)
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(path, f"invalid JSON: {exc}") from None
+    """Read the file once; the same bytes give the digest and the document."""
+    data = report.add_input(path)
+    try:
+        doc = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(path, f"invalid JSON: {exc}") from None
     if isinstance(doc, dict) and doc.get("kind") == "discrete-chain":
         return doubling_corridor(int(doc.get("depth", 10)))
-    return load_model_file(path)
+    return load_model(doc)
 
 
 def _save_certificate(path, payload):
@@ -255,7 +260,7 @@ def cmd_evaluate(args, report):
     report.add_input(args.policy)
     work = discounted_to_absorbing(model) if model.kind == "discounted" else model
     q = occupancy(work, policy, tol=args.tol)
-    v = performance(work, policy, tol=args.tol)
+    v = q.performance()
     report.tolerances["tol"] = args.tol
     report.certificates["total_mass"] = q.total
     report.certificates["truncation_error"] = q.truncation_error
@@ -282,7 +287,7 @@ def cmd_path(args, report):
     for alpha in alphas:
         phi = path_policy(ctx, float(alpha))
         q = occupancy(work, phi, tol=args.tol)
-        v = performance(work, phi, tol=args.tol)
+        v = q.performance()
         d_tv = 0.0 if previous is None else occupancy_total_variation(q, previous)
         rows.append([float(alpha), *map(float, v), float(d_tv)])
         previous = q

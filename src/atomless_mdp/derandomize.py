@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CertifiedFailure
 from .geometry import caratheodory_prune, distance_to_hull
-from .measure import PieceMeasure, refine
+from .measure import PieceMeasure
 from .model import (
     AtomlessMDP,
     DeterministicPolicy,
@@ -106,7 +106,7 @@ def make_context(model: AtomlessMDP, phi0: DeterministicPolicy,
                  phi1: DeterministicPolicy) -> TwoPolicyContext:
     validate_policy(model, phi0)
     validate_policy(model, phi1)
-    part = refine(refine(phi0.partition, phi1.partition), model.grid)
+    part = phi0.partition.refine(phi1.partition).refine(model.grid)
     a0 = phi0.refined_to(part).actions
     a1 = phi1.refined_to(part).actions
     probs = np.zeros((part.cell_count, model.action_count))

@@ -62,9 +62,14 @@ class StatePartition:
         return StatePartition(merge_breakpoints(self.points, other.points))
 
     def with_point(self, b: float) -> "StatePartition":
-        if b <= 0.0 or b >= 1.0:
+        """This partition with breakpoint b added, or itself when a breakpoint
+        lies within MERGE_TOL of b.  Existing breakpoints are never merged, so
+        cells closer together than MERGE_TOL keep their identity."""
+        pts = self.points
+        k = int(np.searchsorted(pts, b))
+        if not 0 < k < pts.size or min(b - pts[k - 1], pts[k] - b) <= MERGE_TOL:
             return self
-        return StatePartition(merge_breakpoints(self.points, np.array([0.0, b, 1.0])))
+        return StatePartition(np.insert(pts, k, b))
 
     def refines(self, coarser: "StatePartition") -> bool:
         """True if every breakpoint of ``coarser`` appears here (within MERGE_TOL)."""
@@ -102,18 +107,18 @@ def merge_breakpoints(*arrays) -> np.ndarray:
     return out
 
 
-def refine(a: StatePartition, b: StatePartition) -> StatePartition:
-    """Coarsest common refinement of two partitions."""
-    return a.refine(b)
-
-
-def breakpoint_index(points: np.ndarray, x: float) -> int:
-    """Index of the breakpoint equal to x (within MERGE_TOL); raises otherwise."""
-    i = int(np.searchsorted(points, x))
-    for j in (i - 1, i):
-        if 0 <= j < points.size and abs(points[j] - x) <= MERGE_TOL:
-            return j
-    raise ValueError(f"{x} is not a breakpoint of the partition")
+def breakpoint_indices(points: np.ndarray, x) -> np.ndarray:
+    """Index of the breakpoint equal to each x (within MERGE_TOL, the lower one
+    when two qualify); raises ValueError naming the first x that matches none."""
+    x = np.asarray(x, dtype=float)
+    i = np.searchsorted(points, x)
+    below = np.maximum(i - 1, 0)
+    above = np.minimum(i, points.size - 1)
+    use_below = (i > 0) & (np.abs(points[below] - x) <= MERGE_TOL)
+    found = use_below | ((i < points.size) & (np.abs(points[above] - x) <= MERGE_TOL))
+    if not found.all():
+        raise ValueError(f"{x[np.argmin(found)]} is not a breakpoint of the partition")
+    return np.where(use_below, below, above)
 
 
 class PieceMeasure:
@@ -153,14 +158,15 @@ class PieceMeasure:
             np.array([0.0, 1.0]), np.array([r[0] for r in rows] + [r[1] for r in rows])
         )
         part = StatePartition(pts)
-        masses = np.zeros(part.cell_count)
         for lo, hi, mass in rows:
             if hi <= lo:
                 raise ValueError(f"empty interval ({lo}, {hi})")
             if mass < 0:
                 raise ValueError("interval mass must be nonnegative")
-            a = breakpoint_index(part.points, lo)
-            b = breakpoint_index(part.points, hi)
+        starts = breakpoint_indices(part.points, [r[0] for r in rows])
+        ends = breakpoint_indices(part.points, [r[1] for r in rows])
+        masses = np.zeros(part.cell_count)
+        for (_, _, mass), a, b in zip(rows, starts, ends):
             widths = part.widths[a:b]
             masses[a:b] += mass * widths / widths.sum()
         return cls(part, masses)

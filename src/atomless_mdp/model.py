@@ -22,7 +22,7 @@ from .errors import (
 from .measure import (
     PieceMeasure,
     StatePartition,
-    breakpoint_index,
+    breakpoint_indices,
     merge_breakpoints,
 )
 
@@ -30,6 +30,13 @@ ROW_SUM_TOL = 1e-12
 
 ABSORBING = "absorbing"
 DISCOUNTED = "discounted"
+
+
+def _first(flags: np.ndarray):
+    """Index tuple of the first True entry in row-major order, or None."""
+    if not flags.any():
+        return None
+    return tuple(int(k) for k in np.unravel_index(np.argmax(flags), flags.shape))
 
 
 class AtomlessMDP:
@@ -54,7 +61,7 @@ class AtomlessMDP:
         self.beta = None if beta is None else float(beta)
         self._certificate = None
         self._validate()
-        for arr in (self.kernel, self.absorb, self.rewards):
+        for arr in (self.kernel, self.absorb, self.rewards, self._mask):
             arr.setflags(write=False)
 
     # -- basic shape ------------------------------------------------------
@@ -71,16 +78,19 @@ class AtomlessMDP:
         return float(np.abs(self.rewards).max(initial=0.0))
 
     def _validate(self):
+        """Check every invariant; builds the availability mask on the way."""
         m, a = self.cell_count, self.action_count
         if a < 1:
             raise ModelFormatError("actions", "need at least one action")
         if len(self.available) != m:
             raise ModelFormatError("available", f"expected {m} cell entries")
+        self._mask = np.zeros((m, a), dtype=bool)
         for i, acts in enumerate(self.available):
             if not acts:
                 raise ModelFormatError(f"available[{i}]", "empty action set")
             if acts[0] < 0 or acts[-1] >= a:
                 raise ModelFormatError(f"available[{i}]", "action index out of range")
+            self._mask[i, acts] = True
         if self.kernel.shape != (m, a, m):
             raise ModelFormatError("kernel", f"expected shape {(m, a, m)}, got {self.kernel.shape}")
         if self.absorb.shape != (m, a):
@@ -89,13 +99,16 @@ class AtomlessMDP:
             raise ModelFormatError("rewards", f"expected shape ({m}, {a}, N)")
         if not np.all(np.isfinite(self.rewards)):
             raise ModelFormatError("rewards", "rewards must be finite")
+        bad = _first(~(np.isfinite(self.kernel).all(axis=2) & np.isfinite(self.absorb)))
+        if bad is not None:
+            raise ModelFormatError("kernel[{}][{}]".format(*bad), "masses must be finite")
         if np.any(self.kernel < 0) or np.any(self.absorb < 0):
             raise ModelFormatError("kernel", "negative mass")
-        for i in range(m):
-            for act in self.available[i]:
-                s = self.kernel[i, act].sum() + self.absorb[i, act]
-                if abs(s - 1.0) > ROW_SUM_TOL:
-                    raise ModelFormatError(f"kernel[{i}][{act}]", f"row sums to {s!r}, not 1")
+        sums = self.kernel.sum(axis=2) + self.absorb
+        bad = _first(self._mask & (np.abs(sums - 1.0) > ROW_SUM_TOL))
+        if bad is not None:
+            raise ModelFormatError("kernel[{}][{}]".format(*bad),
+                                   f"row sums to {float(sums[bad])!r}, not 1")
         if self.initial.partition != self.grid:
             raise ModelFormatError("initial", "initial measure must live on the base grid")
         if abs(self.initial.total - 1.0) > ROW_SUM_TOL:
@@ -109,10 +122,8 @@ class AtomlessMDP:
     # -- availability helpers ----------------------------------------------
 
     def available_mask(self) -> np.ndarray:
-        mask = np.zeros((self.cell_count, self.action_count), dtype=bool)
-        for i, acts in enumerate(self.available):
-            mask[i, list(acts)] = True
-        return mask
+        """Read-only (cells, actions) mask of the available actions."""
+        return self._mask
 
     def certificate(self, tol: float = 1e-12) -> "AbsorptionCertificate":
         """Cached uniform-absorption certificate; raises for discounted models."""
@@ -185,6 +196,8 @@ class StationaryPolicy:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 2 or p.shape[0] != partition.cell_count:
             raise ValueError("probs must be (intervals, actions)")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("action probabilities must be finite")
         if np.any(p < -1e-15):
             raise ValueError("negative action probability")
         rows = p.sum(axis=1)
@@ -225,28 +238,27 @@ def validate_policy(model: AtomlessMDP, policy) -> None:
     joint = policy.partition.refine(model.grid)
     cell_of = joint.index_map_from(model.grid)
     interval_of = joint.index_map_from(policy.partition)
-
-    def fail(s, i, what):
-        if policy.partition.refines(model.grid):
-            raise ModelFormatError(f"policy[{interval_of[s]}]", f"{what} in cell {i}")
-        raise PartitionMismatchError(
-            f"policy interval {interval_of[s]} straddles the base grid and uses {what} in cell {i}"
-        )
+    mask = model.available_mask()
 
     if isinstance(policy, DeterministicPolicy):
-        acts = policy.refined_to(joint).actions
-        for s, i in enumerate(cell_of):
-            if int(acts[s]) not in model.available[i]:
-                fail(s, i, f"unavailable action {acts[s]}")
+        acts = policy.actions[interval_of]
+        in_range = (acts >= 0) & (acts < model.action_count)
+        bad = np.flatnonzero(~(in_range & mask[cell_of, np.where(in_range, acts, 0)]))
     else:
         if policy.action_count != model.action_count:
             raise ModelFormatError("policy", "action count mismatch")
-        probs = policy.refined_to(joint).probs
-        mask = model.available_mask()
-        for s, i in enumerate(cell_of):
-            bad = probs[s][~mask[i]]
-            if bad.size and bad.max() > 1e-12:
-                fail(s, i, "mass on an unavailable action")
+        bad = np.flatnonzero(((policy.probs[interval_of] > 1e-12) & ~mask[cell_of]).any(axis=1))
+    if bad.size == 0:
+        return
+    s = bad[0]
+    what = (f"unavailable action {acts[s]}" if isinstance(policy, DeterministicPolicy)
+            else "mass on an unavailable action")
+    what = f"{what} in cell {cell_of[s]}"
+    if policy.partition.refines(model.grid):
+        raise ModelFormatError(f"policy[{interval_of[s]}]", what)
+    raise PartitionMismatchError(
+        f"policy interval {interval_of[s]} straddles the base grid and uses {what}"
+    )
 
 
 def cell_action_weights(model: AtomlessMDP, policy) -> np.ndarray:
@@ -259,7 +271,7 @@ def cell_action_weights(model: AtomlessMDP, policy) -> np.ndarray:
         policy = policy.to_stationary(model.action_count)
     validate_policy(model, policy)
     joint = policy.partition.refine(model.grid)
-    probs = policy.refined_to(joint).probs
+    probs = policy.probs[joint.index_map_from(policy.partition)]
     owner = joint.index_map_from(model.grid)
     frac = joint.widths / model.grid.widths[owner]
     w = np.zeros((model.cell_count, model.action_count))
@@ -447,30 +459,52 @@ def weighted_transform(model: AtomlessMDP, w) -> AtomlessMDP:
 # ---------------------------------------------------------------------------
 
 
-def _rows_field(rows, path):
+def _rows_field(rows, path) -> np.ndarray:
+    """``[lo, hi, mass]`` rows as an (n, 3) float array."""
     try:
-        return [(float(lo), float(hi), float(mass)) for lo, hi, mass in rows]
-    except (TypeError, ValueError) as exc:
+        arr = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(path, f"expected [lo, hi, mass] rows: {exc}") from None
+    if arr.shape == (0,):
+        return arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ModelFormatError(path, "expected [lo, hi, mass] rows")
+    return arr
 
 
-def _rows_to_grid_masses(rows, grid: StatePartition) -> np.ndarray:
-    """Distribute (lo, hi, mass) rows over grid cells; exact because every row
-    endpoint is a grid breakpoint.  Single-cell rows keep their mass bitwise."""
-    masses = np.zeros(grid.cell_count)
-    for lo, hi, mass in rows:
-        a = breakpoint_index(grid.points, lo)
-        b = breakpoint_index(grid.points, hi)
-        if b == a + 1:
-            masses[a] += mass
-        else:
-            widths = grid.widths[a:b]
-            masses[a:b] += mass * widths / widths.sum()
-    return masses
+def _action_entries(entries, count: int, path: str) -> list:
+    if not isinstance(entries, list) or len(entries) != count:
+        raise ModelFormatError(path, f"expected {count} action entries")
+    return entries
+
+
+def _spread_rows(widths, start, end, mass, slot, slots: int) -> np.ndarray:
+    """(slots, cells) masses from rows covering cells start..end-1 of a grid.
+
+    A one-cell row adds its mass to that cell; a longer row spreads it in
+    proportion to cell width.  Every cell receives its additions in row order,
+    so the sums are bitwise those of adding the rows one at a time.
+    """
+    span = end - start
+    first = np.cumsum(span) - span           # position of each row's first share
+    row = np.repeat(np.arange(span.size), span)
+    cell = start[row] + np.arange(row.size) - first[row]
+    share = mass[row]
+    for r in np.flatnonzero(span > 1):
+        w = widths[start[r]:end[r]]
+        share[first[r]:first[r] + span[r]] = mass[r] * w / w.sum()
+    cells = widths.size
+    out = np.bincount(slot[row] * cells + cell, weights=share, minlength=slots * cells)
+    return out.reshape(slots, cells)
 
 
 def load_model(doc: dict) -> AtomlessMDP:
-    """Build and fully validate a model from its document form."""
+    """Build and fully validate a model from its document form.
+
+    Each base (cell, action) entry is parsed once into flat row arrays; the
+    grid is refined to every row endpoint, each entry's row is placed on the
+    refined grid once, and refined cells take the row of their base cell.
+    """
     if not isinstance(doc, dict):
         raise ModelFormatError("document", "expected a mapping")
     kind = doc.get("kind")
@@ -497,7 +531,10 @@ def load_model(doc: dict) -> AtomlessMDP:
         raise ModelFormatError("available", f"expected {base.cell_count} per-cell action lists")
     avail = []
     for i, acts in enumerate(available):
-        acts = sorted(set(int(a) for a in acts)) if acts else []
+        try:
+            acts = sorted(set(int(a) for a in acts)) if acts else []
+        except (TypeError, ValueError):
+            raise ModelFormatError(f"available[{i}]", "expected a list of action indices") from None
         if not acts:
             raise ModelFormatError(f"available[{i}]", "empty action set")
         if acts[0] < 0 or acts[-1] >= n_actions:
@@ -511,66 +548,86 @@ def load_model(doc: dict) -> AtomlessMDP:
     if not isinstance(rewards_doc, list) or len(rewards_doc) != base.cell_count:
         raise ModelFormatError("rewards", f"expected {base.cell_count} per-cell entries")
 
-    rows = {}
-    endpoints = [base.points]
-    n_criteria = None
-    for i in range(base.cell_count):
-        cell_kernel, cell_rewards = kernel_doc[i], rewards_doc[i]
-        if len(cell_kernel) != len(avail[i]):
-            raise ModelFormatError(f"kernel[{i}]", f"expected {len(avail[i])} action entries")
-        if len(cell_rewards) != len(avail[i]):
-            raise ModelFormatError(f"rewards[{i}]", f"expected {len(avail[i])} action entries")
-        for k, act in enumerate(avail[i]):
-            entry = cell_kernel[k]
-            to_rows = _rows_field(entry.get("to", []), f"kernel[{i}][{k}].to")
+    # one entry per available base (cell, action), in document order
+    paths, to_rows, absorb, rewards = [], [], [], []
+    for i, acts in enumerate(avail):
+        cell_kernel = _action_entries(kernel_doc[i], len(acts), f"kernel[{i}]")
+        cell_rewards = _action_entries(rewards_doc[i], len(acts), f"rewards[{i}]")
+        for k, (entry, reward) in enumerate(zip(cell_kernel, cell_rewards)):
+            path = f"kernel[{i}][{k}]"
+            if not isinstance(entry, dict):
+                raise ModelFormatError(path, "expected an object with 'to' and 'absorb'")
+            to_rows.append(_rows_field(entry.get("to", []), f"{path}.to"))
             try:
-                absorb_mass = float(entry.get("absorb", 0.0))
-            except (TypeError, ValueError):
-                raise ModelFormatError(f"kernel[{i}][{k}].absorb", "expected a number") from None
-            total = sum(r[2] for r in to_rows) + absorb_mass
-            if abs(total - 1.0) > ROW_SUM_TOL:
-                raise ModelFormatError(f"kernel[{i}][{k}]", f"row sums to {total!r}, not 1")
-            if absorb_mass < 0 or any(r[2] < 0 for r in to_rows):
-                raise ModelFormatError(f"kernel[{i}][{k}]", "negative mass")
-            for lo, hi, _ in to_rows:
-                if not (0.0 <= lo < hi <= 1.0):
-                    raise ModelFormatError(f"kernel[{i}][{k}].to", f"bad interval ({lo}, {hi})")
-                endpoints.append(np.array([lo, hi]))
-            reward_vec = [float(r) for r in cell_rewards[k]]
-            if n_criteria is None:
-                n_criteria = len(reward_vec)
-            elif len(reward_vec) != n_criteria:
+                absorb.append(float(entry.get("absorb", 0.0)))
+            except (TypeError, ValueError, OverflowError):
+                raise ModelFormatError(f"{path}.absorb", "expected a number") from None
+            try:
+                rewards.append([float(r) for r in reward])
+            except (TypeError, ValueError, OverflowError):
+                raise ModelFormatError(f"rewards[{i}][{k}]", "expected a list of numbers") from None
+            if len(rewards[-1]) != len(rewards[0]):
                 raise ModelFormatError(f"rewards[{i}][{k}]", "inconsistent criteria count")
-            rows[(i, act)] = (to_rows, absorb_mass, reward_vec)
+            paths.append(path)
+    # the initial rows ride along as one more entry, with no absorption
+    to_rows.append(_rows_field(doc.get("initial", []), "initial"))
+    paths.append("initial")
+    absorb.append(0.0)
 
-    initial_rows = _rows_field(doc.get("initial", []), "initial")
-    total_mu = sum(r[2] for r in initial_rows)
-    if abs(total_mu - 1.0) > ROW_SUM_TOL:
-        raise ModelFormatError("initial", f"total mass {total_mu!r}, not 1")
-    for lo, hi, _ in initial_rows:
-        endpoints.append(np.array([lo, hi]))
+    entries = len(paths)
+    absorb = np.array(absorb)
+    counts = np.array([len(r) for r in to_rows])
+    entry_of = np.repeat(np.arange(entries), counts)
+    lo, hi, mass = np.concatenate(to_rows).T
 
-    grid = StatePartition(merge_breakpoints(*endpoints))
+    def per_entry(row_flags):
+        return np.bincount(entry_of, weights=row_flags, minlength=entries) > 0
+
+    # bincount adds each entry's masses in row order, as a sequential sum does
+    totals = np.bincount(entry_of, weights=mass, minlength=entries) + absorb
+    bad_interval = ~((0.0 <= lo) & (lo < hi) & (hi <= 1.0))
+    # report the first failing entry, its checks taken in this order
+    failures = np.column_stack([
+        per_entry(~np.isfinite(mass)) | ~np.isfinite(absorb),
+        np.abs(totals - 1.0) > ROW_SUM_TOL,
+        per_entry(mass < 0) | (absorb < 0),
+        per_entry(bad_interval),
+    ])
+    if failures.any():
+        e, check = np.unravel_index(np.argmax(failures), failures.shape)
+        path, total = paths[e], float(totals[e])
+        if check == 0:
+            raise ModelFormatError(path, "masses must be finite")
+        if check == 1:
+            if path == "initial":
+                raise ModelFormatError(path, f"total mass {total!r}, not 1")
+            raise ModelFormatError(path, f"row sums to {total!r}, not 1")
+        if check == 2:
+            raise ModelFormatError(path, "negative mass")
+        r = np.flatnonzero(bad_interval & (entry_of == e))[0]
+        raise ModelFormatError(f"{path}.to" if path != "initial" else path,
+                               f"bad interval ({lo[r]}, {hi[r]})")
+
+    grid = StatePartition(merge_breakpoints(base.points, lo, hi))
+    placed = _spread_rows(grid.widths, breakpoint_indices(grid.points, lo),
+                          breakpoint_indices(grid.points, hi), mass, entry_of, entries)
+    slot_cell = np.repeat(np.arange(base.cell_count), [len(acts) for acts in avail])
+    slot_action = np.array([a for acts in avail for a in acts])
+    kernel = np.zeros((base.cell_count, n_actions, grid.cell_count))
+    base_absorb = np.ones((base.cell_count, n_actions))
+    base_rewards = np.zeros((base.cell_count, n_actions, len(rewards[0])))
+    kernel[slot_cell, slot_action] = placed[:-1]
+    base_absorb[slot_cell, slot_action] = absorb[:-1]
+    base_rewards[slot_cell, slot_action] = rewards
     owner = grid.index_map_from(base)
-    m = grid.cell_count
-    kernel = np.zeros((m, n_actions, m))
-    absorb = np.ones((m, n_actions))
-    rewards = np.zeros((m, n_actions, n_criteria))
-    for i in range(m):
-        for act in avail[owner[i]]:
-            to_rows, absorb_mass, reward_vec = rows[(owner[i], act)]
-            kernel[i, act] = _rows_to_grid_masses(to_rows, grid)
-            absorb[i, act] = absorb_mass
-            rewards[i, act] = reward_vec
-    initial = PieceMeasure(grid, _rows_to_grid_masses(initial_rows, grid))
     return AtomlessMDP(
         grid=grid,
         action_count=n_actions,
-        available=[avail[owner[i]] for i in range(m)],
-        kernel=kernel,
-        absorb=absorb,
-        rewards=rewards,
-        initial=initial,
+        available=[avail[i] for i in owner],
+        kernel=kernel[owner],
+        absorb=base_absorb[owner],
+        rewards=base_rewards[owner],
+        initial=PieceMeasure(grid, placed[-1]),
         kind=kind,
         beta=beta if kind == DISCOUNTED else None,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measure import PieceMeasure, StatePartition, refine, total_variation
+from .measure import PieceMeasure, StatePartition, total_variation
 from .model import (
     AtomlessMDP,
     DeterministicPolicy,
@@ -51,6 +51,11 @@ class OccupancyMeasure:
     def state_marginal(self) -> PieceMeasure:
         return PieceMeasure(self.partition, self.masses.sum(axis=1))
 
+    def performance(self) -> np.ndarray:
+        """Expected total reward vector  v = sum over (interval, action) of reward * mass."""
+        owner = self.partition.index_map_from(self.model.grid)
+        return np.einsum("sa,san->n", self.masses, self.model.rewards[owner])
+
     def refined_masses(self, finer: StatePartition) -> np.ndarray:
         owner = finer.index_map_from(self.partition)
         frac = finer.widths / self.partition.widths[owner]
@@ -73,7 +78,7 @@ def marginal_step(model: AtomlessMDP, policy, q_n: PieceMeasure) -> PieceMeasure
     """One exact transition step: returns the next state marginal on the base grid."""
     pi = _as_stationary(model, policy)
     validate_policy(model, pi)
-    joint = refine(refine(q_n.partition, pi.partition), model.grid)
+    joint = q_n.partition.refine(pi.partition).refine(model.grid)
     q_masses = q_n.refined_to(joint).masses
     probs = pi.refined_to(joint).probs
     owner = joint.index_map_from(model.grid)
@@ -121,7 +126,7 @@ def occupancy(model: AtomlessMDP, policy, tol: float = 1e-9) -> OccupancyMeasure
             power = power @ power
             k *= 2
 
-    part = refine(pi.partition, model.grid)
+    part = pi.partition.refine(model.grid)
     marginal = PieceMeasure(model.grid, partial).refined_to(part)
     probs = pi.refined_to(part).probs
     masses = marginal.masses[:, None] * probs
@@ -129,15 +134,8 @@ def occupancy(model: AtomlessMDP, policy, tol: float = 1e-9) -> OccupancyMeasure
 
 
 def performance(model: AtomlessMDP, policy, tol: float = 1e-9) -> np.ndarray:
-    """Expected total reward vector  v = sum over (interval, action) of reward * mass."""
-    q = occupancy(model, policy, tol)
-    owner = q.partition.index_map_from(model.grid)
-    return np.einsum("sa,san->n", q.masses, model.rewards[owner])
-
-
-def performance_of_occupancy(q: OccupancyMeasure) -> np.ndarray:
-    owner = q.partition.index_map_from(q.model.grid)
-    return np.einsum("sa,san->n", q.masses, q.model.rewards[owner])
+    """Expected total reward vector of the policy; see OccupancyMeasure.performance."""
+    return occupancy(model, policy, tol).performance()
 
 
 def policy_from_occupancy(q: OccupancyMeasure) -> StationaryPolicy:
@@ -158,7 +156,7 @@ def policy_from_occupancy(q: OccupancyMeasure) -> StationaryPolicy:
 
 def occupancy_total_variation(q1: OccupancyMeasure, q2: OccupancyMeasure) -> float:
     """Total variation between two occupancy measures on state x action."""
-    part = refine(q1.partition, q2.partition)
+    part = q1.partition.refine(q2.partition)
     return float(np.abs(q1.refined_masses(part) - q2.refined_masses(part)).sum())
 
 

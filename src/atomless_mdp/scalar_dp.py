@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CertifiedFailure, ToleranceError
-from .measure import StatePartition, refine
+from .measure import StatePartition
 from .model import AtomlessMDP, DeterministicPolicy
 
 __all__ = [
@@ -53,7 +53,7 @@ class SubmodelSpec:
     @classmethod
     def from_pair(cls, model: AtomlessMDP, phi0: DeterministicPolicy,
                   phi1: DeterministicPolicy) -> "SubmodelSpec":
-        part = refine(refine(phi0.partition, phi1.partition), model.grid)
+        part = phi0.partition.refine(phi1.partition).refine(model.grid)
         a0 = phi0.refined_to(part).actions
         a1 = phi1.refined_to(part).actions
         return cls(model, part, [{int(x), int(y)} for x, y in zip(a0, a1)])
@@ -67,7 +67,7 @@ class SubmodelSpec:
 
     def frozen_below(self, threshold: float, low: DeterministicPolicy) -> "SubmodelSpec":
         """Force the ``low`` policy's action on every interval left of the threshold."""
-        part = refine(self.partition, low.partition).with_point(threshold)
+        part = self.partition.refine(low.partition).with_point(threshold)
         base = self.refined_to(part)
         low_actions = low.refined_to(part).actions
         mids = 0.5 * (part.points[:-1] + part.points[1:])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from atomless_mdp.cli import main
-from atomless_mdp.model import builtin, model_to_doc, save_model_file
+from atomless_mdp.model import builtin, model_to_doc, random_model, save_model_file
 
 
 @pytest.fixture()
@@ -243,3 +243,99 @@ def test_reports_are_deterministic_modulo_timing(onestep_model, tmp_path, capsys
     first = out.read_bytes()
     run("evaluate", onestep_model, policy, "--out", out)
     assert out.read_bytes() == first
+
+
+def write_doc(tmp_path, mutate):
+    doc = model_to_doc(builtin("unit-interval-onestep"))
+    mutate(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+NON_FINITE = {
+    "kernel": (lambda d: d["kernel"][0][0].update(to=[[0.0, 1.0, float("nan")]]), "kernel[0][0]"),
+    "absorb": (lambda d: d["kernel"][0][1].update(absorb=float("nan")), "kernel[0][1]"),
+    "initial": (lambda d: d.update(initial=[[0.0, 1.0, float("nan")]]), "initial"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_FINITE))
+def test_validate_rejects_non_finite_mass(tmp_path, capsys, field):
+    mutate, path = NON_FINITE[field]
+    assert run("validate", write_doc(tmp_path, mutate)) == 2
+    assert f"{path}: masses must be finite" in capsys.readouterr().err
+
+
+MALFORMED = {
+    "kernel entry is a list": (lambda d: d["kernel"][0].__setitem__(0, [1.0]), "kernel[0][0]"),
+    "reward entry is a scalar": (lambda d: d["rewards"][0].__setitem__(0, 2.0), "rewards[0][0]"),
+    "kernel cell is an int": (lambda d: d["kernel"].__setitem__(0, 3), "kernel[0]"),
+    "available entry is an int": (lambda d: d["available"].__setitem__(0, 1), "available[0]"),
+    "kernel rows are not triples": (
+        lambda d: d["kernel"][0][0].update(to=[[0.0, 1.0]]), "kernel[0][0].to"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_validate_malformed_document_exits_2(tmp_path, capsys, case):
+    mutate, path = MALFORMED[case]
+    assert run("validate", write_doc(tmp_path, mutate)) == 2
+    assert f"validation error: {path}: " in capsys.readouterr().err
+
+
+def test_policy_file_rejects_non_finite_probability(onestep_model, tmp_path):
+    from atomless_mdp.cli import load_policy_file
+    from atomless_mdp.errors import ModelFormatError
+    from atomless_mdp.model import load_model_file
+
+    policy = write_policy(tmp_path, "pi.txt", [(0.0, 0.5, "0.5 0.5"), (0.5, 1.0, "nan 1.0")])
+    with pytest.raises(ModelFormatError, match=r"pi.txt:2: non-finite entry"):
+        load_policy_file(policy, load_model_file(onestep_model))
+    assert run("evaluate", onestep_model, policy) == 2
+
+
+def test_evaluate_reports_performance_bitwise(tmp_path, capsys):
+    from atomless_mdp.cli import load_policy_file, save_policy_file
+    from atomless_mdp.model import load_model_file, random_stationary_policy
+    from atomless_mdp.occupancy import performance
+
+    model_path = tmp_path / "m.json"
+    save_model_file(random_model(6, 3, 2, seed=21), model_path)
+    model = load_model_file(model_path)
+    policy_path = tmp_path / "pi.txt"
+    save_policy_file(random_stationary_policy(model, np.random.default_rng(4)), policy_path)
+    out = tmp_path / "perf.csv"
+    assert run("evaluate", model_path, policy_path, "--out", out) == 0
+    expected = performance(model, load_policy_file(policy_path, model))
+    assert [float(x) for x in out.read_text().splitlines()[1].split(",")] == expected.tolist()
+    note = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("note: v = "))
+    assert [float(x) for x in note.split("=")[1].split()] == expected.tolist()
+
+
+def test_path_computes_one_occupancy_per_grid_point(tmp_path, monkeypatch):
+    import importlib
+
+    from atomless_mdp.cli import save_policy_file
+    from atomless_mdp.model import load_model_file, random_deterministic_policy
+
+    model_path = tmp_path / "m.json"
+    save_model_file(random_model(6, 3, 2, seed=21), model_path)
+    model = load_model_file(model_path)
+    rng = np.random.default_rng(8)
+    phi0, phi1 = tmp_path / "phi0.txt", tmp_path / "phi1.txt"
+    save_policy_file(random_deterministic_policy(model, rng), phi0)
+    save_policy_file(random_deterministic_policy(model, rng), phi1)
+
+    occ = importlib.import_module("atomless_mdp.occupancy")
+    original = occ.occupancy
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name in ("atomless_mdp.occupancy", "atomless_mdp.cli", "atomless_mdp.derandomize"):
+        monkeypatch.setattr(importlib.import_module(name), "occupancy", counting)
+    assert run("path", model_path, phi0, phi1, "--grid", 5, "--out", tmp_path / "p.csv") == 0
+    assert len(calls) == 5 + 1  # one per grid point, one for the path's context

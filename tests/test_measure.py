@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atomless_mdp.errors import DegenerateMeasureError
 from atomless_mdp.measure import (
     PieceMeasure,
     StatePartition,
-    refine,
     total_variation,
 )
 
@@ -24,25 +23,25 @@ def pm(points, masses):
 
 def test_refine_identity():
     a = StatePartition([0.0, 1.0])
-    assert refine(a, a).points.tolist() == [0.0, 1.0]
+    assert a.refine(a).points.tolist() == [0.0, 1.0]
 
 
 def test_refine_sorted_union():
     a = StatePartition([0.0, 0.5, 1.0])
     b = StatePartition([0.0, 0.25, 1.0])
-    assert refine(a, b).points.tolist() == [0.0, 0.25, 0.5, 1.0]
+    assert a.refine(b).points.tolist() == [0.0, 0.25, 0.5, 1.0]
 
 
 def test_refine_thirds():
     a = StatePartition([0.0, 1 / 3, 1.0])
     b = StatePartition([0.0, 2 / 3, 1.0])
-    assert refine(a, b).points.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
+    assert a.refine(b).points.tolist() == [0.0, 1 / 3, 2 / 3, 1.0]
 
 
 def test_refine_merges_near_duplicates():
     a = StatePartition([0.0, 0.5, 1.0])
     b = StatePartition([0.0, 0.5 + 1e-14, 1.0])
-    assert refine(a, b).cell_count == 2
+    assert a.refine(b).cell_count == 2
 
 
 def test_partition_validation():
@@ -175,6 +174,14 @@ def test_mass_below_zero_density_region():
     assert m.mass_below(0.25) == 0.0
 
 
+def test_split_keeps_breakpoints_closer_than_merge_tol():
+    m = pm([0, 0.5, np.nextafter(0.5, 1), 1], [0.25, 0.5, 0.25])
+    s = m.split_at(0.3)
+    assert s.partition.points.tolist() == [0, 0.3, 0.5, np.nextafter(0.5, 1), 1]
+    assert s.total == 1.0
+    assert s.masses.tolist() == pytest.approx([0.15, 0.1, 0.5, 0.25], abs=1e-15)
+
+
 def test_split_preserves_cdf_everywhere():
     m = pm([0, 0.4, 1], [0.3, 0.7])
     s = m.split_at(0.123)
@@ -244,6 +251,7 @@ def test_tv_triangle_inequality(m1, m2, m3):
 
 
 @given(piece_measures(), st.floats(min_value=0.0, max_value=1.0))
+@example(pm([0, 0.5, np.nextafter(0.5, 1), 1], [0.25, 0.5, 0.25]), 0.3)
 @settings(max_examples=60, deadline=None)
 def test_split_preserves_total_and_cdf(m, b):
     s = m.split_at(b)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from atomless_mdp.errors import ModelFormatError, NotCertifiedError
+from atomless_mdp.errors import ModelFormatError, NotCertifiedError, PartitionMismatchError
 from atomless_mdp.measure import PieceMeasure, StatePartition
 from atomless_mdp.model import (
     AtomlessMDP,
@@ -108,6 +110,104 @@ def test_roundtrip_random_model():
     doc = model_to_doc(m)
     again = model_to_doc(load_model(doc))
     assert doc == again
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 4), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_load_reproduces_random_model_bitwise(seed, cells, actions, criteria):
+    m = random_model(cells, actions, criteria, seed=seed)
+    again = load_model(model_to_doc(m))
+    assert again.grid.points.tobytes() == m.grid.points.tobytes()
+    for name in ("kernel", "absorb", "rewards"):
+        assert getattr(again, name).tobytes() == getattr(m, name).tobytes(), name
+    assert again.initial.masses.tobytes() == m.initial.masses.tobytes()
+    assert again.available == m.available
+
+
+def test_load_multicell_rows_on_refined_grid():
+    # rows spanning several cells and ending inside cells refine the grid to
+    # quarters; every mass below is exact in binary
+    doc = {
+        "kind": "absorbing",
+        "grid": [0.0, 0.5, 1.0],
+        "actions": 2,
+        "available": [[0, 1], [1]],
+        "kernel": [
+            [{"to": [[0.0, 1.0, 0.5], [0.25, 0.5, 0.25]], "absorb": 0.25},
+             {"to": [], "absorb": 1.0}],
+            [{"to": [[0.5, 0.75, 0.5]], "absorb": 0.5}],
+        ],
+        "rewards": [[[1.0], [2.0]], [[3.0]]],
+        "initial": [[0.0, 0.25, 0.5], [0.25, 0.75, 0.5]],
+    }
+    m = load_model(doc)
+    assert m.grid.points.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert m.available == ((0, 1), (0, 1), (1,), (1,))
+    row_a0 = [0.125, 0.375, 0.125, 0.125]
+    row_b1 = [0.0, 0.0, 0.5, 0.0]
+    zero = [0.0] * 4
+    assert m.kernel.tolist() == [[row_a0, zero], [row_a0, zero], [zero, row_b1], [zero, row_b1]]
+    assert m.absorb.tolist() == [[0.25, 1.0], [0.25, 1.0], [1.0, 0.5], [1.0, 0.5]]
+    assert m.rewards[:, :, 0].tolist() == [[1.0, 2.0], [1.0, 2.0], [0.0, 3.0], [0.0, 3.0]]
+    assert m.initial.masses.tolist() == [0.5, 0.25, 0.25, 0.0]
+
+
+def reference_row_masses(rows, points):
+    """Row-by-row placement of (lo, hi, mass) rows on a grid with every endpoint."""
+    masses = np.zeros(points.size - 1)
+    for lo, hi, mass in rows:
+        a, b = int(np.flatnonzero(points == lo)[0]), int(np.flatnonzero(points == hi)[0])
+        if b == a + 1:
+            masses[a] += mass
+        else:
+            widths = np.diff(points)[a:b]
+            masses[a:b] += mass * widths / widths.sum()
+    return masses
+
+
+def test_load_matches_row_by_row_placement():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        cells, actions = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        grid = np.unique(np.concatenate(([0.0, 1.0], rng.uniform(0.05, 0.95, cells - 1))))
+        cuts = np.unique(np.concatenate((grid, rng.uniform(0.0, 1.0, 3))))
+
+        def rows(total):
+            out = []
+            for _ in range(int(rng.integers(0, 6))):
+                lo, hi = np.sort(rng.choice(cuts, 2, replace=False)).tolist()
+                out.append([lo, hi, float(rng.uniform(0.0, total / 6))])
+            return out
+
+        available = [list(range(actions))] * (grid.size - 1)
+        kernel = []
+        for _ in available:
+            cell = []
+            for _ in range(actions):
+                to = rows(0.9)
+                cell.append({"to": to, "absorb": 1.0 - sum(r[2] for r in to)})
+            kernel.append(cell)
+        initial = rows(1.0)
+        initial.append([0.0, 1.0, 1.0 - sum(r[2] for r in initial)])
+        doc = {"kind": "absorbing", "grid": grid.tolist(), "actions": actions,
+               "available": available, "kernel": kernel,
+               "rewards": [[[1.0]] * actions] * len(available), "initial": initial}
+        m = load_model(doc)
+        owner = m.grid.index_map_from(StatePartition(grid))
+        for i, base_cell in enumerate(owner):
+            for a in range(actions):
+                expected = reference_row_masses(kernel[base_cell][a]["to"], m.grid.points)
+                assert m.kernel[i, a].tobytes() == expected.tobytes()
+        expected = reference_row_masses(initial, m.grid.points)
+        assert m.initial.masses.tobytes() == expected.tobytes()
+
+
+def test_model_rejects_non_finite_masses():
+    base = absorb_immediately()
+    for kernel, absorb in ((np.full((1, 1, 1), np.nan), np.zeros((1, 1))),
+                           (np.zeros((1, 1, 1)), np.full((1, 1), np.nan))):
+        with pytest.raises(ModelFormatError, match=r"kernel\[0\]\[0\].*finite"):
+            AtomlessMDP(base.grid, 1, [(0,)], kernel, absorb, base.rewards, base.initial)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +380,25 @@ def test_policy_validation():
     if m.grid.cell_count > 1:
         with pytest.raises(Exception):
             validate_policy(m, bad)
+
+
+def test_policy_validation_names_first_offending_interval():
+    grid = StatePartition([0.0, 0.5, 1.0])
+    m = AtomlessMDP(grid, 2, [(0,), (1,)], np.zeros((2, 2, 2)), np.ones((2, 2)),
+                    np.zeros((2, 2, 1)), PieceMeasure(grid, [0.5, 0.5]))
+    fine = StatePartition([0.0, 0.25, 0.5, 0.75, 1.0])
+    with pytest.raises(ModelFormatError, match=r"policy\[1\]: unavailable action 1 in cell 0"):
+        validate_policy(m, DeterministicPolicy(fine, [0, 1, 0, 0]))
+    with pytest.raises(ModelFormatError, match=r"policy\[2\]: mass on an unavailable action"):
+        validate_policy(m, StationaryPolicy(fine, [[1, 0], [1, 0], [0.5, 0.5], [0, 1]]))
+    with pytest.raises(PartitionMismatchError, match="policy interval 0 straddles"):
+        validate_policy(m, DeterministicPolicy(StatePartition([0.0, 1.0]), [1]))
+    validate_policy(m, DeterministicPolicy(fine, [0, 0, 1, 1]))
+
+
+def test_stationary_policy_rejects_non_finite_probabilities():
+    with pytest.raises(ValueError, match="finite"):
+        StationaryPolicy(StatePartition([0.0, 1.0]), [[np.nan, 1.0]])
 
 
 def test_cell_action_weights_sub_cell_split():
