@@ -23,11 +23,12 @@ own output; failures carry the best achieved residual, never silence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .errors import CertifiedFailure
-from .geometry import caratheodory_prune, distance_to_hull
+from .geometry import caratheodory_prune, distance_to_hull, min_norm_point
 from .measure import PieceMeasure
 from .model import (
     AtomlessMDP,
@@ -305,60 +306,25 @@ def _support_gap(sub: SubmodelSpec, b_active, active, target_active):
     return h - float(np.asarray(b_active) @ target_active), h, policy
 
 
-def _fibonacci_sphere(k: int) -> np.ndarray:
-    i = np.arange(k) + 0.5
-    phi = np.arccos(1 - 2 * i / k)
-    theta = np.pi * (1 + 5**0.5) * i
-    return np.column_stack(
-        [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)]
-    )
+def _min_max_direction(w_rows: np.ndarray) -> np.ndarray:
+    """argmin over unit b of max_k <b, w_k> for an explicit point cloud.
 
-
-def _min_max_direction(w_rows: np.ndarray, dim: int) -> np.ndarray:
-    """argmin over unit b of max_k <b, w_k> for an explicit point cloud."""
-    if dim == 1:
-        return np.array([1.0]) if w_rows.max(initial=0.0) < (-w_rows).max(initial=0.0) else np.array([-1.0])
-
-    def g(bs):
-        return (bs @ w_rows.T).max(axis=-1)
-
-    if dim == 2:
-        # candidate minimizers: per-point antipodes and pairwise crossings
-        angles = [np.arctan2(-w[1], -w[0]) for w in w_rows]
-        for i in range(len(w_rows)):
-            for j in range(i + 1, len(w_rows)):
-                d = w_rows[i] - w_rows[j]
-                if np.linalg.norm(d) > 1e-15:
-                    t = np.arctan2(d[0], -d[1])
-                    angles.extend([t, t + np.pi])
-        cand = np.array(angles)
-        bs = np.column_stack([np.cos(cand), np.sin(cand)])
-        return bs[int(np.argmin(g(bs)))]
-
-    # dim == 3: dense sphere scan then Nelder-Mead restarts on angles
-    from scipy.optimize import minimize
-
-    grid = _fibonacci_sphere(2048)
-    vals = g(grid)
-    order = np.argsort(vals)[:6]
-
-    def objective(angles):
-        th, ph = angles
-        return float(g(np.array([np.cos(ph) * np.sin(th), np.sin(ph) * np.sin(th), np.cos(th)])))
-
-    best_b, best_v = grid[order[0]], float(vals[order[0]])
-    for idx in order:
-        b0 = grid[idx]
-        th0 = float(np.arccos(np.clip(b0[2], -1, 1)))
-        ph0 = float(np.arctan2(b0[1], b0[0]))
-        res = minimize(objective, [th0, ph0], method="Nelder-Mead",
-                       options={"maxiter": 400, "xatol": 1e-14, "fatol": 1e-16})
-        th, ph = res.x
-        b = np.array([np.cos(ph) * np.sin(th), np.sin(ph) * np.sin(th), np.cos(th)])
-        v = float(g(b))
-        if v < best_v:
-            best_b, best_v = b, v
-    return best_b
+    Outside conv W the minimizer is -p/|p| for the min-norm point p.  Otherwise
+    it is a facet normal, and every facet passes through N of the points, so
+    the normals of all hyperplanes through N points contain it; for a flat
+    cloud such a normal is orthogonal to the cloud's affine hull.  The cost
+    grows as C(len(w_rows), N).
+    """
+    count, dim = w_rows.shape
+    subsets = np.array(list(combinations(range(count), dim)))
+    # the last column of a complete QR of the N-1 spanning differences is
+    # orthogonal to them, whatever their rank
+    spans = w_rows[subsets[:, 1:]] - w_rows[subsets[:, :1]]
+    normals = np.linalg.qr(np.swapaxes(spans, 1, 2), mode="complete")[0][:, :, -1]
+    p, _ = min_norm_point(w_rows)
+    norm = float(np.linalg.norm(p))
+    cands = np.vstack([normals, -normals] + ([-p / norm] if norm > 0.0 else []))
+    return cands[int(np.argmin((cands @ w_rows.T).max(axis=1)))]
 
 
 def _polish_direction(sub: SubmodelSpec, target_active, active, init=None,
@@ -391,11 +357,6 @@ def _polish_direction(sub: SubmodelSpec, target_active, active, init=None,
             best_b, best_f = b, f
         return f
 
-    if dim == 1:
-        oracle(np.array([1.0]))
-        oracle(np.array([-1.0]))
-        return best_b, best_f
-
     if init is not None:
         oracle(init)
     for axis in range(dim):
@@ -403,14 +364,11 @@ def _polish_direction(sub: SubmodelSpec, target_active, active, init=None,
         e[axis] = 1.0
         oracle(e)
         oracle(-e)
-    if dim == 3:
-        for b in _fibonacci_sphere(32):
-            oracle(b)
 
     scale = 1.0 + float(np.abs(np.array(cloud)).max(initial=0.0))
     for _ in range(rounds):
         w_rows = np.array(cloud)
-        b = _min_max_direction(w_rows, dim)
+        b = _min_max_direction(w_rows)
         model_val = float((w_rows @ b).max())
         true_val = oracle(b)
         if true_val - model_val <= 1e-13 * scale:

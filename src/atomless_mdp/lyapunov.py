@@ -153,7 +153,7 @@ def _directions(count: int, dim: int) -> np.ndarray:
         return np.column_stack(
             [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)]
         )
-    raise ValueError("direction generation supports up to three criteria")
+    raise ModelFormatError("densities", f"range_hull supports at most 3 criteria, got {dim}")
 
 
 @dataclass

@@ -107,18 +107,26 @@ def merge_breakpoints(*arrays) -> np.ndarray:
     return out
 
 
-def breakpoint_indices(points: np.ndarray, x) -> np.ndarray:
+def locate_breakpoints(points: np.ndarray, x):
     """Index of the breakpoint equal to each x (within MERGE_TOL, the lower one
-    when two qualify); raises ValueError naming the first x that matches none."""
+    when two qualify) and a mask of the x that match one."""
     x = np.asarray(x, dtype=float)
     i = np.searchsorted(points, x)
     below = np.maximum(i - 1, 0)
     above = np.minimum(i, points.size - 1)
     use_below = (i > 0) & (np.abs(points[below] - x) <= MERGE_TOL)
     found = use_below | ((i < points.size) & (np.abs(points[above] - x) <= MERGE_TOL))
+    return np.where(use_below, below, above), found
+
+
+def breakpoint_indices(points: np.ndarray, x) -> np.ndarray:
+    """locate_breakpoints' indices; raises ValueError naming the first x that
+    matches no breakpoint."""
+    x = np.asarray(x, dtype=float)
+    idx, found = locate_breakpoints(points, x)
     if not found.all():
         raise ValueError(f"{x[np.argmin(found)]} is not a breakpoint of the partition")
-    return np.where(use_below, below, above)
+    return idx
 
 
 class PieceMeasure:

@@ -22,7 +22,8 @@ from .errors import (
 from .measure import (
     PieceMeasure,
     StatePartition,
-    breakpoint_indices,
+    MERGE_TOL,
+    locate_breakpoints,
     merge_breakpoints,
 )
 
@@ -63,6 +64,7 @@ class AtomlessMDP:
         self._validate()
         for arr in (self.kernel, self.absorb, self.rewards, self._mask):
             arr.setflags(write=False)
+        self._one_step = not bool(self.kernel.any())
 
     # -- basic shape ------------------------------------------------------
 
@@ -133,11 +135,7 @@ class AtomlessMDP:
 
     def is_one_step(self) -> bool:
         """True when every action absorbs immediately (all kernel rows zero)."""
-        flag = getattr(self, "_one_step", None)
-        if flag is None:
-            flag = not bool(self.kernel.any())
-            self._one_step = flag
-        return flag
+        return self._one_step
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +581,9 @@ def load_model(doc: dict) -> AtomlessMDP:
     def per_entry(row_flags):
         return np.bincount(entry_of, weights=row_flags, minlength=entries) > 0
 
+    def rows_path(e):
+        return paths[e] if paths[e] == "initial" else f"{paths[e]}.to"
+
     # bincount adds each entry's masses in row order, as a sequential sum does
     totals = np.bincount(entry_of, weights=mass, minlength=entries) + absorb
     bad_interval = ~((0.0 <= lo) & (lo < hi) & (hi <= 1.0))
@@ -605,12 +606,21 @@ def load_model(doc: dict) -> AtomlessMDP:
         if check == 2:
             raise ModelFormatError(path, "negative mass")
         r = np.flatnonzero(bad_interval & (entry_of == e))[0]
-        raise ModelFormatError(f"{path}.to" if path != "initial" else path,
-                               f"bad interval ({lo[r]}, {hi[r]})")
+        raise ModelFormatError(rows_path(e), f"bad interval ({lo[r]}, {hi[r]})")
 
     grid = StatePartition(merge_breakpoints(base.points, lo, hi))
-    placed = _spread_rows(grid.widths, breakpoint_indices(grid.points, lo),
-                          breakpoint_indices(grid.points, hi), mass, entry_of, entries)
+    start, found_lo = locate_breakpoints(grid.points, lo)
+    end, found_hi = locate_breakpoints(grid.points, hi)
+    found = found_lo & found_hi
+    if not found.all():
+        # a chain of endpoints, each within MERGE_TOL of the next, merged into
+        # one breakpoint farther than MERGE_TOL from some of them
+        r = int(np.argmin(found))
+        x = float(lo[r] if not found_lo[r] else hi[r])
+        raise ModelFormatError(rows_path(entry_of[r]),
+                               f"endpoint {x!r} is within {MERGE_TOL} of another "
+                               "endpoint but not of the breakpoint they merge to")
+    placed = _spread_rows(grid.widths, start, end, mass, entry_of, entries)
     slot_cell = np.repeat(np.arange(base.cell_count), [len(acts) for acts in avail])
     slot_action = np.array([a for acts in avail for a in acts])
     kernel = np.zeros((base.cell_count, n_actions, grid.cell_count))

@@ -19,6 +19,7 @@ from atomless_mdp.derandomize import (
     path_policy,
     tv_modulus,
 )
+from atomless_mdp.errors import CertifiedFailure
 from atomless_mdp.lyapunov import VectorMeasure, brute_force_range, find_set, range_hull
 from atomless_mdp.measure import PieceMeasure, StatePartition
 from atomless_mdp.model import (
@@ -67,6 +68,27 @@ def test_criterion_1_main_theorem_quantitative():
         assert elapsed < 30.0
     print("\nACCEPTANCE 1 PASS: derandomize matches v(pi) within 1e-5*(1+|v|) "
           "on 25 random models, each instance < 30 s")
+
+
+@pytest.mark.parametrize("criteria", [4, 5])
+def test_criterion_1_beyond_three_criteria(criteria):
+    # the acceptance-1 law with N fixed: each call meets the tolerance or
+    # raises CertifiedFailure, and at least one call per N succeeds
+    rng = np.random.default_rng(2026 + criteria)
+    successes = 0
+    for k in range(2):
+        cells, actions = int(rng.integers(2, 9)), int(rng.integers(2, 4))
+        model = random_model(cells, actions, criteria, seed=1000 * criteria + k)
+        pi = random_stationary_policy(model, rng)
+        v_pi = performance(model, pi, tol=1e-12)
+        try:
+            phi, _ = derandomize(model, pi, tol=1e-5)
+        except CertifiedFailure:
+            continue
+        err = float(np.linalg.norm(performance(model, phi, tol=1e-12) - v_pi))
+        assert err <= 1e-5 * (1.0 + float(np.linalg.norm(v_pi)))
+        successes += 1
+    assert successes >= 1
 
 
 def test_criterion_2_deterministic_performance_set_convex():

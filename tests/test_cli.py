@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +278,11 @@ MALFORMED = {
     "available entry is an int": (lambda d: d["available"].__setitem__(0, 1), "available[0]"),
     "kernel rows are not triples": (
         lambda d: d["kernel"][0][0].update(to=[[0.0, 1.0]]), "kernel[0][0].to"),
+    "endpoints chain within MERGE_TOL": (
+        lambda d: d["kernel"][0][0].update(
+            to=[[0.0, 0.5, 0.1], [0.5, 0.5 + 0.8e-12, 0.1], [0.5 + 0.8e-12, 0.5 + 1.6e-12, 0.1]],
+            absorb=0.7),
+        "kernel[0][0].to"),
 }
 
 
@@ -339,3 +348,37 @@ def test_path_computes_one_occupancy_per_grid_point(tmp_path, monkeypatch):
         monkeypatch.setattr(importlib.import_module(name), "occupancy", counting)
     assert run("path", model_path, phi0, phi1, "--grid", 5, "--out", tmp_path / "p.csv") == 0
     assert len(calls) == 5 + 1  # one per grid point, one for the path's context
+
+
+def test_derandomize_four_criteria(tmp_path):
+    from atomless_mdp.cli import save_policy_file
+    from atomless_mdp.model import load_model_file, random_stationary_policy
+
+    model_path = tmp_path / "m.json"
+    assert run("builtin", "random:6x3x4", "--seed", 5, "--out", model_path) == 0
+    policy = tmp_path / "pi.txt"
+    model = load_model_file(model_path)
+    save_policy_file(random_stationary_policy(model, np.random.default_rng(3)), policy)
+    assert run("derandomize", model_path, policy, "--out", tmp_path / "d") == 0
+    assert json.loads((tmp_path / "d.cert.json").read_text())["error"] <= 1e-6
+
+
+def test_derandomize_leaves_scipy_unimported(tmp_path):
+    # importing scipy.spatial alone costs about 38 MiB of resident memory
+    from atomless_mdp.cli import save_policy_file
+    from atomless_mdp.model import load_model_file, random_stationary_policy
+
+    model_path = tmp_path / "m.json"
+    assert run("builtin", "random:6x3x2", "--seed", 5, "--out", model_path) == 0
+    policy = tmp_path / "pi.txt"
+    model = load_model_file(model_path)
+    save_policy_file(random_stationary_policy(model, np.random.default_rng(3)), policy)
+    argv = ["derandomize", str(model_path), str(policy), "--out", str(tmp_path / "d")]
+    script = ("import sys\n"
+              "from atomless_mdp.cli import main\n"
+              f"code = main({argv!r})\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.stdout.strip().splitlines()[-1] == "0 []", done.stderr

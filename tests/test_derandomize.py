@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from atomless_mdp.derandomize import (
+    _min_max_direction,
     alpha_hat,
     caratheodory,
     derandomize,
@@ -26,6 +27,7 @@ from atomless_mdp.model import (
 )
 from atomless_mdp.occupancy import occupancy, occupancy_total_variation, performance
 from atomless_mdp.scalar_dp import SubmodelSpec
+from tests.test_geometry import nnls_projection
 from tests.test_model import one_cell_discounted
 
 
@@ -252,6 +254,57 @@ def test_alpha_hat_monotone_distance_profile():
         values.append(res.g)
     for a, b in zip(values, values[1:]):
         assert b >= a - 2 * tol
+
+
+# ---------------------------------------------------------------------------
+# supporting directions
+# ---------------------------------------------------------------------------
+
+def direction_clouds(dim, rng):
+    """(name, cloud, exact min over unit b of max_k <b, w_k>) for seeded clouds.
+
+    Unless the origin is interior to a full-dimensional hull the minimum is
+    minus the distance from the origin to the hull (zero when the origin lies
+    in a flat hull or on its boundary); in the interior it is the distance to
+    the nearest facet.
+    """
+    from scipy.spatial import ConvexHull
+
+    k = 2 * dim + 5
+    shift = np.zeros(dim)
+    shift[0] = 3.0
+    outside = rng.normal(size=(k, dim)) + shift
+    unit = rng.normal(size=dim)
+    unit /= np.linalg.norm(unit)
+    clouds = {
+        "outside": outside,
+        "duplicate rows": np.repeat(outside[: dim + 2], 2, axis=0),
+        "collinear": rng.normal(size=dim) + rng.uniform(-1.0, 1.0, size=(k, 1)) * unit,
+        "collinear through origin": rng.uniform(-1.0, 1.0, size=(k, 1)) * unit,
+        "flat in the last coordinate": np.column_stack(
+            [rng.normal(size=(k, dim - 1)), np.zeros(k)]),
+        "origin on a vertex": np.vstack(
+            [np.zeros(dim), np.abs(rng.normal(size=(k - 1, dim))) + 0.1]),
+    }
+    for name, w in clouds.items():
+        yield name, w, -float(np.linalg.norm(nnls_projection(w, np.zeros(dim))))
+    inside = rng.normal(size=(k, dim))
+    offsets = ConvexHull(inside).equations[:, -1]     # unit normals, <n, x> + offset <= 0
+    assert np.all(offsets < 0.0)
+    yield "interior origin", inside, float(np.min(-offsets))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_min_max_direction_is_exact(dim):
+    rng = np.random.default_rng(60 + dim)
+    dirs = rng.normal(size=(20000, dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for name, w, expected in direction_clouds(dim, rng):
+        b = _min_max_direction(w)
+        value = float((w @ b).max())
+        assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12), name
+        assert value == pytest.approx(expected, abs=1e-9), name
+        assert value <= float((dirs @ w.T).max(axis=1).min()) + 1e-12, name
 
 
 # ---------------------------------------------------------------------------

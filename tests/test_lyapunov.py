@@ -132,6 +132,11 @@ def test_hull_gap_shrinks_with_directions():
     assert gap_fine <= 1e-3
 
 
+def test_hull_rejects_four_criteria():
+    with pytest.raises(ModelFormatError, match="at most 3 criteria"):
+        range_hull(random_vm(4, 4, seed=3))
+
+
 # ---------------------------------------------------------------------------
 # find_set
 # ---------------------------------------------------------------------------
@@ -159,6 +164,13 @@ def test_find_set_random_inner_targets():
         target = weights @ picks
         s = find_set(vm, target, tol=1e-6)
         assert np.linalg.norm(vm.integrate(s) - target) <= 1e-6
+
+
+def test_find_set_four_criteria():
+    vm = random_vm(32, 4, seed=13)
+    target = 0.5 * vm.total()
+    s = find_set(vm, target, tol=1e-6)
+    assert np.linalg.norm(vm.integrate(s) - target) <= 1e-6
 
 
 def test_find_set_infeasible_target():
