@@ -87,20 +87,18 @@ class TwoPolicyContext:
     phi1: DeterministicPolicy
     pi_star: StationaryPolicy      # the half/half average
     q: PieceMeasure                # state occupancy of pi_star
+    pair: SubmodelSpec             # the action sets {phi0(x), phi1(x)}
 
     @property
     def partition(self):
         return self.pi_star.partition
-
-    def submodel(self) -> SubmodelSpec:
-        return SubmodelSpec.from_pair(self.model, self.phi0, self.phi1)
 
     def threshold(self, alpha: float) -> float:
         return self.q.quantile(alpha)[0]
 
     def submodel_at(self, alpha: float) -> SubmodelSpec:
         """Action sets with phi1 forced below the alpha-threshold of q."""
-        return self.submodel().frozen_below(self.threshold(alpha), self.phi1)
+        return self.pair.frozen_below(self.threshold(alpha), self.phi1)
 
 
 def make_context(model: AtomlessMDP, phi0: DeterministicPolicy,
@@ -116,7 +114,7 @@ def make_context(model: AtomlessMDP, phi0: DeterministicPolicy,
     probs[rows, a1] += 0.5
     pi_star = StationaryPolicy(part, probs)
     q = occupancy(model, pi_star, tol=EVAL_TOL).state_marginal().coarsened_to(model.grid)
-    return TwoPolicyContext(model, phi0, phi1, pi_star, q)
+    return TwoPolicyContext(model, phi0, phi1, pi_star, q, SubmodelSpec(model, part, probs > 0.0))
 
 
 def path_policy(ctx: TwoPolicyContext, alpha: float) -> DeterministicPolicy:
@@ -192,9 +190,10 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
     Vertices are deduplicated at a fraction of ``tol``: seed policies from
     nearby submodels differ by far less than the decision tolerance, and
     keeping such near-copies destroys the conditioning of the projection.
+    ``seeds`` are (policy, vector) pairs with the vector on the active
+    coordinates, like ``DistanceResult.vertices``.
     """
-    model = sub.model
-    n = model.criteria
+    n = sub.model.criteria
     active = tuple(range(n)) if active is None else tuple(active)
     t_active = np.asarray(target, dtype=float)[list(active)]
     dedupe = max(1e-12, 1e-3 * tol)
@@ -202,27 +201,24 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
     verts: list = []     # (policy, active-coordinate vector)
     seen = set()
 
-    def add_vertex(policy):
-        v_full = _perf(model, policy)
-        key = tuple(np.round(v_full[list(active)] / dedupe).astype(np.int64))
+    def add_vertex(policy, v_active):
+        key = tuple(np.round(v_active / dedupe).astype(np.int64))
         if key in seen:
             return False
         seen.add(key)
-        verts.append((policy, v_full[list(active)]))
+        verts.append((policy, v_active))
         return True
 
     seeds = list(seeds or ())
     if len(seeds) > 32:
         # keep the seeds whose performance sits closest to the target
-        ranked = sorted(
-            seeds, key=lambda p: float(np.linalg.norm(_perf(model, p)[list(active)] - t_active))
-        )
-        seeds = ranked[:32]
-    for policy in seeds:
-        add_vertex(policy)
+        dist = np.linalg.norm(np.array([v for _, v in seeds]) - t_active, axis=1)
+        seeds = [seeds[i] for i in np.argsort(dist, kind="stable")[:32]]
+    for policy, v_active in seeds:
+        add_vertex(policy, v_active)
     if not verts:
-        h, policy = support(sub, _embed(np.ones(len(active)) / np.sqrt(len(active)), active, n))
-        add_vertex(policy)
+        _, policy, v = support(sub, _embed(np.ones(len(active)) / np.sqrt(len(active)), active, n))
+        add_vertex(policy, v[list(active)])
 
     lower = 0.0
     for _ in range(cap):
@@ -232,11 +228,11 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
             witness = [(float(l), p) for l, (p, _) in zip(lam, verts) if l > 1e-14]
             return DistanceResult(d, max(lower, 0.0), witness, None, proj, verts)
         b = (t_active - proj) / d
-        h, policy = support(sub, _embed(b, active, n))
+        h, policy, v = support(sub, _embed(b, active, n))
         lower = max(lower, float(b @ t_active) - h)
         if lower > d:
             lower = d          # rounding guard; bounds must nest
-        if d - lower <= tol or not add_vertex(policy):
+        if d - lower <= tol or not add_vertex(policy, v[list(active)]):
             witness = [(float(l), p) for l, (p, _) in zip(lam, verts) if l > 1e-14]
             return DistanceResult(d, lower, witness, b, proj, verts)
     raise CertifiedFailure("distance iteration exceeded its cap", residual=d)
@@ -252,12 +248,11 @@ def _membership(sub, target, tol, active, pool, alpha):
 
     Policies found feasible at a larger freeze fraction remain feasible at a
     smaller one (thresholds nest), so the pool carries hull generators across
-    the bisection.
+    the bisection.  Pool entries are (alpha, policy, active-coordinate vector).
     """
-    seeds = [p for a0, p in pool if a0 >= alpha - 1e-15]
+    seeds = [(p, v) for a0, p, v in pool if a0 >= alpha - 1e-15]
     res = distance_to_performance_set(sub, target, tol=0.25 * tol, active=active, seeds=seeds)
-    for p, _ in res.vertices:
-        pool.append((alpha, p))
+    pool.extend((alpha, p, v) for p, v in res.vertices)
     if len(pool) > 120:
         del pool[: len(pool) - 120]
     return res.g <= tol, res
@@ -301,9 +296,10 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None,
 
 
 def _support_gap(sub: SubmodelSpec, b_active, active, target_active):
-    n = sub.model.criteria
-    h, policy = support(sub, _embed(np.asarray(b_active, dtype=float), active, n))
-    return h - float(np.asarray(b_active) @ target_active), h, policy
+    """h(b) - <b, target> and the argmax vertex's vector, on the active coordinates."""
+    b_active = np.asarray(b_active, dtype=float)
+    h, _, v = support(sub, _embed(b_active, active, sub.model.criteria))
+    return h - float(b_active @ target_active), v[list(active)]
 
 
 def _min_max_direction(w_rows: np.ndarray) -> np.ndarray:
@@ -339,7 +335,6 @@ def _polish_direction(sub: SubmodelSpec, target_active, active, init=None,
     distance from the target to the boundary, and the minimizer supports the
     set there.
     """
-    model = sub.model
     dim = len(active)
     cloud: list = []
     best_b, best_f = None, np.inf
@@ -351,8 +346,8 @@ def _polish_direction(sub: SubmodelSpec, target_active, active, init=None,
         if norm < 1e-12:
             return np.inf
         b = b / norm
-        f, _, policy = _support_gap(sub, b, active, target_active)
-        cloud.append(_perf(model, policy)[list(active)] - target_active)
+        f, v_active = _support_gap(sub, b, active, target_active)
+        cloud.append(v_active - target_active)
         if f < best_f:
             best_b, best_f = b, f
         return f
@@ -406,14 +401,15 @@ class MixCertificate:
 def _pair_from_submodel(sub: SubmodelSpec, phi0: DeterministicPolicy,
                         phi1: DeterministicPolicy):
     """Re-express a (possibly pruned) two-policy submodel as a policy pair."""
-    part = sub.partition
-    a0 = phi0.refined_to(part).actions.copy()
-    a1 = phi1.refined_to(part).actions.copy()
-    for s, acts in enumerate(sub.allowed):
-        if a0[s] not in acts:
-            a0[s] = acts[0] if len(acts) == 1 else acts[-1]
-        if a1[s] not in acts:
-            a1[s] = acts[-1] if len(acts) == 1 else acts[0]
+    part, allowed = sub.partition, sub.allowed
+    rows = np.arange(part.cell_count)
+    a0 = phi0.refined_to(part).actions
+    a1 = phi1.refined_to(part).actions
+    # a pruned phi0 takes the highest allowed action, a pruned phi1 the lowest
+    highest = allowed.shape[1] - 1 - np.argmax(allowed[:, ::-1], axis=1)
+    lowest = np.argmax(allowed, axis=1)
+    a0 = np.where(allowed[rows, a0], a0, highest)
+    a1 = np.where(allowed[rows, a1], a1, lowest)
     return DeterministicPolicy(part, a0), DeterministicPolicy(part, a1)
 
 
@@ -422,10 +418,9 @@ def _realize_scalar(model, phi0, phi1, target, coord, tol, trace, max_iters=220)
     sub = SubmodelSpec.from_pair(model, phi0, phi1)
     n = model.criteria
     e = _embed(np.array([1.0]), (coord,), n)
-    _, phi_hi = support(sub, e)
-    _, phi_lo = support(sub, -e)
-    v_lo = float(_perf(model, phi_lo)[coord])
-    v_hi = float(_perf(model, phi_hi)[coord])
+    _, phi_hi, v_hi = support(sub, e)
+    _, phi_lo, v_lo = support(sub, -e)
+    v_lo, v_hi = float(v_lo[coord]), float(v_hi[coord])
     t = float(target[coord])
     slack = max(tol, 1e-11)
     if t < v_lo - slack or t > v_hi + slack:
@@ -501,7 +496,7 @@ def _realize(model, phi0, phi1, target, active, tol, trace, depth=0,
             continue
         if probe.direction is None or probe.g < 1e-10:
             continue
-        f_probe, _, _ = _support_gap(frozen, probe.direction, active, t_active)
+        f_probe, _ = _support_gap(frozen, probe.direction, active, t_active)
         if f_probe < init_gap:
             init, init_gap = probe.direction, f_probe
     b_active, gap = _polish_direction(frozen, t_active, active, init=init)

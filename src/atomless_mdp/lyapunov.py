@@ -19,7 +19,6 @@ from .geometry import distance_to_hull
 from .measure import PieceMeasure
 from .model import AtomlessMDP, DeterministicPolicy, StationaryPolicy, weighted_transform
 from .derandomize import derandomize, distance_to_performance_set
-from .occupancy import performance
 from .scalar_dp import SubmodelSpec, support
 
 __all__ = [
@@ -178,9 +177,9 @@ def range_hull(vm: VectorMeasure, direction_count: int = 64) -> RangeHull:
     dirs = _directions(direction_count, vm.criteria)
     values, verts, policies = [], [], []
     for b in dirs:
-        h, policy = support(model, b)
+        h, policy, v = support(model, b)
         values.append(h)
-        verts.append(performance(model, policy, tol=1e-12))
+        verts.append(v)
         policies.append(policy)
     values = np.asarray(values)
     verts_arr = np.asarray(verts)

@@ -26,62 +26,68 @@ __all__ = [
 
 
 class SubmodelSpec:
-    """Per-interval allowed-action subsets on a partition refining the base grid."""
+    """Per-interval allowed actions on a partition refining the base grid.
 
-    __slots__ = ("model", "partition", "allowed")
+    ``allowed`` is a read-only boolean (intervals x actions) mask and
+    ``owner`` maps each interval to its base-grid cell.
+    """
+
+    __slots__ = ("model", "partition", "allowed", "owner")
 
     def __init__(self, model: AtomlessMDP, partition: StatePartition, allowed):
-        allowed = tuple(tuple(sorted(set(a))) for a in allowed)
-        if len(allowed) != partition.cell_count:
-            raise ValueError("one allowed-action set per interval required")
+        allowed = np.array(allowed, dtype=bool)
+        if allowed.shape != (partition.cell_count, model.action_count):
+            raise ValueError("allowed must be an (intervals x actions) mask")
         if not partition.refines(model.grid):
             raise ValueError("submodel partition must refine the base grid")
         owner = partition.index_map_from(model.grid)
-        for s, acts in enumerate(allowed):
-            if not acts:
+        empty = ~allowed.any(axis=1)
+        bad = np.flatnonzero(empty | (allowed & ~model.available_mask()[owner]).any(axis=1))
+        if bad.size:
+            s = int(bad[0])
+            if empty[s]:
                 raise ValueError(f"interval {s}: empty allowed set")
-            if not set(acts) <= set(model.available[owner[s]]):
-                raise ValueError(f"interval {s}: actions {acts} not all available")
+            acts = tuple(np.flatnonzero(allowed[s]).tolist())
+            raise ValueError(f"interval {s}: actions {acts} not all available")
+        allowed.setflags(write=False)
+        owner.setflags(write=False)
         self.model = model
         self.partition = partition
         self.allowed = allowed
+        self.owner = owner
 
     @classmethod
     def full(cls, model: AtomlessMDP) -> "SubmodelSpec":
-        return cls(model, model.grid, model.available)
+        return cls(model, model.grid, model.available_mask())
 
     @classmethod
     def from_pair(cls, model: AtomlessMDP, phi0: DeterministicPolicy,
                   phi1: DeterministicPolicy) -> "SubmodelSpec":
         part = phi0.partition.refine(phi1.partition).refine(model.grid)
-        a0 = phi0.refined_to(part).actions
-        a1 = phi1.refined_to(part).actions
-        return cls(model, part, [{int(x), int(y)} for x, y in zip(a0, a1)])
-
-    def owner(self) -> np.ndarray:
-        return self.partition.index_map_from(self.model.grid)
+        allowed = np.zeros((part.cell_count, model.action_count), dtype=bool)
+        rows = np.arange(part.cell_count)
+        allowed[rows, phi0.refined_to(part).actions] = True
+        allowed[rows, phi1.refined_to(part).actions] = True
+        return cls(model, part, allowed)
 
     def refined_to(self, finer: StatePartition) -> "SubmodelSpec":
-        idx = finer.index_map_from(self.partition)
-        return SubmodelSpec(self.model, finer, [self.allowed[i] for i in idx])
+        return SubmodelSpec(self.model, finer, self.allowed[finer.index_map_from(self.partition)])
 
     def frozen_below(self, threshold: float, low: DeterministicPolicy) -> "SubmodelSpec":
         """Force the ``low`` policy's action on every interval left of the threshold."""
         part = self.partition.refine(low.partition).with_point(threshold)
-        base = self.refined_to(part)
-        low_actions = low.refined_to(part).actions
-        mids = 0.5 * (part.points[:-1] + part.points[1:])
-        allowed = [
-            (int(low_actions[s]),) if mids[s] < threshold else base.allowed[s]
-            for s in range(part.cell_count)
-        ]
+        allowed = self.allowed[part.index_map_from(self.partition)]
+        below = np.flatnonzero(0.5 * (part.points[:-1] + part.points[1:]) < threshold)
+        allowed[below] = False
+        allowed[below, low.refined_to(part).actions[below]] = True
         return SubmodelSpec(self.model, part, allowed)
 
     def arbitrary_policy(self) -> DeterministicPolicy:
-        return DeterministicPolicy(self.partition, [a[0] for a in self.allowed])
+        """The lowest allowed action on every interval."""
+        return DeterministicPolicy(self.partition, np.argmax(self.allowed, axis=1))
 
     def __repr__(self):
-        sizes = sorted({len(a) for a in self.allowed})
+        sizes = np.unique(self.allowed.sum(axis=1)).tolist()
         return f"SubmodelSpec({self.partition.cell_count} intervals, set sizes {sizes})"
 
 
@@ -131,12 +137,9 @@ def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10,
     cert = model.certificate()
     b = np.asarray(direction, dtype=float)
     scalar_r = model.rewards @ b      # (cells, actions)
-    owner = sub.owner()
+    owner = sub.owner
     n = sub.partition.cell_count
-
-    allowed_mask = np.full((n, model.action_count), False)
-    for s, acts in enumerate(sub.allowed):
-        allowed_mask[s, list(acts)] = True
+    allowed_mask = sub.allowed
 
     if model.is_one_step():
         # one-step model: the value is the per-interval best immediate reward
@@ -201,7 +204,8 @@ def support(model_or_sub, direction, tol: float = 1e-10):
     """
     sub = model_or_sub if isinstance(model_or_sub, SubmodelSpec) else SubmodelSpec.full(model_or_sub)
     _, policy, h = value_iteration(sub, direction, tol)
-    return h, policy
+    from .occupancy import performance
+    return h, policy, performance(sub.model, policy, tol=1e-12)
 
 
 def conserving_submodel(sub: SubmodelSpec, direction, vf: ValueFunction,
@@ -214,17 +218,15 @@ def conserving_submodel(sub: SubmodelSpec, direction, vf: ValueFunction,
         raise ValueError("value function must live on the submodel partition")
     b = np.asarray(direction, dtype=float)
     scalar_r = model.rewards @ b
-    owner = sub.owner()
     avg = _averaging_matrix(model, sub.partition)
-    q = _q_values(scalar_r, model.kernel, owner, avg, vf.values)
+    q = _q_values(scalar_r, model.kernel, sub.owner, avg, vf.values)
     gaps = np.abs(q - vf.values[:, None])
-    allowed = []
-    for s, acts in enumerate(sub.allowed):
-        keep = tuple(a for a in acts if gaps[s, a] <= eta)
-        if not keep:
-            raise ToleranceError(
-                f"interval {s}: no action conserves the value within eta={eta:.3e} "
-                f"(best gap {gaps[s, list(acts)].min():.3e})"
-            )
-        allowed.append(keep)
-    return SubmodelSpec(model, sub.partition, allowed)
+    keep = sub.allowed & (gaps <= eta)
+    empty = np.flatnonzero(~keep.any(axis=1))
+    if empty.size:
+        s = int(empty[0])
+        raise ToleranceError(
+            f"interval {s}: no action conserves the value within eta={eta:.3e} "
+            f"(best gap {gaps[s, sub.allowed[s]].min():.3e})"
+        )
+    return SubmodelSpec(model, sub.partition, keep)

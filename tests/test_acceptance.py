@@ -252,14 +252,14 @@ def test_criterion_8_support_function_sanity():
         sub = SubmodelSpec.full(model)
         for _ in range(50):
             b = rng.normal(size=2)
-            h, _ = support(sub, b)
+            h, _, _ = support(sub, b)
             pi = random_stationary_policy(model, rng)
             assert h >= float(b @ performance(model, pi, tol=1e-12)) - 1e-9
         for _ in range(50):
             b1, b2 = rng.normal(size=2), rng.normal(size=2)
-            h1, _ = support(sub, b1)
-            h2, _ = support(sub, b2)
-            h12, _ = support(sub, b1 + b2)
+            h1, _, _ = support(sub, b1)
+            h2, _, _ = support(sub, b2)
+            h12, _, _ = support(sub, b1 + b2)
             assert h12 <= h1 + h2 + 1e-9
     print("\nACCEPTANCE 8 PASS: h(b) dominates <b, v(pi)> on 50 draws per model "
           "and is subadditive within 1e-9")

@@ -159,7 +159,7 @@ def test_distance_one_dimensional_margin():
     m = builtin("unit-interval-onestep")
     from atomless_mdp.scalar_dp import support
 
-    h, _ = support(m, np.array([1.0]))
+    h, _, _ = support(m, np.array([1.0]))
     margin = 0.25
     res = distance_to_performance_set(SubmodelSpec.full(m),
                                       np.array([h + margin]), tol=1e-10)
@@ -174,7 +174,7 @@ def test_distance_matches_dense_hull_oracle():
 
     verts = []
     for theta in np.linspace(0, 2 * np.pi, 720, endpoint=False):
-        _, phi = support(m, np.array([np.cos(theta), np.sin(theta)]))
+        _, phi, _ = support(m, np.array([np.cos(theta), np.sin(theta)]))
         verts.append(performance(m, phi, tol=1e-12))
     verts = np.unique(np.round(np.array(verts), 12), axis=0)
 

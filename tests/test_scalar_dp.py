@@ -22,8 +22,13 @@ from atomless_mdp.scalar_dp import (
 from tests.test_model import one_cell_discounted
 
 
+def as_sets(allowed):
+    """The per-interval action tuples of an allowed-action mask."""
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in allowed)
+
+
 def random_policy_in(sub, rng):
-    actions = [int(rng.choice(acts)) for acts in sub.allowed]
+    actions = [int(rng.choice(acts)) for acts in as_sets(sub.allowed)]
     return DeterministicPolicy(sub.partition, actions)
 
 
@@ -34,7 +39,7 @@ def test_zero_direction():
     assert np.all(vf.values == 0.0)
     # lowest-index tie-break everywhere
     assert all(policy.actions[s] == m.available[i][0]
-               for s, i in enumerate(SubmodelSpec.full(m).owner()))
+               for s, i in enumerate(SubmodelSpec.full(m).owner))
 
 
 def test_unit_interval_upper_endpoint():
@@ -50,7 +55,7 @@ def test_h_dominates_random_policies():
     sub = SubmodelSpec.full(m)
     for _ in range(50):
         b = rng.normal(size=2)
-        h, _ = support(sub, b)
+        h, _, _ = support(sub, b)
         pi = random_stationary_policy(m, rng)
         assert h >= float(b @ performance(m, pi, tol=1e-12)) - 1e-9
 
@@ -59,8 +64,8 @@ def test_support_sign_symmetry():
     m = random_model(5, 3, 1, seed=9)
     negated = AtomlessMDP(m.grid, m.action_count, m.available, m.kernel, m.absorb,
                           -m.rewards, m.initial)
-    h_pos, _ = support(m, np.array([1.0]))
-    h_neg, _ = support(negated, np.array([-1.0]))
+    h_pos, _, _ = support(m, np.array([1.0]))
+    h_neg, _, _ = support(negated, np.array([-1.0]))
     assert h_pos == pytest.approx(h_neg, abs=1e-12)
 
 
@@ -68,7 +73,7 @@ def test_support_constant_reward_equals_c_times_lifetime():
     # after the discount transform every policy has lifetime (1-beta)^-1
     c, beta = 0.7, 0.5
     m = discounted_to_absorbing(one_cell_discounted(beta, reward=c))
-    h, _ = support(m, np.array([1.0]))
+    h, _, _ = support(m, np.array([1.0]))
     assert h == pytest.approx(c / (1.0 - beta), abs=1e-11)
 
 
@@ -78,13 +83,13 @@ def test_support_subadditive_and_homogeneous():
     sub = SubmodelSpec.full(m)
     for _ in range(50):
         b1, b2 = rng.normal(size=2), rng.normal(size=2)
-        h1, _ = support(sub, b1)
-        h2, _ = support(sub, b2)
-        h12, _ = support(sub, b1 + b2)
+        h1, _, _ = support(sub, b1)
+        h2, _, _ = support(sub, b2)
+        h12, _, _ = support(sub, b1 + b2)
         assert h12 <= h1 + h2 + 1e-9
     b = rng.normal(size=2)
-    h, _ = support(sub, b)
-    h2, _ = support(sub, 2.5 * b)
+    h, _, _ = support(sub, b)
+    h2, _, _ = support(sub, 2.5 * b)
     assert h2 == pytest.approx(2.5 * h, abs=1e-9)
 
 
@@ -102,7 +107,7 @@ def test_greedy_policy_achieves_h():
     rng = np.random.default_rng(3)
     for _ in range(10):
         b = rng.normal(size=2)
-        h, policy = support(m, b)
+        h, policy, _ = support(m, b)
         achieved = float(b @ performance(m, policy, tol=1e-12))
         assert achieved == pytest.approx(h, abs=1e-9)
 
@@ -116,7 +121,7 @@ def test_conserving_one_action_model():
     sub = SubmodelSpec.full(m)
     vf, _, _ = value_iteration(sub, np.array([1.0]))
     kept = conserving_submodel(sub, np.array([1.0]), vf, eta=1e-8)
-    assert kept.allowed == sub.allowed
+    assert as_sets(kept.allowed) == as_sets(sub.allowed)
 
 
 def test_conserving_strict_gap_prunes():
@@ -125,7 +130,7 @@ def test_conserving_strict_gap_prunes():
     b = np.array([1.0])
     vf, _, _ = value_iteration(sub, b)
     kept = conserving_submodel(sub, b, vf, eta=1e-8)
-    assert kept.allowed == ((1,),)
+    assert as_sets(kept.allowed) == ((1,),)
 
 
 def test_conserving_empty_raises():
@@ -165,4 +170,4 @@ def test_frozen_below_forces_low_policy():
     low_ref = low.refined_to(frozen.partition)
     for s, mid in enumerate(mids):
         if mid < 0.5:
-            assert frozen.allowed[s] == (int(low_ref.actions[s]),)
+            assert as_sets(frozen.allowed)[s] == (int(low_ref.actions[s]),)
