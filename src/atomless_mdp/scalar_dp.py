@@ -117,6 +117,11 @@ def _averaging_matrix(model: AtomlessMDP, partition: StatePartition) -> np.ndarr
     return avg
 
 
+def _transfer(model: AtomlessMDP, owner, avg, actions) -> np.ndarray:
+    """I - P for an intervalwise policy, P[s, t] the mass moved from interval s to t."""
+    return np.eye(owner.size) - model.kernel[owner, actions] @ avg
+
+
 def _q_values(scalar_r, kernel, owner, avg, values):
     """q[s, a] = r(cell(s), a) + integral of the value under the kernel row."""
     cell_avg = avg @ values
@@ -166,10 +171,7 @@ def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10,
         return best, q_masked
 
     def evaluate(actions):
-        rows = model.kernel[owner, actions]          # (n, cells)
-        p = rows @ avg                               # (n, n)
-        r = scalar_r[owner, actions]
-        return np.linalg.solve(np.eye(n) - p, r)
+        return np.linalg.solve(_transfer(model, owner, avg, actions), scalar_r[owner, actions])
 
     actions, _ = greedy(np.zeros(n))
     values = evaluate(actions)
@@ -199,13 +201,27 @@ def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10,
 def support(model_or_sub, direction, tol: float = 1e-10):
     """Support function of the performance set: h(b) = sup over policies of <b, v>.
 
-    Returns (h, argmax deterministic policy); the sup is attained by an
-    intervalwise-deterministic policy, so the returned policy is a vertex.
+    Returns (h, argmax deterministic policy, v); the sup is attained by an
+    intervalwise-deterministic policy, so the returned policy is a vertex,
+    and v is its performance vector.  v solves the same policy-evaluation
+    system as the optimal value, with the reward vectors as right-hand sides;
+    a residual of delta bounds its error by L * delta, certified within tol.
     """
     sub = model_or_sub if isinstance(model_or_sub, SubmodelSpec) else SubmodelSpec.full(model_or_sub)
     _, policy, h = value_iteration(sub, direction, tol)
-    from .occupancy import performance
-    return h, policy, performance(sub.model, policy, tol=1e-12)
+    model = sub.model
+    rewards = model.rewards[sub.owner, policy.actions]      # (intervals, criteria)
+    mu = model.initial.refined_to(sub.partition).masses
+    if model.is_one_step():
+        return h, policy, mu @ rewards
+    system = _transfer(model, sub.owner, _averaging_matrix(model, sub.partition), policy.actions)
+    values = np.linalg.solve(system, rewards)
+    err = model.certificate().L * float(np.abs(system @ values - rewards).max(initial=0.0))
+    if err > tol:
+        raise ToleranceError(
+            f"certified performance error {err:.3e} exceeds requested tol {tol:.3e}"
+        )
+    return h, policy, mu @ values
 
 
 def conserving_submodel(sub: SubmodelSpec, direction, vf: ValueFunction,

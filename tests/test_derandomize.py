@@ -1,5 +1,7 @@
 """Tests for the threshold-path constructions, pairwise mixing and derandomization."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,27 @@ def test_alpha_hat_rejects_outside_target():
     ctx = make_context(m, phi0, phi1)
     with pytest.raises(CertifiedFailure):
         alpha_hat(ctx, np.array([5.0]), tol=1e-9)
+
+
+def test_alpha_hat_evaluates_no_vertex_through_occupancy(monkeypatch):
+    # vertex vectors come from the support oracle, so the bisection's
+    # membership tests never run the occupancy series
+    module = importlib.import_module("atomless_mdp.derandomize")
+    m = random_model(5, 2, 2, seed=50)
+    rng = np.random.default_rng(9)
+    phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+    ctx = make_context(m, phi0, phi1)
+    v = 0.4 * performance(m, phi0, tol=1e-12) + 0.6 * performance(m, phi1, tol=1e-12)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return performance(*args, **kwargs)
+
+    monkeypatch.setattr(module, "performance", counting)
+    a = alpha_hat(ctx, v, tol=1e-7)
+    assert 0.0 < a < 1.0
+    assert calls == []
 
 
 def test_alpha_hat_monotone_distance_profile():

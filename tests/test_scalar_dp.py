@@ -9,6 +9,7 @@ from atomless_mdp.model import (
     DeterministicPolicy,
     builtin,
     discounted_to_absorbing,
+    random_deterministic_policy,
     random_model,
     random_stationary_policy,
 )
@@ -171,3 +172,183 @@ def test_frozen_below_forces_low_policy():
     for s, mid in enumerate(mids):
         if mid < 0.5:
             assert as_sets(frozen.allowed)[s] == (int(low_ref.actions[s]),)
+
+
+# ---------------------------------------------------------------------------
+# the vertex vector returned by support
+# ---------------------------------------------------------------------------
+
+def seeded_discounted(seed):
+    """random_model's dynamics renormalized to stay put, with discount 0.8."""
+    m = random_model(5, 3, 2, seed=seed)
+    mask = m.available_mask()
+    kernel = np.where(mask[..., None], m.kernel / np.maximum(m.kernel.sum(axis=2, keepdims=True),
+                                                             1e-300), 0.0)
+    return discounted_to_absorbing(AtomlessMDP(
+        m.grid, m.action_count, m.available, kernel, np.where(mask, 0.0, 1.0), m.rewards,
+        m.initial, kind="discounted", beta=0.8))
+
+
+def onestep_model(seed):
+    m = random_model(7, 3, 3, seed=seed)
+    return AtomlessMDP(m.grid, m.action_count, m.available, np.zeros_like(m.kernel),
+                       np.ones_like(m.absorb), m.rewards, m.initial)
+
+
+def check_vertex_vector(sub_or_model, b):
+    h, policy, v = support(sub_or_model, b)
+    model = sub_or_model.model if isinstance(sub_or_model, SubmodelSpec) else sub_or_model
+    ref = performance(model, policy, tol=1e-12)
+    assert v.shape == (model.criteria,)
+    assert np.linalg.norm(v - ref) <= 1e-11 * (1.0 + np.linalg.norm(v))
+    assert abs(float(b @ v) - h) <= 1e-12 * (1.0 + abs(h))
+
+
+@pytest.mark.parametrize("kind", ["absorbing", "discounted", "one-step"])
+def test_support_vector_matches_occupancy(kind):
+    rng = np.random.default_rng({"absorbing": 1, "discounted": 2, "one-step": 3}[kind])
+    for seed in range(3):
+        m = {"absorbing": lambda s: random_model(6, 3, 2, seed=600 + s),
+             "discounted": lambda s: seeded_discounted(700 + s),
+             "one-step": onestep_model}[kind](seed)
+        assert m.is_one_step() == (kind == "one-step")
+        for _ in range(5):
+            check_vertex_vector(m, rng.normal(size=m.criteria))
+
+
+def test_support_vector_on_pair_and_frozen_submodels():
+    rng = np.random.default_rng(4)
+    for seed in range(3):
+        m = random_model(6, 3, 2, seed=650 + seed)
+        phi0 = random_deterministic_policy(m, rng)
+        phi1 = random_deterministic_policy(m, rng)
+        pair = SubmodelSpec.from_pair(m, phi0, phi1)
+        frozen = pair.frozen_below(float(rng.uniform(0.1, 0.9)), phi1)
+        for sub in (pair, frozen):
+            for _ in range(5):
+                check_vertex_vector(sub, rng.normal(size=2))
+
+
+# ---------------------------------------------------------------------------
+# allowed-action masks against a tuple-of-tuples reference
+# ---------------------------------------------------------------------------
+
+def ref_from_pair(model, phi0, phi1):
+    part = phi0.partition.refine(phi1.partition).refine(model.grid)
+    a0 = phi0.refined_to(part).actions
+    a1 = phi1.refined_to(part).actions
+    return part, tuple(tuple(sorted({int(x), int(y)})) for x, y in zip(a0, a1))
+
+
+def ref_frozen_below(part, sets, threshold, low):
+    finer = part.refine(low.partition).with_point(threshold)
+    idx = finer.index_map_from(part)
+    low_actions = low.refined_to(finer).actions
+    mids = 0.5 * (finer.points[:-1] + finer.points[1:])
+    return finer, tuple((int(low_actions[s]),) if mids[s] < threshold else sets[idx[s]]
+                        for s in range(finer.cell_count))
+
+
+def ref_gaps(model, sub, b, vf):
+    """|one-step value - vf| per interval and action."""
+    owner = sub.partition.index_map_from(model.grid)
+    q = (model.rewards @ b + model.kernel @ vf.cell_averages(model))[owner]
+    return np.abs(q - vf.values[:, None])
+
+
+def ref_conserving(sets, gaps, eta):
+    return tuple(tuple(a for a in acts if gaps[s, a] <= eta) for s, acts in enumerate(sets))
+
+
+def ref_pair_from_sets(part, sets, phi0, phi1):
+    a0 = phi0.refined_to(part).actions.copy()
+    a1 = phi1.refined_to(part).actions.copy()
+    for s, acts in enumerate(sets):
+        if a0[s] not in acts:
+            a0[s] = acts[0] if len(acts) == 1 else acts[-1]
+        if a1[s] not in acts:
+            a1[s] = acts[-1] if len(acts) == 1 else acts[0]
+    return a0, a1
+
+
+def test_masks_match_tuple_reference():
+    from atomless_mdp.derandomize import _pair_from_submodel
+
+    rng = np.random.default_rng(11)
+    pruned = 0
+    for seed in range(8):
+        m = random_model(int(rng.integers(4, 8)), 3, 2, seed=900 + seed)
+        phi0 = random_deterministic_policy(m, rng)
+        phi1 = random_deterministic_policy(m, rng)
+        pair = SubmodelSpec.from_pair(m, phi0, phi1)
+        part, sets = ref_from_pair(m, phi0, phi1)
+        assert pair.partition == part and as_sets(pair.allowed) == sets
+        for threshold in rng.uniform(0.0, 1.0, size=3):
+            frozen = pair.frozen_below(float(threshold), phi1)
+            part_f, sets_f = ref_frozen_below(part, sets, float(threshold), phi1)
+            assert frozen.partition == part_f and as_sets(frozen.allowed) == sets_f
+            b = rng.normal(size=2)
+            vf, _, _ = value_iteration(frozen, b)
+            gaps = ref_gaps(m, frozen, b, vf)
+            eta = 1e-8 * (1.0 + np.abs(m.rewards @ b).max())
+            kept = conserving_submodel(frozen, b, vf, eta)
+            sets_k = ref_conserving(sets_f, gaps, eta)
+            assert as_sets(kept.allowed) == sets_k
+            pruned += sets_k != sets_f
+            p0, p1 = _pair_from_submodel(kept, phi0, phi1)
+            r0, r1 = ref_pair_from_sets(part_f, sets_k, phi0, phi1)
+            assert np.array_equal(p0.actions, r0) and np.array_equal(p1.actions, r1)
+        # on the full model, with eta equal to one of the gaps
+        full = SubmodelSpec.full(m)
+        b = rng.normal(size=2)
+        vf, _, _ = value_iteration(full, b)
+        gaps = ref_gaps(m, full, b, vf)
+        floor = float(np.min(np.where(full.allowed, gaps, np.inf), axis=1).max())
+        above = np.sort(gaps[full.allowed & (gaps > floor)])
+        eta = float(above[above.size // 2]) if above.size else floor
+        sets_k = ref_conserving(as_sets(full.allowed), gaps, eta)
+        assert as_sets(conserving_submodel(full, b, vf, eta).allowed) == sets_k
+        # arbitrary policies against an arbitrary mask
+        mask = m.available_mask() & (rng.random(m.available_mask().shape) < 0.6)
+        mask[~mask.any(axis=1)] = m.available_mask()[~mask.any(axis=1)]
+        sub = SubmodelSpec(m, m.grid, mask)
+        phi0 = DeterministicPolicy(m.grid, rng.integers(0, 3, size=m.cell_count))
+        phi1 = DeterministicPolicy(m.grid, rng.integers(0, 3, size=m.cell_count))
+        p0, p1 = _pair_from_submodel(sub, phi0, phi1)
+        r0, r1 = ref_pair_from_sets(m.grid, as_sets(mask), phi0, phi1)
+        assert np.array_equal(p0.actions, r0) and np.array_equal(p1.actions, r1)
+    assert pruned > 0
+
+
+def test_mask_is_read_only():
+    m = random_model(5, 3, 2, seed=3)
+    sub = SubmodelSpec.full(m)
+    assert sub.allowed.dtype == bool and sub.allowed.shape == (m.cell_count, m.action_count)
+    with pytest.raises(ValueError):
+        sub.allowed[0, 0] = True
+    with pytest.raises(ValueError):
+        sub.owner[0] = 1
+    mask = m.available_mask().copy()
+    built = SubmodelSpec(m, m.grid, mask)
+    mask[:] = True
+    assert np.array_equal(built.allowed, m.available_mask())
+
+
+def test_mask_errors_name_first_bad_interval():
+    m = random_model(6, 3, 2, seed=5)
+    avail = m.available_mask()
+    missing = [i for i in range(m.cell_count) if not avail[i].all()]
+    assert len(missing) >= 2
+    first, later = missing[0], missing[-1]
+
+    mask = avail.copy()
+    mask[first] = ~avail[first]          # unavailable actions only
+    mask[later] = False
+    with pytest.raises(ValueError, match=rf"^interval {first}: actions .* not all available"):
+        SubmodelSpec(m, m.grid, mask)
+
+    mask = avail.copy()
+    mask[first] = False
+    mask[later] = ~avail[later]
+    with pytest.raises(ValueError, match=rf"^interval {first}: empty allowed set"):
+        SubmodelSpec(m, m.grid, mask)
