@@ -109,11 +109,11 @@ class ValueFunction:
         return out
 
 
-def _averaging_matrix(model: AtomlessMDP, partition: StatePartition) -> np.ndarray:
+def _averaging_matrix(sub: SubmodelSpec) -> np.ndarray:
     """(cells x intervals) matrix turning interval values into cell averages."""
-    owner = partition.index_map_from(model.grid)
-    avg = np.zeros((model.cell_count, partition.cell_count))
-    avg[owner, np.arange(partition.cell_count)] = partition.widths / model.grid.widths[owner]
+    model, part, owner = sub.model, sub.partition, sub.owner
+    avg = np.zeros((model.cell_count, part.cell_count))
+    avg[owner, np.arange(part.cell_count)] = part.widths / model.grid.widths[owner]
     return avg
 
 
@@ -144,11 +144,10 @@ def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10,
     scalar_r = model.rewards @ b      # (cells, actions)
     owner = sub.owner
     n = sub.partition.cell_count
-    allowed_mask = sub.allowed
 
     if model.is_one_step():
         # one-step model: the value is the per-interval best immediate reward
-        q_masked = np.where(allowed_mask, scalar_r[owner], -np.inf)
+        q_masked = np.where(sub.allowed, scalar_r[owner], -np.inf)
         values = np.max(q_masked, axis=1)
         actions = np.argmax(q_masked, axis=1)
         vf = ValueFunction(sub.partition, values, 0.0)
@@ -156,12 +155,12 @@ def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10,
         mu = model.initial.refined_to(sub.partition).masses
         return vf, policy, float(mu @ values)
 
-    avg = _averaging_matrix(model, sub.partition)
+    avg = _averaging_matrix(sub)
     scale = float(np.abs(scalar_r).max(initial=0.0))
 
     def greedy(values, current=None):
         q = _q_values(scalar_r, model.kernel, owner, avg, values)
-        q_masked = np.where(allowed_mask, q, -np.inf)
+        q_masked = np.where(sub.allowed, q, -np.inf)
         best = np.argmax(q_masked, axis=1)
         if current is not None:
             # keep the incumbent unless the gain is numerically meaningful
@@ -214,7 +213,7 @@ def support(model_or_sub, direction, tol: float = 1e-10):
     mu = model.initial.refined_to(sub.partition).masses
     if model.is_one_step():
         return h, policy, mu @ rewards
-    system = _transfer(model, sub.owner, _averaging_matrix(model, sub.partition), policy.actions)
+    system = _transfer(model, sub.owner, _averaging_matrix(sub), policy.actions)
     values = np.linalg.solve(system, rewards)
     err = model.certificate().L * float(np.abs(system @ values - rewards).max(initial=0.0))
     if err > tol:
@@ -234,7 +233,7 @@ def conserving_submodel(sub: SubmodelSpec, direction, vf: ValueFunction,
         raise ValueError("value function must live on the submodel partition")
     b = np.asarray(direction, dtype=float)
     scalar_r = model.rewards @ b
-    avg = _averaging_matrix(model, sub.partition)
+    avg = _averaging_matrix(sub)
     q = _q_values(scalar_r, model.kernel, sub.owner, avg, vf.values)
     gaps = np.abs(q - vf.values[:, None])
     keep = sub.allowed & (gaps <= eta)
