@@ -80,7 +80,11 @@ class StatePartition:
 
     def index_map_from(self, coarser: "StatePartition") -> np.ndarray:
         """For each of this partition's cells, the index of the covering cell of ``coarser``."""
-        mids = 0.5 * (self.points[:-1] + self.points[1:])
+        left, right = self.points[:-1], self.points[1:]
+        mids = 0.5 * (left + right)
+        # the midpoint of a cell one ulp wide can round onto its right end,
+        # which may open the next coarse cell; the left end is inside the cell
+        mids = np.where(mids < right, mids, left)
         # np.minimum/np.maximum: a third of np.clip's call overhead on short arrays
         k = np.searchsorted(coarser.points, mids, side="right") - 1
         return np.minimum(np.maximum(k, 0), coarser.cell_count - 1)

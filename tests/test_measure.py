@@ -252,6 +252,7 @@ def test_tv_triangle_inequality(m1, m2, m3):
 
 @given(piece_measures(), st.floats(min_value=0.0, max_value=1.0))
 @example(pm([0, 0.5, np.nextafter(0.5, 1), 1], [0.25, 0.5, 0.25]), 0.3)
+@example(pm([0, 0.01, np.nextafter(0.01, 1), 0.25, 0.375, 0.75, 1], [0, 1, 0, 0, 0, 0]), 0.5)
 @settings(max_examples=60, deadline=None)
 def test_split_preserves_total_and_cdf(m, b):
     s = m.split_at(b)

@@ -182,8 +182,7 @@ def seeded_discounted(seed):
     """random_model's dynamics renormalized to stay put, with discount 0.8."""
     m = random_model(5, 3, 2, seed=seed)
     mask = m.available_mask()
-    kernel = np.where(mask[..., None], m.kernel / np.maximum(m.kernel.sum(axis=2, keepdims=True),
-                                                             1e-300), 0.0)
+    kernel = m.kernel / np.where(mask, 1.0 - m.absorb, 1.0)[..., None]
     return discounted_to_absorbing(AtomlessMDP(
         m.grid, m.action_count, m.available, kernel, np.where(mask, 0.0, 1.0), m.rewards,
         m.initial, kind="discounted", beta=0.8))
