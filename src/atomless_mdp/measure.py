@@ -27,7 +27,7 @@ def _as_points(values) -> np.ndarray:
 class StatePartition:
     """Strictly increasing breakpoints t_0 < ... < t_K with t_0 = 0, t_K = 1."""
 
-    __slots__ = ("points",)
+    __slots__ = ("points", "widths")
 
     def __init__(self, points):
         pts = _as_points(points)
@@ -35,20 +35,19 @@ class StatePartition:
             raise ValueError("a partition needs at least two breakpoints")
         if abs(pts[0]) > MERGE_TOL or abs(pts[-1] - 1.0) > MERGE_TOL:
             raise ValueError("partition must start at 0 and end at 1")
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
         pts = pts.copy()
         pts[0], pts[-1] = 0.0, 1.0
+        widths = np.diff(pts)
+        if np.any(widths <= 0):
+            raise ValueError("breakpoints must be strictly increasing")
         pts.setflags(write=False)
+        widths.setflags(write=False)
         self.points = pts
+        self.widths = widths
 
     @property
     def cell_count(self) -> int:
         return self.points.size - 1
-
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.points)
 
     def cell_of(self, x: float) -> int:
         """Index of the cell whose half-open interval [t_k, t_{k+1}) contains x (x=1 maps to the last cell)."""

@@ -29,10 +29,11 @@ class SubmodelSpec:
     """Per-interval allowed actions on a partition refining the base grid.
 
     ``allowed`` is a read-only boolean (intervals x actions) mask and
-    ``owner`` maps each interval to its base-grid cell.
+    ``owner`` maps each interval to its base-grid cell.  The averaging matrix
+    and the initial masses on the partition are built on first use and kept.
     """
 
-    __slots__ = ("model", "partition", "allowed", "owner")
+    __slots__ = ("model", "partition", "allowed", "owner", "_avg", "_mu")
 
     def __init__(self, model: AtomlessMDP, partition: StatePartition, allowed):
         allowed = np.array(allowed, dtype=bool)
@@ -55,6 +56,8 @@ class SubmodelSpec:
         self.partition = partition
         self.allowed = allowed
         self.owner = owner
+        self._avg = None
+        self._mu = None
 
     @classmethod
     def full(cls, model: AtomlessMDP) -> "SubmodelSpec":
@@ -82,6 +85,22 @@ class SubmodelSpec:
         allowed[below, low.refined_to(part).actions[below]] = True
         return SubmodelSpec(self.model, part, allowed)
 
+    def averaging_matrix(self) -> np.ndarray:
+        """Read-only (cells x intervals) matrix turning interval values into cell averages."""
+        if self._avg is None:
+            model, part, owner = self.model, self.partition, self.owner
+            avg = np.zeros((model.cell_count, part.cell_count))
+            avg[owner, np.arange(part.cell_count)] = part.widths / model.grid.widths[owner]
+            avg.setflags(write=False)
+            self._avg = avg
+        return self._avg
+
+    def initial_masses(self) -> np.ndarray:
+        """Read-only masses of the initial distribution on the partition's intervals."""
+        if self._mu is None:
+            self._mu = self.model.initial.refined_to(self.partition).masses
+        return self._mu
+
     def arbitrary_policy(self) -> DeterministicPolicy:
         """The lowest allowed action on every interval."""
         return DeterministicPolicy(self.partition, np.argmax(self.allowed, axis=1))
@@ -107,14 +126,6 @@ class ValueFunction:
         out = np.zeros(model.cell_count)
         np.add.at(out, owner, frac * self.values)
         return out
-
-
-def _averaging_matrix(sub: SubmodelSpec) -> np.ndarray:
-    """(cells x intervals) matrix turning interval values into cell averages."""
-    model, part, owner = sub.model, sub.partition, sub.owner
-    avg = np.zeros((model.cell_count, part.cell_count))
-    avg[owner, np.arange(part.cell_count)] = part.widths / model.grid.widths[owner]
-    return avg
 
 
 def _transfer(model: AtomlessMDP, owner, avg, actions) -> np.ndarray:
@@ -152,10 +163,10 @@ def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10,
         actions = np.argmax(q_masked, axis=1)
         vf = ValueFunction(sub.partition, values, 0.0)
         policy = DeterministicPolicy(sub.partition, actions)
-        mu = model.initial.refined_to(sub.partition).masses
+        mu = sub.initial_masses()
         return vf, policy, float(mu @ values)
 
-    avg = _averaging_matrix(sub)
+    avg = sub.averaging_matrix()
     scale = float(np.abs(scalar_r).max(initial=0.0))
 
     def greedy(values, current=None):
@@ -192,7 +203,7 @@ def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10,
         )
     vf = ValueFunction(sub.partition, values, err)
     policy = DeterministicPolicy(sub.partition, actions)
-    mu = model.initial.refined_to(sub.partition).masses
+    mu = sub.initial_masses()
     h = float(mu @ values)
     return vf, policy, h
 
@@ -210,10 +221,10 @@ def support(model_or_sub, direction, tol: float = 1e-10):
     _, policy, h = value_iteration(sub, direction, tol)
     model = sub.model
     rewards = model.rewards[sub.owner, policy.actions]      # (intervals, criteria)
-    mu = model.initial.refined_to(sub.partition).masses
+    mu = sub.initial_masses()
     if model.is_one_step():
         return h, policy, mu @ rewards
-    system = _transfer(model, sub.owner, _averaging_matrix(sub), policy.actions)
+    system = _transfer(model, sub.owner, sub.averaging_matrix(), policy.actions)
     values = np.linalg.solve(system, rewards)
     err = model.certificate().L * float(np.abs(system @ values - rewards).max(initial=0.0))
     if err > tol:
@@ -233,7 +244,7 @@ def conserving_submodel(sub: SubmodelSpec, direction, vf: ValueFunction,
         raise ValueError("value function must live on the submodel partition")
     b = np.asarray(direction, dtype=float)
     scalar_r = model.rewards @ b
-    avg = _averaging_matrix(sub)
+    avg = sub.averaging_matrix()
     q = _q_values(scalar_r, model.kernel, sub.owner, avg, vf.values)
     gaps = np.abs(q - vf.values[:, None])
     keep = sub.allowed & (gaps <= eta)
