@@ -178,14 +178,19 @@ def _embed(b_active: np.ndarray, active, n: int) -> np.ndarray:
 
 
 def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
-                                active=None, seeds=None, cap: int = 200) -> DistanceResult:
+                                active=None, seeds=None, cap: int = 200,
+                                decide: float | None = None) -> DistanceResult:
     """Euclidean distance from ``target`` to the submodel's performance set.
 
     Alternates exact projections onto the hull of collected vertex policies
     with support-oracle calls in the projection direction; each call either
     certifies the projection (no vertex lies beyond the supporting hyperplane)
     or strictly improves the hull.  Terminates once the upper and lower
-    distance bounds agree within ``tol``.
+    distance bounds agree within ``tol``.  With a decision level ``decide``
+    it returns as soon as a bound settles whether the distance is at most
+    ``decide``: the upper bound at or below it, or the lower bound above it.
+    The upper bound never increases, so the answer ``g <= decide`` equals
+    the full iteration's from the same seeds.
 
     Vertices are deduplicated at a fraction of ``tol``: seed policies from
     nearby submodels differ by far less than the decision tolerance, and
@@ -224,7 +229,7 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
     for _ in range(cap):
         mat = np.array([v for _, v in verts])
         d, proj, lam = distance_to_hull(mat, t_active)
-        if d <= max(tol, 1e-14):
+        if d <= max(tol, 1e-14) or (decide is not None and d <= decide):
             witness = [(float(l), p) for l, (p, _) in zip(lam, verts) if l > 1e-14]
             return DistanceResult(d, max(lower, 0.0), witness, None, proj, verts)
         b = (t_active - proj) / d
@@ -232,7 +237,8 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
         lower = max(lower, float(b @ t_active) - h)
         if lower > d:
             lower = d          # rounding guard; bounds must nest
-        if d - lower <= tol or not add_vertex(policy, v[list(active)]):
+        if (d - lower <= tol or (decide is not None and lower > decide)
+                or not add_vertex(policy, v[list(active)])):
             witness = [(float(l), p) for l, (p, _) in zip(lam, verts) if l > 1e-14]
             return DistanceResult(d, lower, witness, b, proj, verts)
     raise CertifiedFailure("distance iteration exceeded its cap", residual=d)
@@ -251,7 +257,8 @@ def _membership(sub, target, tol, active, pool, alpha):
     the bisection.  Pool entries are (alpha, policy, active-coordinate vector).
     """
     seeds = [(p, v) for a0, p, v in pool if a0 >= alpha - 1e-15]
-    res = distance_to_performance_set(sub, target, tol=0.25 * tol, active=active, seeds=seeds)
+    res = distance_to_performance_set(sub, target, tol=0.25 * tol, active=active, seeds=seeds,
+                                      decide=tol)
     pool.extend((alpha, p, v) for p, v in res.vertices)
     if len(pool) > 120:
         del pool[: len(pool) - 120]

@@ -140,13 +140,15 @@ def _q_values(scalar_r, kernel, owner, avg, values):
     return (scalar_r + cont)[owner]
 
 
-def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10,
-                    max_rounds: int = 500):
-    """Optimal scalarized value over the submodel.
+def _policy_iteration(sub: SubmodelSpec, direction, tol: float, max_rounds: int = 500):
+    """Optimal intervalwise actions for <direction, r>, certified within tol.
 
-    Returns (ValueFunction, greedy DeterministicPolicy, h) where
-    h = integral of the value against the initial distribution and the
-    certified bound |h - sup| <= ValueFunction.error_bound <= tol holds.
+    Each evaluated policy costs one solve of I - P whose right-hand side
+    stacks the scalarized rewards and the N reward columns.  Returns
+    (actions, x, err, residual): x[:, 0] is the optimal value, x[:, 1:] the
+    optimal policy's values of the reward vector, err the certified
+    optimality gap and residual the largest residual of the reward columns
+    in the final solve (zero on a one-step model, whose solution is exact).
     Ties in the greedy step break toward the lowest action index.
     """
     model = sub.model
@@ -159,15 +161,13 @@ def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10,
     if model.is_one_step():
         # one-step model: the value is the per-interval best immediate reward
         q_masked = np.where(sub.allowed, scalar_r[owner], -np.inf)
-        values = np.max(q_masked, axis=1)
         actions = np.argmax(q_masked, axis=1)
-        vf = ValueFunction(sub.partition, values, 0.0)
-        policy = DeterministicPolicy(sub.partition, actions)
-        mu = sub.initial_masses()
-        return vf, policy, float(mu @ values)
+        x = np.column_stack((np.max(q_masked, axis=1), model.rewards[owner, actions]))
+        return actions, x, 0.0, 0.0
 
     avg = sub.averaging_matrix()
     scale = float(np.abs(scalar_r).max(initial=0.0))
+    stacked = np.concatenate((scalar_r[..., None], model.rewards), axis=2)
 
     def greedy(values, current=None):
         q = _q_values(scalar_r, model.kernel, owner, avg, values)
@@ -181,31 +181,45 @@ def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10,
         return best, q_masked
 
     def evaluate(actions):
-        return np.linalg.solve(_transfer(model, owner, avg, actions), scalar_r[owner, actions])
+        system, rhs = _transfer(model, owner, avg, actions), stacked[owner, actions]
+        return system, rhs, np.linalg.solve(system, rhs)
 
     actions, _ = greedy(np.zeros(n))
-    values = evaluate(actions)
+    system, rhs, x = evaluate(actions)
     for _ in range(max_rounds):
-        improved, _ = greedy(values, actions)
+        improved, _ = greedy(x[:, 0], actions)
         if np.array_equal(improved, actions):
             break
         actions = improved
-        values = evaluate(actions)
+        system, rhs, x = evaluate(actions)
     else:
         raise CertifiedFailure("policy iteration did not stabilize", residual=np.inf)
 
+    values = x[:, 0]
     _, q_masked = greedy(values)
-    residual = float(np.abs(np.max(q_masked, axis=1) - values).max(initial=0.0))
-    err = cert.L * residual
+    err = cert.L * float(np.abs(np.max(q_masked, axis=1) - values).max(initial=0.0))
     if err > tol:
         raise ToleranceError(
             f"certified optimality gap {err:.3e} exceeds requested tol {tol:.3e}"
         )
+    residual = float(np.abs(system @ x[:, 1:] - rhs[:, 1:]).max(initial=0.0))
+    return actions, x, err, residual
+
+
+def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10,
+                    max_rounds: int = 500):
+    """Optimal scalarized value over the submodel.
+
+    Returns (ValueFunction, greedy DeterministicPolicy, h) where
+    h = integral of the value against the initial distribution and the
+    certified bound |h - sup| <= ValueFunction.error_bound <= tol holds.
+    Ties in the greedy step break toward the lowest action index.
+    """
+    actions, x, err, _ = _policy_iteration(sub, direction, tol, max_rounds)
+    values = x[:, 0]
     vf = ValueFunction(sub.partition, values, err)
     policy = DeterministicPolicy(sub.partition, actions)
-    mu = sub.initial_masses()
-    h = float(mu @ values)
-    return vf, policy, h
+    return vf, policy, float(sub.initial_masses() @ values)
 
 
 def support(model_or_sub, direction, tol: float = 1e-10):
@@ -213,25 +227,20 @@ def support(model_or_sub, direction, tol: float = 1e-10):
 
     Returns (h, argmax deterministic policy, v); the sup is attained by an
     intervalwise-deterministic policy, so the returned policy is a vertex,
-    and v is its performance vector.  v solves the same policy-evaluation
-    system as the optimal value, with the reward vectors as right-hand sides;
-    a residual of delta bounds its error by L * delta, certified within tol.
+    and v is its performance vector.  v comes from the same linear solve
+    that evaluates the optimal value, with the reward vectors as further
+    right-hand sides; a residual of delta bounds its error by L * delta,
+    certified within tol.
     """
     sub = model_or_sub if isinstance(model_or_sub, SubmodelSpec) else SubmodelSpec.full(model_or_sub)
-    _, policy, h = value_iteration(sub, direction, tol)
-    model = sub.model
-    rewards = model.rewards[sub.owner, policy.actions]      # (intervals, criteria)
-    mu = sub.initial_masses()
-    if model.is_one_step():
-        return h, policy, mu @ rewards
-    system = _transfer(model, sub.owner, sub.averaging_matrix(), policy.actions)
-    values = np.linalg.solve(system, rewards)
-    err = model.certificate().L * float(np.abs(system @ values - rewards).max(initial=0.0))
+    actions, x, _, residual = _policy_iteration(sub, direction, tol)
+    err = sub.model.certificate().L * residual
     if err > tol:
         raise ToleranceError(
             f"certified performance error {err:.3e} exceeds requested tol {tol:.3e}"
         )
-    return h, policy, mu @ values
+    mu = sub.initial_masses()
+    return float(mu @ x[:, 0]), DeterministicPolicy(sub.partition, actions), mu @ x[:, 1:]
 
 
 def conserving_submodel(sub: SubmodelSpec, direction, vf: ValueFunction,

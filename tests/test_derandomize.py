@@ -279,6 +279,45 @@ def test_alpha_hat_monotone_distance_profile():
         assert b >= a - 2 * tol
 
 
+def test_membership_decision_matches_full_iteration(monkeypatch):
+    # with a decision level the iteration stops at the first bound that
+    # settles d <= tol; without seeds it is a prefix of the full iteration,
+    # so it gives the same bit from no more support calls
+    module = importlib.import_module("atomless_mdp.derandomize")
+    original = module.support
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "support", counting)
+    tol = 1e-7
+    full_calls = decided_calls = 0
+    bits = set()
+    for seed in range(12):
+        m = random_model(6, 3, 2, seed=460 + seed)
+        rng = np.random.default_rng(seed)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        ctx = make_context(m, phi0, phi1)
+        lam = float(rng.uniform(0.2, 0.8))
+        v = lam * performance(m, phi0, tol=1e-12) + (1.0 - lam) * performance(m, phi1, tol=1e-12)
+        for alpha in np.linspace(0.0, 1.0, 21):
+            sub = ctx.submodel_at(float(alpha))
+            calls[0] = 0
+            full = distance_to_performance_set(sub, v, tol=0.25 * tol)
+            full_calls += calls[0]
+            calls[0] = 0
+            res = distance_to_performance_set(sub, v, tol=0.25 * tol, decide=tol)
+            decided_calls += calls[0]
+            assert (res.g <= tol) == (full.g <= tol), (seed, alpha)
+            if res.g > tol:
+                assert res.lower > tol or res.g - res.lower <= 0.25 * tol, (seed, alpha)
+            bits.add(bool(res.g <= tol))
+    assert bits == {True, False}
+    assert decided_calls <= full_calls
+
+
 # ---------------------------------------------------------------------------
 # supporting directions
 # ---------------------------------------------------------------------------
@@ -458,3 +497,24 @@ def test_derandomize_random_three_criteria():
         v_phi = performance(m, phi, tol=1e-12)
         assert np.linalg.norm(v_phi - v_pi) <= 1e-5
         assert isinstance(phi, DeterministicPolicy)
+
+
+@pytest.mark.parametrize("rng_seed, draws, model_args", [
+    (15, [(2, 9), (2, 4), (1, 4)], (8, 3, 3, 5015)),
+    (100, [(4, 9), (2, 4)], (7, 3, 4, 8000)),
+    (1, [(2, 9), (2, 4)], (6, 3, 5, 9001)),
+], ids=["N3-seed5015", "N4-seed8000", "N5-seed9001"])
+def test_derandomize_former_certified_failures(rng_seed, draws, model_args):
+    # these raised "pairwise mix missed its tolerance" while membership tests
+    # refined every distance to a quarter of their tolerance; the rng first
+    # makes the draws that chose the model's size in the sweep that found them
+    rng = np.random.default_rng(rng_seed)
+    for lo, hi in draws:
+        rng.integers(lo, hi)
+    cells, actions, criteria, seed = model_args
+    m = random_model(cells, actions, criteria, seed=seed)
+    pi = random_stationary_policy(m, rng)
+    phi, _ = derandomize(m, pi, tol=1e-5)
+    v_pi = performance(m, pi, tol=1e-12)
+    v_phi = performance(m, phi, tol=1e-12)
+    assert np.linalg.norm(v_phi - v_pi) <= 1e-5 * (1.0 + np.linalg.norm(v_pi))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from atomless_mdp.errors import ToleranceError
+from atomless_mdp.measure import PieceMeasure
 from atomless_mdp.model import (
     AtomlessMDP,
     DeterministicPolicy,
@@ -226,6 +227,46 @@ def test_support_vector_on_pair_and_frozen_submodels():
         for sub in (pair, frozen):
             for _ in range(5):
                 check_vertex_vector(sub, rng.normal(size=2))
+
+
+def test_support_reuses_submodel_setup(monkeypatch):
+    # a submodel builds its averaging matrix and initial masses once; support
+    # reads v from the solve that evaluates the optimum, so it makes no more
+    # solves than value_iteration and returns the same policy and h
+    original_refined, original_solve = PieceMeasure.refined_to, np.linalg.solve
+    counts = {"refined_to": 0, "solve": 0}
+
+    def counting_refined(self, finer):
+        counts["refined_to"] += 1
+        return original_refined(self, finer)
+
+    def counting_solve(a, b):
+        counts["solve"] += 1
+        return original_solve(a, b)
+
+    monkeypatch.setattr(PieceMeasure, "refined_to", counting_refined)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    rng = np.random.default_rng(12)
+    for seed in range(3):
+        m = random_model(6, 3, 2, seed=680 + seed)
+        phi0 = random_deterministic_policy(m, rng)
+        phi1 = random_deterministic_policy(m, rng)
+        sub = SubmodelSpec.from_pair(m, phi0, phi1).frozen_below(float(rng.uniform(0.1, 0.9)), phi1)
+        support(sub, rng.normal(size=2))
+        assert sub.averaging_matrix() is sub.averaging_matrix()
+        assert not sub.averaging_matrix().flags.writeable
+        assert not sub.initial_masses().flags.writeable
+        for _ in range(4):
+            b = rng.normal(size=2)
+            counts.update(refined_to=0, solve=0)
+            h, policy, _ = support(sub, b)
+            assert counts["refined_to"] == 0
+            support_solves, counts["solve"] = counts["solve"], 0
+            _, vi_policy, vi_h = value_iteration(sub, b)
+            assert counts["refined_to"] == 0
+            assert support_solves <= counts["solve"]
+            assert h == vi_h and np.array_equal(policy.actions, vi_policy.actions)
+            assert policy.partition == vi_policy.partition
 
 
 # ---------------------------------------------------------------------------
