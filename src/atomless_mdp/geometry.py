@@ -57,16 +57,21 @@ def min_norm_point(points, tol: float = 1e-12):
     """Minimum-norm point of conv(rows): returns (x, lambdas) with lambdas >= 0,
     summing to 1, supported on at most dim+1 rows.
 
-    Wolfe's major/minor cycles do the work; if they stall short of the global
-    optimality criterion (every point satisfies <x, p> >= ||x||^2), a FISTA
-    pass over the simplex repairs the projection.  Downstream bisections rely
-    on these distances being trustworthy, not merely approximate.
+    Wolfe's major/minor cycles do the work.  They stop once every point
+    satisfies <x, p> >= ||x||^2 - eps ||x|| with eps = tol * sqrt(scale), which
+    certifies ||x|| within eps of the true minimum norm, or once ||x|| <= eps.
+    The slack scales with ||x|| because an absolute slack in ||x||^2 certifies
+    nothing once ||x|| is small: it accepted a point 4.8e-7 from the origin
+    inside a hull.  If the cycles stall far short of optimality, a FISTA pass
+    over the simplex repairs the projection.  Downstream bisections rely on
+    these distances being trustworthy, not merely approximate.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("need a nonempty 2-d point array")
     m = pts.shape[0]
     scale = float((pts * pts).sum(axis=1).max()) + 1.0
+    eps = tol * np.sqrt(scale)
 
     active = [int(np.argmin((pts * pts).sum(axis=1)))]
     lambdas = np.array([1.0])
@@ -74,7 +79,8 @@ def min_norm_point(points, tol: float = 1e-12):
 
     for _ in range(16 * m + 64):
         j = int(np.argmin(pts @ x))
-        if float(pts[j] @ x) >= float(x @ x) - tol * scale:
+        norm = float(np.linalg.norm(x))
+        if norm <= eps or float(pts[j] @ x) >= norm * norm - eps * norm:
             break
         if j in active:
             break

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import nnls
+from scipy.spatial import ConvexHull
 
 from atomless_mdp.geometry import caratheodory_prune, distance_to_hull, min_norm_point
 
@@ -47,6 +48,47 @@ def test_distance_matches_nnls_oracle():
         assert d == pytest.approx(np.linalg.norm(oracle - target), abs=1e-5)
         assert lam @ pts == pytest.approx(proj, abs=1e-9)
         assert lam.sum() == pytest.approx(1.0)
+
+
+def polygon_distance(points, target):
+    """Independent oracle: exact distance from a 2-d target to the convex polygon."""
+    hull = ConvexHull(points)
+    if np.all(hull.equations[:, :2] @ target + hull.equations[:, 2] <= 0.0):
+        return 0.0
+    best = np.inf
+    for i, j in hull.simplices:
+        a, ab = points[i], points[j] - points[i]
+        u = np.clip((target - a) @ ab / (ab @ ab), 0.0, 1.0)
+        best = min(best, float(np.linalg.norm(target - a - u * ab)))
+    return best
+
+
+def test_distance_near_hull_with_near_duplicate_points():
+    # hull generators found on nearby submodels differ by about 1e-5; a stopping
+    # slack on |x|^2 that does not shrink with |x| accepted projections up to
+    # 2e-6 from the true one when the target sat within 1e-5 of the hull
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        base = rng.normal(size=(4, 2))
+        near = base[rng.integers(0, 4, size=3)] + rng.normal(size=(3, 2)) * 1e-5
+        pts = np.vstack([base, near])
+        a, b = near[0], base[rng.integers(0, 4)]
+        normal = np.array([a[1] - b[1], b[0] - a[0]]) / np.linalg.norm(b - a)
+        target = (a + rng.uniform(0.05, 0.95) * (b - a)
+                  + normal * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9, -5))
+        d, _, _ = distance_to_hull(pts, target)
+        assert d == pytest.approx(polygon_distance(pts, target), abs=1e-8)
+    # the vertex vectors of one alpha_hat membership test, minus its target:
+    # the origin is inside their hull, but the old rule stopped at |x| = 4.8e-7
+    pts = np.array([
+        [-0.8353016514483093, -1.2488181786584125],
+        [6.387801735563414e-05, -3.066141948437906e-05],
+        [-1.0801169777974255, -0.09246371296399958],
+        [-0.23475964669400107, 0.11073942318314711],
+        [-0.23475699997549415, 0.11074515039604305],
+        [6.68282398814668e-05, -2.624854822974587e-05],
+    ])
+    assert np.linalg.norm(min_norm_point(pts)[0]) <= 1e-10
 
 
 def test_caratheodory_prune_preserves_point():
