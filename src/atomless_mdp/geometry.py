@@ -60,11 +60,12 @@ def min_norm_point(points, tol: float = 1e-12):
     Wolfe's major/minor cycles do the work.  They stop once every point
     satisfies <x, p> >= ||x||^2 - eps ||x|| with eps = tol * sqrt(scale), which
     certifies ||x|| within eps of the true minimum norm, or once ||x|| <= eps.
-    The slack scales with ||x|| because an absolute slack in ||x||^2 certifies
-    nothing once ||x|| is small: it accepted a point 4.8e-7 from the origin
-    inside a hull.  If the cycles stall far short of optimality, a FISTA pass
-    over the simplex repairs the projection.  Downstream bisections rely on
-    these distances being trustworthy, not merely approximate.
+    The slack scales with ||x|| because a fixed slack in ||x||^2 bounds the
+    error in ||x|| only by slack / ||x||, which exceeds ||x|| itself at the
+    small distances that membership decisions turn on.  If the cycles stall
+    far short of optimality, a FISTA pass over the simplex repairs the
+    projection.  Downstream bisections rely on these distances being
+    trustworthy, not merely approximate.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:

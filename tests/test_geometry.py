@@ -64,9 +64,9 @@ def polygon_distance(points, target):
 
 
 def test_distance_near_hull_with_near_duplicate_points():
-    # hull generators found on nearby submodels differ by about 1e-5; a stopping
-    # slack on |x|^2 that does not shrink with |x| accepted projections up to
-    # 2e-6 from the true one when the target sat within 1e-5 of the hull
+    # hull generators found on nearby submodels differ by about 1e-5; with the
+    # target within 1e-5 of the hull, a stopping slack on |x|^2 that does not
+    # shrink with |x| accepts projections up to 2e-6 from the true one
     rng = np.random.default_rng(5)
     for _ in range(300):
         base = rng.normal(size=(4, 2))
@@ -79,7 +79,7 @@ def test_distance_near_hull_with_near_duplicate_points():
         d, _, _ = distance_to_hull(pts, target)
         assert d == pytest.approx(polygon_distance(pts, target), abs=1e-8)
     # the vertex vectors of one alpha_hat membership test, minus its target:
-    # the origin is inside their hull, but the old rule stopped at |x| = 4.8e-7
+    # the origin is inside their hull, and a fixed slack stops at |x| = 4.8e-7
     pts = np.array([
         [-0.8353016514483093, -1.2488181786584125],
         [6.387801735563414e-05, -3.066141948437906e-05],

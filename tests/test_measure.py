@@ -53,6 +53,17 @@ def test_partition_validation():
         StatePartition([0.1, 1.0])
 
 
+def test_partition_widths_are_stored_read_only():
+    part = StatePartition([0.0, 0.1, 0.35, 1.0])
+    assert part.widths is part.widths
+    assert np.array_equal(part.widths, np.diff(part.points))
+    with pytest.raises(ValueError):
+        part.widths[0] = 0.5
+    # the last breakpoint snaps to 1, which would leave a zero-width cell
+    with pytest.raises(ValueError, match="strictly increasing"):
+        StatePartition([0.0, 1.0, 1.0 + 5e-13])
+
+
 def test_refines_and_index_map():
     coarse = StatePartition([0.0, 0.5, 1.0])
     fine = StatePartition([0.0, 0.25, 0.5, 0.75, 1.0])
