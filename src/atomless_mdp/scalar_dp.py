@@ -128,11 +128,6 @@ class ValueFunction:
         return out
 
 
-def _transfer(model: AtomlessMDP, owner, avg, actions) -> np.ndarray:
-    """I - P for an intervalwise policy, P[s, t] the mass moved from interval s to t."""
-    return np.eye(owner.size) - model.kernel[owner, actions] @ avg
-
-
 def _q_values(scalar_r, kernel, owner, avg, values):
     """q[s, a] = r(cell(s), a) + integral of the value under the kernel row."""
     cell_avg = avg @ values
@@ -181,7 +176,9 @@ def _policy_iteration(sub: SubmodelSpec, direction, tol: float, max_rounds: int 
         return best, q_masked
 
     def evaluate(actions):
-        system, rhs = _transfer(model, owner, avg, actions), stacked[owner, actions]
+        # I - P, with P[s, t] the mass the policy moves from interval s to t
+        system = np.eye(n) - model.kernel[owner, actions] @ avg
+        rhs = stacked[owner, actions]
         return system, rhs, np.linalg.solve(system, rhs)
 
     actions, _ = greedy(np.zeros(n))
