@@ -265,35 +265,56 @@ def _membership(sub, target, tol, active, pool, alpha):
     return res.g <= tol, res
 
 
-def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None,
-              resolution: float = 1e-10) -> float:
-    """Largest alpha (up to the bisection resolution) with d(target, V(alpha)) <= tol.
+def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
+              certificate: dict | None = None) -> float:
+    """Freeze fraction alpha at which the target is within tol of the
+    boundary of V(alpha), certified by one support call.
 
-    V(alpha) shrinks as alpha grows, so the membership indicator is monotone
-    and bisection applies; policies found feasible at large alpha remain
-    feasible at smaller alpha and seed later membership tests.
+    V(alpha) shrinks as alpha grows, so membership d(target, V(alpha)) <= tol
+    is monotone and bisection applies; vertices feasible at large alpha seed
+    the membership tests at smaller alpha.  With gap(alpha) the signed
+    distance from the target to the boundary (positive inside), an "inside"
+    answer gives gap >= -tol, and h_alpha(b) <= <b, target> for the
+    separating direction b of the last "outside" answer gives gap <= 0; the
+    bisection stops at the first alpha with both, or at float spacing.  The
+    same support call at a midpoint settles "outside" alone when
+    h(b) < <b, target> - tol.  Returns 1.0 when the target is within tol of
+    V(1).  A ``certificate`` dict receives b, on the active coordinates
+    (None at 1.0), as ``direction``.
     """
     target = np.asarray(target, dtype=float)
-    resolution = max(resolution, 8e-16)    # float spacing floor on [0,1]
+    active = tuple(range(ctx.model.criteria)) if active is None else tuple(active)
+    t_active = target[list(active)]
     pool: list = []
-    ok0, res0 = _membership(ctx.submodel_at(0.0), target, tol, active, pool, 0.0)
+    sub0 = ctx.submodel_at(0.0)
+    ok0, res0 = _membership(sub0, target, tol, active, pool, 0.0)
     if not ok0:
         raise CertifiedFailure(
             "target is not in the two-policy performance set", residual=res0.g
         )
-    ok1, _ = _membership(ctx.submodel_at(1.0), target, tol, active, pool, 1.0)
+    ok1, res1 = _membership(ctx.submodel_at(1.0), target, tol, active, pool, 1.0)
     if ok1:
+        if certificate is not None:
+            certificate["direction"] = None
         return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > resolution:
+    lo, hi, b_hi = 0.0, 1.0, res1.direction
+    gap, _ = _support_gap(sub0, b_hi, active, t_active)
+    while gap > 0.0:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        ok, _ = _membership(ctx.submodel_at(mid), target, tol, active, pool, mid)
-        if ok:
-            lo = mid
-        else:
+        sub = ctx.submodel_at(mid)
+        gap_mid, _ = _support_gap(sub, b_hi, active, t_active)
+        if gap_mid < -tol:
             hi = mid
+            continue
+        ok, res = _membership(sub, target, tol, active, pool, mid)
+        if ok:
+            lo, gap = mid, gap_mid
+        else:
+            hi, b_hi = mid, res.direction
+    if certificate is not None:
+        certificate["direction"] = b_hi
     return lo
 
 
@@ -463,23 +484,18 @@ def _realize_scalar(model, phi0, phi1, target, coord, tol, trace, max_iters=220)
                            residual=best_err, trace=trace)
 
 
-def _realize(model, phi0, phi1, target, active, tol, trace, depth=0,
-             resolution=1e-13):
+def _realize(model, phi0, phi1, target, active, tol, trace, depth=0):
     """Find a deterministic policy of the two-policy submodel matching the
     target on the active coordinates within tol."""
     if len(active) == 1:
         return _realize_scalar(model, phi0, phi1, target, active[0], tol, trace)
 
-    cert = model.certificate()
     member_tol = 0.25 * tol
     ctx = make_context(model, phi0, phi1)
     t_active = np.asarray(target, dtype=float)[list(active)]
 
-    # the support gap left at alpha_hat scales like boundary drift times the
-    # bisection resolution and propagates linearly into the dropped
-    # coordinate, so the resolution is kept far below the tolerance
-    a_hat = alpha_hat(ctx, target, tol=member_tol, active=active,
-                      resolution=resolution)
+    stop: dict = {}
+    a_hat = alpha_hat(ctx, target, tol=member_tol, active=active, certificate=stop)
     frozen = ctx.submodel_at(a_hat)
     phi0_f = path_policy(ctx, a_hat)       # phi0 spliced to phi1 below the threshold
 
@@ -488,30 +504,14 @@ def _realize(model, phi0, phi1, target, active, tol, trace, depth=0,
         trace.append({"kind": "endpoint", "alpha_hat": 1.0})
         return candidate
 
-    # supporting direction at the target: ladder probes just above alpha_hat
-    # give projection directions that converge to the supporting normal
-    init, init_gap = None, np.inf
-    for step in (1e-4, 1e-6, 1e-8):
-        a_probe = a_hat + step
-        if a_probe >= 1.0:
-            continue
-        try:
-            probe = distance_to_performance_set(ctx.submodel_at(a_probe), target,
-                                                tol=min(member_tol, 1e-9),
-                                                active=active)
-        except CertifiedFailure:
-            continue
-        if probe.direction is None or probe.g < 1e-10:
-            continue
-        f_probe, _ = _support_gap(frozen, probe.direction, active, t_active)
-        if f_probe < init_gap:
-            init, init_gap = probe.direction, f_probe
-    b_active, gap = _polish_direction(frozen, t_active, active, init=init)
+    # the direction that certified alpha_hat already supports V(alpha_hat)
+    # within tol at the target; polishing sharpens it to the supporting normal
+    b_active, gap = _polish_direction(frozen, t_active, active, init=stop["direction"])
 
-    n_a = len(active)
     b_full = _embed(b_active, active, model.criteria)
-    eta_budget = tol / (4.0 * cert.L * np.sqrt(n_a))
-    eta = max(eta_budget, 4.0 * (abs(gap) + 1e-13))
+    # the stop bounds |gap| by member_tol and no tighter, and a target that
+    # close to a face can need actions whose Q-gap is near that bound
+    eta = 4.0 * member_tol
     vf, _, h_val = value_iteration(frozen, b_full, tol=max(1e-10, member_tol))
     kept = conserving_submodel(frozen, b_full, vf, eta)
     phi0_c, phi1_c = _pair_from_submodel(kept, phi0_f, ctx.phi1)
@@ -540,7 +540,7 @@ def _realize(model, phi0, phi1, target, active, tol, trace, depth=0,
         "membership_gap": repair.g,
     })
     return _realize(model, phi0_c, phi1_c, new_target, new_active,
-                    tol, trace, depth + 1, resolution=resolution)
+                    tol, trace, depth + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -569,18 +569,15 @@ def mix_pair(model: AtomlessMDP, phi0: DeterministicPolicy, phi1: DeterministicP
     level_tol = tol / (2.0 * max(1, len(active)))
 
     best_phi, best_err, best_trace = None, np.inf, []
-    resolution = 1e-13
     for attempt in range(3):
         trace: list = []
         try:
-            phi = _realize(model, phi0, phi1, target, active, level_tol, trace,
-                           resolution=resolution)
+            phi = _realize(model, phi0, phi1, target, active, level_tol, trace)
         except CertifiedFailure as exc:
             if attempt == 2:
                 raise CertifiedFailure("pairwise mix failed", residual=exc.residual,
                                        trace=exc.trace or trace) from exc
             level_tol *= 0.1
-            resolution *= 0.1
             continue
         achieved = _perf(model, phi)
         err = float(np.linalg.norm(achieved - target))
@@ -595,8 +592,7 @@ def mix_pair(model: AtomlessMDP, phi0: DeterministicPolicy, phi1: DeterministicP
                 break
             aim = aim + (target - achieved)
             try:
-                phi_c = _realize(model, phi0, phi1, aim, active, level_tol,
-                                 trace, resolution=resolution)
+                phi_c = _realize(model, phi0, phi1, aim, active, level_tol, trace)
             except CertifiedFailure:
                 break
             achieved_c = _perf(model, phi_c)
@@ -610,7 +606,6 @@ def mix_pair(model: AtomlessMDP, phi0: DeterministicPolicy, phi1: DeterministicP
             return best_phi.canonical(), MixCertificate(lam, target, final,
                                                         best_err, tol, best_trace)
         level_tol *= 0.1
-        resolution *= 0.1
     raise CertifiedFailure("pairwise mix missed its tolerance",
                            residual=best_err, trace=best_trace)
 

@@ -173,11 +173,11 @@ class RangeHull:
 def range_hull(vm: VectorMeasure, direction_count: int = 64) -> RangeHull:
     """Sandwich the range: hull of attained vertices inside, supporting
     half-spaces outside, plus the Hausdorff gap between the two."""
-    model = as_onestep_mdp(vm)
+    sub = SubmodelSpec.full(as_onestep_mdp(vm))
     dirs = _directions(direction_count, vm.criteria)
     values, verts, policies = [], [], []
     for b in dirs:
-        h, policy, v = support(model, b)
+        h, policy, v = support(sub, b)
         values.append(h)
         verts.append(v)
         policies.append(policy)

@@ -225,8 +225,7 @@ class PieceMeasure:
         if k == 0:
             return float(pts[0])
         k -= 1  # piece [t_k, t_{k+1}] with cum[k] < target <= cum[k+1]
-        width = pts[k + 1] - pts[k]
-        return float(pts[k] + (target - cum[k]) / self.masses[k] * width)
+        return self._solve_in_cell(k, target)
 
     def _solve_max(self, target: float) -> float:
         cum, pts = self._cum, self.partition.points
@@ -237,8 +236,14 @@ class PieceMeasure:
         k -= 1
         if k < 0:
             return float(pts[0])
-        width = pts[k + 1] - pts[k]
-        return float(pts[k] + (target - cum[k]) / self.masses[k] * width)
+        return self._solve_in_cell(k, target)
+
+    def _solve_in_cell(self, k: int, target: float) -> float:
+        # cumsum rounding can leave cum[k+1] - cum[k] above masses[k]; on a
+        # cell of tiny mass the linear step would then overshoot the cell
+        pts = self.partition.points
+        step = (target - self._cum[k]) / self.masses[k] * (pts[k + 1] - pts[k])
+        return float(min(max(pts[k] + step, pts[k]), pts[k + 1]))
 
     def split_at(self, b: float) -> "PieceMeasure":
         """Same measure on the partition refined by breakpoint b (no-op if present)."""

@@ -28,7 +28,7 @@ from atomless_mdp.model import (
     random_stationary_policy,
 )
 from atomless_mdp.occupancy import occupancy, occupancy_total_variation, performance
-from atomless_mdp.scalar_dp import SubmodelSpec
+from atomless_mdp.scalar_dp import SubmodelSpec, support
 from tests.test_geometry import nnls_projection
 from tests.test_model import one_cell_discounted
 
@@ -277,6 +277,44 @@ def test_alpha_hat_monotone_distance_profile():
         values.append(res.g)
     for a, b in zip(values, values[1:]):
         assert b >= a - 2 * tol
+
+
+def test_alpha_hat_stop_is_certified(monkeypatch):
+    # at the returned alpha the membership test said "inside" (gap >= -tol)
+    # and one support call in the returned direction puts the target on or
+    # beyond the supporting hyperplane (gap <= 0), without a fixed resolution
+    module = importlib.import_module("atomless_mdp.derandomize")
+    original = module._membership
+    answers = []
+
+    def recording(sub, target, tol, active, pool, alpha):
+        ok, res = original(sub, target, tol, active, pool, alpha)
+        answers.append((alpha, ok))
+        return ok, res
+
+    monkeypatch.setattr(module, "_membership", recording)
+    tol = 1e-7
+    interior = 0
+    for seed in range(12):
+        m = random_model(6, 3, 2, seed=460 + seed)
+        rng = np.random.default_rng(seed)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        ctx = make_context(m, phi0, phi1)
+        lam = float(rng.uniform(0.2, 0.8))
+        v = lam * performance(m, phi0, tol=1e-12) + (1.0 - lam) * performance(m, phi1, tol=1e-12)
+        stop = {}
+        start = len(answers)
+        a = alpha_hat(ctx, v, tol=tol, certificate=stop)
+        assert (a, True) in answers[start:], seed
+        if a == 1.0:
+            continue
+        interior += 1
+        b = stop["direction"]
+        h, _, _ = support(ctx.submodel_at(a), b)
+        scale = 1.0 + abs(h) + float(np.abs(v).max())
+        assert h <= float(b @ v) + 1e-15 * scale, seed
+    assert interior >= 10
+    assert len(answers) / 12 <= 30
 
 
 def test_membership_decision_matches_full_iteration(monkeypatch):

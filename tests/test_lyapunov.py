@@ -132,6 +132,31 @@ def test_hull_gap_shrinks_with_directions():
     assert gap_fine <= 1e-3
 
 
+def test_hull_builds_one_submodel(monkeypatch):
+    # one SubmodelSpec serves every direction; the hull equals, bit for bit,
+    # the one from a support call on the model per direction
+    import atomless_mdp.scalar_dp as scalar_dp
+
+    vm = vm_linear_second(16)
+    model = as_onestep_mdp(vm)
+    thetas = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
+    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    expected = [scalar_dp.support(model, b) for b in dirs]
+    original = scalar_dp.SubmodelSpec.__init__
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(scalar_dp.SubmodelSpec, "__init__", counting)
+    hull = range_hull(vm, direction_count=360)
+    assert len(built) == 1
+    assert np.array_equal(hull.directions, dirs)
+    assert np.array_equal(hull.support_values, [h for h, _, _ in expected])
+    assert np.array_equal(hull.direction_vertices, [v for _, _, v in expected])
+
+
 def test_hull_rejects_four_criteria():
     with pytest.raises(ModelFormatError, match="at most 3 criteria"):
         range_hull(random_vm(4, 4, seed=3))

@@ -240,6 +240,7 @@ def test_cdf_monotone_and_lipschitz(m, b):
 
 
 @given(piece_measures(), st.floats(min_value=0.0, max_value=1.0))
+@example(pm([0, 0.5, 1], [1.0, 1e-11]), 1.0)
 @settings(max_examples=60, deadline=None)
 def test_quantile_inversion_property(m, alpha):
     if m.total <= 0:
