@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -54,6 +55,9 @@ __all__ = [
 ]
 
 EVAL_TOL = 1e-12          # occupancy truncation for performance evaluations
+DISTANCE_CAP = 200        # support calls per distance iteration
+POLISH_SUBSETS = 100_000  # N-point subsets one polish round may enumerate
+SCALAR_ITERS = 220        # threshold bisection steps for one criterion
 
 
 def _perf(model: AtomlessMDP, policy) -> np.ndarray:
@@ -166,10 +170,6 @@ class DistanceResult:
     projection: np.ndarray                     # nearest achieved point
     vertices: list = field(default_factory=list)   # [(policy, vector)] hull generators
 
-    @property
-    def decided_inside(self) -> bool:
-        return self.direction is None
-
 
 def _embed(b_active: np.ndarray, active, n: int) -> np.ndarray:
     full = np.zeros(n)
@@ -178,7 +178,7 @@ def _embed(b_active: np.ndarray, active, n: int) -> np.ndarray:
 
 
 def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
-                                active=None, seeds=None, cap: int = 200,
+                                active=None, seeds=None,
                                 decide: float | None = None) -> DistanceResult:
     """Euclidean distance from ``target`` to the submodel's performance set.
 
@@ -226,7 +226,7 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
         add_vertex(policy, v[list(active)])
 
     lower = 0.0
-    for _ in range(cap):
+    for _ in range(DISTANCE_CAP):
         mat = np.array([v for _, v in verts])
         d, proj, lam = distance_to_hull(mat, t_active)
         if d <= max(tol, 1e-14) or (decide is not None and d <= decide):
@@ -351,8 +351,7 @@ def _min_max_direction(w_rows: np.ndarray) -> np.ndarray:
     return cands[int(np.argmin((cands @ w_rows.T).max(axis=1)))]
 
 
-def _polish_direction(sub: SubmodelSpec, target_active, active, init=None,
-                      rounds: int = 16):
+def _polish_direction(sub: SubmodelSpec, target_active, active, init=None):
     """Minimize the support gap h(b) - <b, target> over unit directions.
 
     The gap is the maximum of <b, u - target> over the finitely many vertex
@@ -361,7 +360,9 @@ def _polish_direction(sub: SubmodelSpec, target_active, active, init=None,
     support oracle at the minimizer, which either certifies the model or
     contributes a new vertex.  The minimum over the sphere equals the signed
     distance from the target to the boundary, and the minimizer supports the
-    set there.
+    set there.  Rounds continue until the oracle certifies the model, or until
+    the next round's subset enumeration would exceed ``POLISH_SUBSETS``,
+    which bounds its memory at any N.
     """
     dim = len(active)
     cloud: list = []
@@ -389,7 +390,7 @@ def _polish_direction(sub: SubmodelSpec, target_active, active, init=None,
         oracle(-e)
 
     scale = 1.0 + float(np.abs(np.array(cloud)).max(initial=0.0))
-    for _ in range(rounds):
+    while comb(len(cloud), dim) <= POLISH_SUBSETS:
         w_rows = np.array(cloud)
         b = _min_max_direction(w_rows)
         model_val = float((w_rows @ b).max())
@@ -441,7 +442,7 @@ def _pair_from_submodel(sub: SubmodelSpec, phi0: DeterministicPolicy,
     return DeterministicPolicy(part, a0), DeterministicPolicy(part, a1)
 
 
-def _realize_scalar(model, phi0, phi1, target, coord, tol, trace, max_iters=220):
+def _realize_scalar(model, phi0, phi1, target, coord, tol, trace):
     """Intermediate-value bisection along the threshold path for one criterion."""
     sub = SubmodelSpec.from_pair(model, phi0, phi1)
     n = model.criteria
@@ -465,14 +466,13 @@ def _realize_scalar(model, phi0, phi1, target, coord, tol, trace, max_iters=220)
         return phi_lo
     ctx = make_context(model, phi_lo, phi_hi)
     a_lo, a_hi = 0.0, 1.0
-    best_phi, best_err = phi_lo, abs(v_lo - t)
-    for it in range(max_iters):
+    best_err = abs(v_lo - t)
+    for it in range(SCALAR_ITERS):
         mid = 0.5 * (a_lo + a_hi)
         phi_mid = path_policy(ctx, mid)
         val = float(_perf(model, phi_mid)[coord])
         err = abs(val - t)
-        if err < best_err:
-            best_phi, best_err = phi_mid, err
+        best_err = min(best_err, err)
         if err <= tol:
             trace.append({"kind": "scalar", "coord": coord, "achieved": val, "iters": it + 1})
             return phi_mid
@@ -550,7 +550,12 @@ def _realize(model, phi0, phi1, target, active, tol, trace, depth=0):
 
 def mix_pair(model: AtomlessMDP, phi0: DeterministicPolicy, phi1: DeterministicPolicy,
              lam: float, tol: float = 1e-6):
-    """Deterministic policy whose performance is lam * v(phi0) + (1-lam) * v(phi1)."""
+    """Deterministic policy whose performance is lam * v(phi0) + (1-lam) * v(phi1).
+
+    One threshold-path realization of the target at tolerance tol / (2N) per
+    level, verified by evaluating the returned policy; a miss above tol
+    raises ``CertifiedFailure`` with the achieved residual and the trace.
+    """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must be in [0,1]")
     model.certificate()
@@ -565,49 +570,14 @@ def mix_pair(model: AtomlessMDP, phi0: DeterministicPolicy, phi1: DeterministicP
 
     v0, v1 = _perf(model, phi0), _perf(model, phi1)
     target = lam * v0 + (1.0 - lam) * v1
-    active = tuple(range(model.criteria))
-    level_tol = tol / (2.0 * max(1, len(active)))
-
-    best_phi, best_err, best_trace = None, np.inf, []
-    for attempt in range(3):
-        trace: list = []
-        try:
-            phi = _realize(model, phi0, phi1, target, active, level_tol, trace)
-        except CertifiedFailure as exc:
-            if attempt == 2:
-                raise CertifiedFailure("pairwise mix failed", residual=exc.residual,
-                                       trace=exc.trace or trace) from exc
-            level_tol *= 0.1
-            continue
-        achieved = _perf(model, phi)
-        err = float(np.linalg.norm(achieved - target))
-        if err < best_err:
-            best_phi, best_err, best_trace = phi, err, trace
-
-        # pre-compensation: the realization offset is locally systematic, so
-        # aiming at the reflected target cancels it to second order
-        aim = target.copy()
-        for _ in range(2):
-            if best_err <= tol:
-                break
-            aim = aim + (target - achieved)
-            try:
-                phi_c = _realize(model, phi0, phi1, aim, active, level_tol, trace)
-            except CertifiedFailure:
-                break
-            achieved_c = _perf(model, phi_c)
-            err_c = float(np.linalg.norm(achieved_c - target))
-            if err_c < best_err:
-                best_phi, best_err, best_trace = phi_c, err_c, trace
-            achieved = achieved_c
-
-        if best_err <= tol:
-            final = _perf(model, best_phi)
-            return best_phi.canonical(), MixCertificate(lam, target, final,
-                                                        best_err, tol, best_trace)
-        level_tol *= 0.1
-    raise CertifiedFailure("pairwise mix missed its tolerance",
-                           residual=best_err, trace=best_trace)
+    trace: list = []
+    phi = _realize(model, phi0, phi1, target, tuple(range(model.criteria)),
+                   tol / (2.0 * model.criteria), trace)
+    achieved = _perf(model, phi)
+    err = float(np.linalg.norm(achieved - target))
+    if err > tol:
+        raise CertifiedFailure("pairwise mix missed its tolerance", residual=err, trace=trace)
+    return phi.canonical(), MixCertificate(lam, target, achieved, err, tol, trace)
 
 
 def caratheodory(model: AtomlessMDP, pi: StationaryPolicy, tol: float = 1e-7):

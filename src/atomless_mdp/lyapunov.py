@@ -227,9 +227,11 @@ def find_set(vm: VectorMeasure, target, tol: float = 1e-8) -> IntervalSet:
     """Interval union whose vector integral hits the target within tol.
 
     A mixture of vertex indicator policies achieves the target exactly in one
-    step; derandomizing that mixture produces a deterministic threshold policy
-    whose action-one region is the set.  Every call self-checks the returned
-    set by direct integration.
+    step; derandomizing that mixture at 0.8 tol produces a deterministic
+    threshold policy whose action-one region is the set.  Every call
+    self-checks the returned set by direct integration and raises
+    ``CertifiedFailure`` when it misses by more than tol; there is no
+    fallback.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (vm.criteria,):
@@ -261,59 +263,12 @@ def find_set(vm: VectorMeasure, target, tol: float = 1e-8) -> IntervalSet:
     probs /= probs.sum(axis=1, keepdims=True)
     pi = StationaryPolicy(part, probs)
 
-    try:
-        phi, _ = derandomize(model, pi, tol=0.8 * tol)
-    except CertifiedFailure:
-        # a rough set suffices: the boundary polish below is exact for the
-        # piecewise-constant densities
-        phi, _ = derandomize(model, pi, tol=max(100.0 * tol, 1e-6))
+    phi, _ = derandomize(model, pi, tol=0.8 * tol)
     out = IntervalSet.from_policy(phi, action=1)
-    achieved = vm.integrate(out)
-    residual = float(np.linalg.norm(achieved - target))
-    if residual > 0.25 * tol:
-        out, residual = _newton_boundaries(vm, out, target)
+    residual = float(np.linalg.norm(vm.integrate(out) - target))
     if residual > tol:
         raise CertifiedFailure("returned set misses the target", residual=residual)
     return out
-
-
-def _newton_boundaries(vm: VectorMeasure, sets: IntervalSet, target, rounds: int = 10):
-    """Slide interval boundaries to cancel the integration residual.
-
-    The integral is piecewise linear in each boundary with slope equal to the
-    density there (signed by which side the set lies on), so damped
-    least-squares Newton steps converge in a couple of rounds.
-    """
-    part = vm.base.partition
-    mu_density = vm.base.densities()
-    target = np.asarray(target, dtype=float)
-
-    best_sets, best_res = sets, np.inf
-    bounds = np.array([x for pair in sets.intervals for x in pair])
-    for _ in range(rounds):
-        cur = IntervalSet(tuple((bounds[2 * i], bounds[2 * i + 1])
-                                for i in range(bounds.size // 2)))
-        res = target - vm.integrate(cur)
-        r_norm = float(np.linalg.norm(res))
-        if r_norm < best_res:
-            best_sets, best_res = cur, r_norm
-        if r_norm <= 1e-13 * (1.0 + float(np.abs(target).max())):
-            break
-        jac = np.zeros((vm.criteria, bounds.size))
-        for j, t in enumerate(bounds):
-            cell = part.cell_of(min(max(t, 0.0), 1.0 - 1e-15))
-            sign = 1.0 if j % 2 else -1.0    # moving a right endpoint grows the set
-            jac[:, j] = sign * vm.densities[cell] * mu_density[cell]
-        step, *_ = np.linalg.lstsq(jac, res, rcond=None)
-        # keep boundaries ordered and inside [0,1]
-        lo_lim = np.concatenate(([0.0], bounds[:-1]))
-        hi_lim = np.concatenate((bounds[1:], [1.0]))
-        room = np.maximum(np.minimum(bounds - lo_lim, hi_lim - bounds), 0.0)
-        step = np.clip(step, -0.49 * room, 0.49 * room)
-        if not np.any(step):
-            break
-        bounds = np.clip(bounds + step, 0.0, 1.0)
-    return best_sets, best_res
 
 
 def brute_force_range(vm: VectorMeasure, max_cells: int = 12) -> np.ndarray:

@@ -49,13 +49,6 @@ class StatePartition:
     def cell_count(self) -> int:
         return self.points.size - 1
 
-    def cell_of(self, x: float) -> int:
-        """Index of the cell whose half-open interval [t_k, t_{k+1}) contains x (x=1 maps to the last cell)."""
-        if x < 0.0 or x > 1.0:
-            raise ValueError(f"coordinate {x} outside [0,1]")
-        k = int(np.searchsorted(self.points, x, side="right")) - 1
-        return min(max(k, 0), self.cell_count - 1)
-
     def refine(self, other: "StatePartition") -> "StatePartition":
         """Coarsest common refinement: sorted union of breakpoints, merged at MERGE_TOL."""
         return StatePartition(merge_breakpoints(self.points, other.points))

@@ -157,9 +157,6 @@ class DeterministicPolicy:
         self.partition = partition
         self.actions = acts
 
-    def action_at(self, x: float) -> int:
-        return int(self.actions[self.partition.cell_of(x)])
-
     def canonical(self) -> "DeterministicPolicy":
         """Merge adjacent intervals carrying the same action."""
         pts, acts = self.partition.points, self.actions

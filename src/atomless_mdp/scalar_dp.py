@@ -24,6 +24,8 @@ __all__ = [
     "conserving_submodel",
 ]
 
+POLICY_ROUNDS = 500       # policy improvement steps before giving up
+
 
 class SubmodelSpec:
     """Per-interval allowed actions on a partition refining the base grid.
@@ -73,9 +75,6 @@ class SubmodelSpec:
         allowed[rows, phi1.refined_to(part).actions] = True
         return cls(model, part, allowed)
 
-    def refined_to(self, finer: StatePartition) -> "SubmodelSpec":
-        return SubmodelSpec(self.model, finer, self.allowed[finer.index_map_from(self.partition)])
-
     def frozen_below(self, threshold: float, low: DeterministicPolicy) -> "SubmodelSpec":
         """Force the ``low`` policy's action on every interval left of the threshold."""
         part = self.partition.refine(low.partition).with_point(threshold)
@@ -100,10 +99,6 @@ class SubmodelSpec:
         if self._mu is None:
             self._mu = self.model.initial.refined_to(self.partition).masses
         return self._mu
-
-    def arbitrary_policy(self) -> DeterministicPolicy:
-        """The lowest allowed action on every interval."""
-        return DeterministicPolicy(self.partition, np.argmax(self.allowed, axis=1))
 
     def __repr__(self):
         sizes = np.unique(self.allowed.sum(axis=1)).tolist()
@@ -135,7 +130,7 @@ def _q_values(scalar_r, kernel, owner, avg, values):
     return (scalar_r + cont)[owner]
 
 
-def _policy_iteration(sub: SubmodelSpec, direction, tol: float, max_rounds: int = 500):
+def _policy_iteration(sub: SubmodelSpec, direction, tol: float):
     """Optimal intervalwise actions for <direction, r>, certified within tol.
 
     Each evaluated policy costs one solve of I - P whose right-hand side
@@ -183,7 +178,7 @@ def _policy_iteration(sub: SubmodelSpec, direction, tol: float, max_rounds: int 
 
     actions, _ = greedy(np.zeros(n))
     system, rhs, x = evaluate(actions)
-    for _ in range(max_rounds):
+    for _ in range(POLICY_ROUNDS):
         improved, _ = greedy(x[:, 0], actions)
         if np.array_equal(improved, actions):
             break
@@ -203,8 +198,7 @@ def _policy_iteration(sub: SubmodelSpec, direction, tol: float, max_rounds: int 
     return actions, x, err, residual
 
 
-def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10,
-                    max_rounds: int = 500):
+def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10):
     """Optimal scalarized value over the submodel.
 
     Returns (ValueFunction, greedy DeterministicPolicy, h) where
@@ -212,7 +206,7 @@ def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10,
     certified bound |h - sup| <= ValueFunction.error_bound <= tol holds.
     Ties in the greedy step break toward the lowest action index.
     """
-    actions, x, err, _ = _policy_iteration(sub, direction, tol, max_rounds)
+    actions, x, err, _ = _policy_iteration(sub, direction, tol)
     values = x[:, 0]
     vf = ValueFunction(sub.partition, values, err)
     policy = DeterministicPolicy(sub.partition, actions)

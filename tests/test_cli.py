@@ -111,13 +111,17 @@ def test_path_tv_column_within_modulus(onestep_model, tmp_path):
         assert float(row.split(",")[-1]) <= bound + 1e-9
 
 
-def test_mix_impossible_tolerance_exits_3(tmp_path, capsys):
+def test_mix_impossible_tolerance_exits_3(tmp_path, capsys, monkeypatch):
+    # the miss is certified after one realization, not after a retry ladder
     from atomless_mdp.cli import save_policy_file
     from atomless_mdp.model import (
         load_model_file,
         random_deterministic_policy,
         random_model,
     )
+    from tests.test_derandomize import count_realizations
+
+    calls = count_realizations(monkeypatch)
 
     model_path = tmp_path / "m.json"
     save_model_file(random_model(5, 3, 2, seed=3), model_path)
@@ -130,6 +134,7 @@ def test_mix_impossible_tolerance_exits_3(tmp_path, capsys):
     code = run("mix", model_path, p0, p1, 0.5, "--tol", 1e-16, "--out", tmp_path / "x")
     assert code == 3
     assert "certified failure" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_path_endpoints_match(onestep_model, tmp_path):

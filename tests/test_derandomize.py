@@ -453,6 +453,36 @@ def test_mix_random_two_criteria():
         assert cert.error <= 1e-5
 
 
+def count_realizations(monkeypatch):
+    """Record the tolerance of every top-level ``_realize`` call (depth 0)."""
+    module = importlib.import_module("atomless_mdp.derandomize")
+    original = module._realize
+    calls = []
+
+    def counting(*args, **kwargs):
+        if len(args) < 8 and "depth" not in kwargs:
+            calls.append(args[5])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_realize", counting)
+    return calls
+
+
+@pytest.mark.parametrize("criteria", [2, 3])
+def test_mix_pair_realizes_once(monkeypatch, criteria):
+    # one realization at tol / (2N), verified by evaluation: no retry at a
+    # tighter level and no pre-compensated second aim
+    calls = count_realizations(monkeypatch)
+    rng = np.random.default_rng(criteria)
+    for seed in range(4):
+        m = random_model(6, 3, criteria, seed=600 + 10 * criteria + seed)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        calls.clear()
+        _, cert = mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
+        assert calls == [1e-6 / (2 * criteria)], seed
+        assert cert.error <= 1e-6
+
+
 def test_mix_rejects_bad_lambda():
     m, phi0, phi1 = unit_interval_pair()
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for vector-measure ranges, hulls, and set construction."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from atomless_mdp.errors import ModelFormatError
 from atomless_mdp.measure import PieceMeasure, StatePartition
 from atomless_mdp.model import DeterministicPolicy
 from atomless_mdp.occupancy import performance
+from tests.test_derandomize import count_realizations
 
 
 def lebesgue(cells=1):
@@ -37,6 +40,32 @@ def random_vm(cells, criteria, seed, scale=1.0):
     masses = rng.random(cells) + 0.1
     base = PieceMeasure(part, masses / masses.sum())
     return VectorMeasure(base, rng.uniform(0.0, scale, size=(cells, criteria)))
+
+
+def union_of_cells_target(seed):
+    """Random 512-cell two-criterion measure; the target integrates a union of cells."""
+    vm = random_vm(512, 2, seed)
+    rng = np.random.default_rng([seed, 1])
+    if seed % 2 == 0:
+        mask = rng.random(512) < 0.5
+    else:
+        mask = np.zeros(512, dtype=bool)
+        for _ in range(rng.integers(2, 6)):
+            start = rng.integers(0, 512)
+            mask[start:start + rng.integers(1, 64)] = True
+    return vm, vm.densities.T @ (vm.base.masses * mask)
+
+
+def smooth_target(seed):
+    """256-cell three-criterion measure with densities 1 + 0.8 sin(2 pi f x + phase);
+    the target is lambda * total."""
+    rng = np.random.default_rng(seed)
+    base = lebesgue(256)
+    pts = base.partition.points
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    freq, phase = rng.uniform(0.5, 4.0, size=3), rng.uniform(0.0, 2 * np.pi, size=3)
+    vm = VectorMeasure(base, 1.0 + 0.8 * np.sin(2 * np.pi * freq * mids[:, None] + phase))
+    return vm, rng.uniform(0.2, 0.8) * vm.total()
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +242,38 @@ def test_find_set_convex_combination_of_returned_sets():
         target = lam * v1 + (1 - lam) * v2
         s = find_set(vm, target, tol=1e-6)
         assert np.linalg.norm(vm.integrate(s) - target) <= 1e-6
+
+
+def test_find_set_derandomizes_once(monkeypatch):
+    # one derandomize at 0.8 tol and one realization per pairwise mix; on
+    # smooth seeds 4, 23 and 30 the direction polish needs more than 16
+    # cutting-plane rounds to certify the face through the target
+    lyapunov = importlib.import_module("atomless_mdp.lyapunov")
+    module = importlib.import_module("atomless_mdp.derandomize")
+    runs, mixes = [], []
+    original_derandomize, original_mix = lyapunov.derandomize, module.mix_pair
+
+    def counting_derandomize(*args, **kwargs):
+        runs.append(kwargs["tol"])
+        return original_derandomize(*args, **kwargs)
+
+    def counting_mix(*args, **kwargs):
+        mixes.append(args[3])
+        return original_mix(*args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "derandomize", counting_derandomize)
+    monkeypatch.setattr(module, "mix_pair", counting_mix)
+    realizations = count_realizations(monkeypatch)
+    cases = ([union_of_cells_target(seed) for seed in (0, 1, 2)]
+             + [smooth_target(seed) for seed in (4, 23, 30)])
+    for k, (vm, target) in enumerate(cases):
+        runs.clear()
+        mixes.clear()
+        realizations.clear()
+        s = find_set(vm, target, tol=1e-6)
+        assert runs == [0.8 * 1e-6], k
+        assert len(realizations) == len(mixes), k
+        assert np.linalg.norm(vm.integrate(s) - target) <= 1e-6, k
 
 
 # ---------------------------------------------------------------------------
