@@ -91,14 +91,32 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _data_rows(path):
+def _data_rows(path, min_cols, max_cols=None):
+    """(line number, values) of each row of a text file; ``#`` starts a comment.
+
+    Every row must hold the same number of finite numbers, between
+    ``min_cols`` and ``max_cols``; anything else is a ``path:line`` error.
+    """
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
+            tokens = line.split("#", 1)[0].split()
+            if not tokens:
                 continue
-            rows.append((lineno, body.split()))
+            where = f"{path}:{lineno}"
+            if rows and len(tokens) != len(rows[0][1]):
+                raise ModelFormatError(
+                    where, f"{len(tokens)} columns, but line {rows[0][0]} has {len(rows[0][1])}")
+            if len(tokens) < min_cols or (max_cols is not None and len(tokens) > max_cols):
+                expected = f"at least {min_cols}" if max_cols is None else max_cols
+                raise ModelFormatError(where, f"expected {expected} columns, got {len(tokens)}")
+            try:
+                values = [float(t) for t in tokens]
+            except ValueError:
+                raise ModelFormatError(where, "non-numeric entry") from None
+            if not np.all(np.isfinite(values)):
+                raise ModelFormatError(where, "non-finite entry")
+            rows.append((lineno, values))
     return rows
 
 
@@ -116,22 +134,11 @@ def _check_tiling(entries, path):
 
 def load_policy_file(path, model: AtomlessMDP):
     """Rows `t_lo t_hi action` (deterministic) or `t_lo t_hi p_0 .. p_{A-1}`."""
-    rows = _data_rows(path)
+    rows = _data_rows(path, 3)
     if not rows:
         raise ModelFormatError(path, "empty policy file")
-    widths = {len(tokens) for _, tokens in rows}
-    if len(widths) != 1:
-        raise ModelFormatError(path, "inconsistent column counts")
-    ncols = widths.pop()
-    entries = []
-    for lineno, tokens in rows:
-        try:
-            values = [float(t) for t in tokens]
-        except ValueError:
-            raise ModelFormatError(f"{path}:{lineno}", "non-numeric entry") from None
-        if not np.all(np.isfinite(values)):
-            raise ModelFormatError(f"{path}:{lineno}", "non-finite entry")
-        entries.append((lineno, values[0], values[1], values[2:]))
+    ncols = len(rows[0][1])
+    entries = [(lineno, v[0], v[1], v[2:]) for lineno, v in rows]
     entries.sort(key=lambda e: e[1])
     _check_tiling([(ln, lo, hi) for ln, lo, hi, _ in entries], path)
     points = StatePartition(
@@ -160,15 +167,10 @@ def save_policy_file(policy, path) -> None:
 
 def load_densities_file(path) -> VectorMeasure:
     """Rows `t_lo t_hi mu_mass d_1 .. d_N` tiling [0,1]."""
-    rows = _data_rows(path)
+    rows = _data_rows(path, 4)
     if not rows:
         raise ModelFormatError(path, "empty densities file")
-    entries = []
-    for lineno, tokens in rows:
-        if len(tokens) < 4:
-            raise ModelFormatError(f"{path}:{lineno}", "need t_lo t_hi mass densities...")
-        values = [float(t) for t in tokens]
-        entries.append((lineno, values[0], values[1], values[2], values[3:]))
+    entries = [(lineno, v[0], v[1], v[2], v[3:]) for lineno, v in rows]
     entries.sort(key=lambda e: e[1])
     _check_tiling([(ln, lo, hi) for ln, lo, hi, _, _ in entries], path)
     points = [entries[0][1]] + [e[2] for e in entries]
@@ -370,17 +372,15 @@ def cmd_transform(args, report):
     if args.subcommand == "discount":
         out_model = discounted_to_absorbing(model)
     else:
-        weights_rows = _data_rows(args.weights)
+        weights_rows = _data_rows(args.weights, 3, 3)
         report.add_input(args.weights)
-        entries = sorted(
-            (float(t[0]), float(t[1]), float(t[2])) for _, t in weights_rows
-        )
-        _check_tiling([(0, lo, hi) for lo, hi, _ in entries], args.weights)
+        entries = sorted((lo, hi, wv, lineno) for lineno, (lo, hi, wv) in weights_rows)
+        _check_tiling([(lineno, lo, hi) for lo, hi, _, lineno in entries], args.weights)
         w = np.empty(model.cell_count)
         pts = model.grid.points
         for i in range(model.cell_count):
             mid = 0.5 * (pts[i] + pts[i + 1])
-            match = [wv for lo, hi, wv in entries if lo - 1e-12 <= mid <= hi + 1e-12]
+            match = [wv for lo, hi, wv, _ in entries if lo - 1e-12 <= mid <= hi + 1e-12]
             if not match:
                 raise ModelFormatError(args.weights, f"no weight covers cell {i}")
             w[i] = match[0]

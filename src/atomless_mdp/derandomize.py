@@ -193,8 +193,9 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
     the full iteration's from the same seeds.
 
     Vertices are deduplicated at a fraction of ``tol``: seed policies from
-    nearby submodels differ by far less than the decision tolerance, and
-    keeping such near-copies destroys the conditioning of the projection.
+    nearby submodels differ by far less than the decision tolerance, and a
+    support vertex that is already in the hull means the oracle added
+    nothing, so the loop stops there instead of repeating the same call.
     ``seeds`` are (policy, vector) pairs with the vector on the active
     coordinates, like ``DistanceResult.vertices``.
     """

@@ -76,9 +76,6 @@ class AtomlessMDP:
     def criteria(self) -> int:
         return self.rewards.shape[2]
 
-    def max_abs_reward(self) -> float:
-        return float(np.abs(self.rewards).max(initial=0.0))
-
     def _validate(self):
         """Check every invariant; builds the availability mask on the way."""
         m, a = self.cell_count, self.action_count
@@ -711,48 +708,8 @@ class DiscreteAbsorbingChain:
     sink: object
     note: str = ""
 
-    def _solve(self, pick):
-        """Expected steps-to-sink per state for action choice ``pick(state)``."""
-        value = {self.sink: 0.0}
-        order = list(self._topo_order(pick))
-        for state in order:
-            if state in value:
-                continue
-            self_p, acc = 0.0, 1.0
-            for prob, nxt in self.transitions[(state, pick(state))]:
-                if nxt == state:
-                    self_p += prob
-                else:
-                    if nxt not in value:
-                        raise NotCertifiedError("chain has a cycle beyond self-loops")
-                    acc += prob * value[nxt]
-            if self_p >= 1.0:
-                raise NotCertifiedError(f"state {state!r} never reaches the sink")
-            value[state] = acc / (1.0 - self_p)
-        return value
-
-    def _topo_order(self, pick):
-        seen, order, stack = set(), [], [(s, False) for s in self.states if s != self.sink]
-        while stack:
-            state, expanded = stack.pop()
-            if expanded:
-                order.append(state)
-                continue
-            if state in seen or state == self.sink:
-                continue
-            seen.add(state)
-            stack.append((state, True))
-            for _, nxt in self.transitions[(state, pick(state))]:
-                if nxt not in seen and nxt != self.sink and nxt != state:
-                    stack.append((nxt, False))
-        return order
-
-    def expected_absorption_time(self, policy) -> float:
-        """E T for a deterministic policy given as state -> action."""
-        return self._solve(policy)[self.initial]
-
-    def _union_topo_order(self):
-        """Postorder over the union of all actions' edges (self-loops ignored)."""
+    def _post_order(self, successors):
+        """Post-order DFS over the non-sink states along ``successors(state)``."""
         seen, order = set(), []
         stack = [(s, False) for s in self.states if s != self.sink]
         while stack:
@@ -764,35 +721,53 @@ class DiscreteAbsorbingChain:
                 continue
             seen.add(state)
             stack.append((state, True))
-            for a in self.actions_of[state]:
-                for _, nxt in self.transitions[(state, a)]:
-                    if nxt not in seen and nxt != self.sink and nxt != state:
-                        stack.append((nxt, False))
+            for nxt in successors(state):
+                if nxt not in seen and nxt != self.sink and nxt != state:
+                    stack.append((nxt, False))
         return order
+
+    def _resolve(self, state, action, value):
+        """Expected steps from ``state`` under ``action`` given its successors'
+        ``value``: loop probability p and continuation c give c / (1 - p).
+
+        None when the action never leaves the state.
+        """
+        self_p, acc = 0.0, 1.0
+        for prob, nxt in self.transitions[(state, action)]:
+            if nxt == state:
+                self_p += prob
+            else:
+                if nxt not in value:
+                    raise NotCertifiedError("chain has a cycle beyond self-loops")
+                acc += prob * value[nxt]
+        return acc / (1.0 - self_p) if self_p < 1.0 else None
+
+    def expected_absorption_time(self, policy) -> float:
+        """E T for a deterministic policy given as state -> action."""
+        value = {self.sink: 0.0}
+        order = self._post_order(lambda s: (n for _, n in self.transitions[(s, policy(s))]))
+        for state in order:
+            steps = self._resolve(state, policy(state), value)
+            if steps is None:
+                raise NotCertifiedError(f"state {state!r} never reaches the sink")
+            value[state] = steps
+        return value[self.initial]
 
     def sup_expected_time(self) -> float:
         """sup over states and deterministic policies of E_x T.
 
         Exact on forward chains: states are processed in reverse topological
-        order and a self-looping action with loop probability p and one-step
-        continuation value c resolves to c / (1 - p).
+        order over the union of all actions' edges.
         """
         value = {self.sink: 0.0}
-        for state in self._union_topo_order():
-            best = None
-            for a in self.actions_of[state]:
-                self_p, acc = 0.0, 1.0
-                for prob, nxt in self.transitions[(state, a)]:
-                    if nxt == state:
-                        self_p += prob
-                    else:
-                        acc += prob * value[nxt]
-                if self_p < 1.0:
-                    resolved = acc / (1.0 - self_p)
-                    best = resolved if best is None else max(best, resolved)
-            if best is None:
+        order = self._post_order(
+            lambda s: (n for a in self.actions_of[s] for _, n in self.transitions[(s, a)]))
+        for state in order:
+            times = [t for a in self.actions_of[state]
+                     if (t := self._resolve(state, a, value)) is not None]
+            if not times:
                 raise NotCertifiedError(f"state {state!r} never reaches the sink")
-            value[state] = best
+            value[state] = max(times)
         return max(v for s, v in value.items() if s != self.sink)
 
     def survival_profile(self, policy, horizon: int) -> np.ndarray:
@@ -949,8 +924,10 @@ def builtin(name: str, seed=None):
     raise ModelFormatError("builtin", f"unknown builtin {name!r}")
 
 
-def random_model(cells: int, actions: int, criteria: int, seed,
-                 min_absorb: float = 0.12) -> AtomlessMDP:
+RANDOM_MIN_ABSORB = 0.12  # absorption floor of random_model's rows
+
+
+def random_model(cells: int, actions: int, criteria: int, seed) -> AtomlessMDP:
     """Seeded uniformly absorbing atomless model generator for tests."""
     rng = np.random.default_rng(seed)
     cuts = np.sort(rng.uniform(0.05, 0.95, size=cells - 1)) if cells > 1 else []
@@ -964,7 +941,7 @@ def random_model(cells: int, actions: int, criteria: int, seed,
     rewards = np.zeros((cells, actions, criteria))
     for i in range(cells):
         for a in available[i]:
-            absorb[i, a] = rng.uniform(min_absorb, 0.6)
+            absorb[i, a] = rng.uniform(RANDOM_MIN_ABSORB, 0.6)
             weights = rng.random(cells) * (rng.random(cells) < 0.7)
             if weights.sum() == 0:
                 weights[rng.integers(cells)] = 1.0

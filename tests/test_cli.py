@@ -230,6 +230,26 @@ def test_transform_weight(tmp_path):
     assert run("validate", out) == 0
 
 
+@pytest.mark.parametrize("rows, where", [
+    ("0.0 0.5 2.0\n0.5 1.0\n", "w.txt:2: "),
+    ("0.0 0.5 2.0\n0.5 1.0 heavy\n", "w.txt:2: non-numeric entry"),
+], ids=["short row", "non-numeric weight"])
+def test_transform_weight_malformed_row_exits_2(tmp_path, capsys, rows, where):
+    src = tmp_path / "m.json"
+    save_model_file(builtin("lyapunov-onestep"), src)
+    weights = tmp_path / "w.txt"
+    weights.write_text(rows)
+    assert run("transform", "weight", src, weights, "--out", tmp_path / "o.json") == 2
+    assert where in capsys.readouterr().err
+
+
+def test_lyapunov_ragged_densities_row_exits_2(tmp_path, capsys):
+    dens = tmp_path / "dens.txt"
+    dens.write_text("0.0 0.5 0.5 1.0 0.2\n0.5 1.0 0.5 0.3\n")
+    assert run("lyapunov", "find", dens, 0.5, 0.5, "--out", tmp_path / "set.txt") == 2
+    assert "dens.txt:2: " in capsys.readouterr().err
+
+
 def test_builtin_roundtrip(tmp_path):
     out = tmp_path / "m.json"
     assert run("builtin", "lyapunov-onestep", "--out", out) == 0

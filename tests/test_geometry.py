@@ -5,7 +5,12 @@ import pytest
 from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
-from atomless_mdp.geometry import caratheodory_prune, distance_to_hull, min_norm_point
+from atomless_mdp.geometry import (
+    _affine_minimizer,
+    caratheodory_prune,
+    distance_to_hull,
+    min_norm_point,
+)
 
 
 def nnls_projection(points, target, rho=1e6):
@@ -77,7 +82,7 @@ def test_distance_near_hull_with_near_duplicate_points():
         target = (a + rng.uniform(0.05, 0.95) * (b - a)
                   + normal * rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9, -5))
         d, _, _ = distance_to_hull(pts, target)
-        assert d == pytest.approx(polygon_distance(pts, target), abs=1e-8)
+        assert d == pytest.approx(polygon_distance(pts, target), abs=1e-12)
     # the vertex vectors of one alpha_hat membership test, minus its target:
     # the origin is inside their hull, and a fixed slack stops at |x| = 4.8e-7
     pts = np.array([
@@ -89,6 +94,16 @@ def test_distance_near_hull_with_near_duplicate_points():
         [6.68282398814668e-05, -2.624854822974587e-05],
     ])
     assert np.linalg.norm(min_norm_point(pts)[0]) <= 1e-10
+
+
+def test_affine_minimizer_on_affinely_dependent_rows():
+    # three collinear rows 1e-17 apart: the differences have rank 1, and the
+    # weights must still sum to 1 and reproduce the line's min-norm point
+    pts = np.array([[1.0, -1e-17], [1.0, 1e-17], [1.0, 0.0]])
+    alphas, x = _affine_minimizer(pts)
+    assert x == pytest.approx([1.0, 0.0], abs=1e-15)
+    assert alphas.sum() == pytest.approx(1.0, abs=1e-15)
+    assert alphas @ pts == pytest.approx(x, abs=1e-15)
 
 
 def test_caratheodory_prune_preserves_point():
