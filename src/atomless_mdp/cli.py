@@ -5,7 +5,8 @@ All numeric artifacts are written with 17 significant digits so files
 round-trip doubles losslessly, and every command is deterministic given its
 inputs (randomness only enters builtin random models through --seed).
 
-Exit codes: 0 success, 2 validation failure, 3 certified failure, 4 I/O.
+Exit codes: 0 success, 2 invalid input, 3 certified failure, 4 I/O,
+5 internal error (a bug: the exception type goes to stderr).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,19 +33,34 @@ from .model import (
     DeterministicPolicy,
     StationaryPolicy,
     builtin,
+    cell_action_weights,
     discounted_to_absorbing,
     doubling_corridor,
     load_model,
     save_model_file,
     weighted_transform,
 )
-from .occupancy import occupancy, occupancy_total_variation
+from .occupancy import evaluate_weights, occupancy, occupancy_total_variation
 from .derandomize import derandomize, make_context, mix_pair, path_policy, tv_modulus
 from .lyapunov import IntervalSet, VectorMeasure, find_set, range_hull
 
 
 def fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _positive(text: str) -> float:
+    x = float(text)
+    if not (np.isfinite(x) and x > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    return x
+
+
+def _fraction(text: str) -> float:
+    x = float(text)
+    if not 0.0 <= x <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1], got {text}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +116,11 @@ def _data_rows(path, min_cols, max_cols=None):
     """
     rows = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise ModelFormatError(path, "not a UTF-8 text file") from None
+        for lineno, line in enumerate(lines, 1):
             tokens = line.split("#", 1)[0].split()
             if not tokens:
                 continue
@@ -141,17 +162,20 @@ def load_policy_file(path, model: AtomlessMDP):
     entries = [(lineno, v[0], v[1], v[2:]) for lineno, v in rows]
     entries.sort(key=lambda e: e[1])
     _check_tiling([(ln, lo, hi) for ln, lo, hi, _ in entries], path)
-    points = StatePartition(
-        merge_breakpoints(np.array([0.0, 1.0]), np.array([e[1] for e in entries] + [1.0]))
-    )
     deterministic = ncols == 3 and all(
         float(v[0]).is_integer() and 0 <= v[0] < model.action_count for _, _, _, v in entries
     )
-    if deterministic:
-        return DeterministicPolicy(points, [int(v[0]) for _, _, _, v in entries])
-    if ncols - 2 != model.action_count:
+    if not deterministic and ncols - 2 != model.action_count:
         raise ModelFormatError(path, f"expected {model.action_count} probabilities per row")
-    return StationaryPolicy(points, [v for _, _, _, v in entries])
+    try:
+        points = StatePartition(
+            merge_breakpoints(np.array([0.0, 1.0]), np.array([e[1] for e in entries] + [1.0]))
+        )
+        if deterministic:
+            return DeterministicPolicy(points, [int(v[0]) for _, _, _, v in entries])
+        return StationaryPolicy(points, [v for _, _, _, v in entries])
+    except ValueError as exc:
+        raise ModelFormatError(path, str(exc)) from None
 
 
 def save_policy_file(policy, path) -> None:
@@ -174,12 +198,15 @@ def load_densities_file(path) -> VectorMeasure:
     entries.sort(key=lambda e: e[1])
     _check_tiling([(ln, lo, hi) for ln, lo, hi, _, _ in entries], path)
     points = [entries[0][1]] + [e[2] for e in entries]
-    part = StatePartition(points)
-    base = PieceMeasure(part, [e[3] for e in entries])
-    total = base.total
-    if abs(total - 1.0) > 1e-9:
-        base = PieceMeasure(part, base.masses / total)
-    return VectorMeasure(base, [e[4] for e in entries])
+    try:
+        part = StatePartition(points)
+        base = PieceMeasure(part, [e[3] for e in entries])
+        total = base.total
+        if abs(total - 1.0) > 1e-9:
+            base = PieceMeasure(part, base.masses / total)
+        return VectorMeasure(base, [e[4] for e in entries])
+    except ValueError as exc:
+        raise ModelFormatError(path, str(exc)) from None
 
 
 def save_set_file(sets: IntervalSet, path) -> None:
@@ -200,11 +227,21 @@ def _load_any_model(path, report):
     data = report.add_input(path)
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:         # malformed JSON or bytes that are not text
         raise ModelFormatError(path, f"invalid JSON: {exc}") from None
     if isinstance(doc, dict) and doc.get("kind") == "discrete-chain":
-        return doubling_corridor(int(doc.get("depth", 10)))
+        try:
+            return doubling_corridor(int(doc.get("depth", 10)))
+        except (TypeError, ValueError) as exc:
+            raise ModelFormatError(path, f"depth: {exc}") from None
     return load_model(doc)
+
+
+def _load_interval_model(path, report) -> AtomlessMDP:
+    model = _load_any_model(path, report)
+    if not isinstance(model, AtomlessMDP):
+        raise ModelFormatError(path, "a discrete chain supports only validate and certify")
+    return model
 
 
 def _save_certificate(path, payload):
@@ -257,15 +294,14 @@ def cmd_certify(args, report):
 
 
 def cmd_evaluate(args, report):
-    model = _load_any_model(args.model, report)
+    model = _load_interval_model(args.model, report)
     policy = load_policy_file(args.policy, model)
     report.add_input(args.policy)
     work = discounted_to_absorbing(model) if model.kind == "discounted" else model
-    q = occupancy(work, policy, tol=args.tol)
-    v = q.performance()
+    marginal, err, v = evaluate_weights(work, cell_action_weights(work, policy), args.tol)
     report.tolerances["tol"] = args.tol
-    report.certificates["total_mass"] = q.total
-    report.certificates["truncation_error"] = q.truncation_error
+    report.certificates["total_mass"] = float(marginal.sum())
+    report.certificates["truncation_error"] = err
     if args.out:
         _write_csv(args.out, [f"v_{i + 1}" for i in range(v.size)], [list(map(float, v))])
         report.outputs.append(args.out)
@@ -274,7 +310,7 @@ def cmd_evaluate(args, report):
 
 
 def cmd_path(args, report):
-    model = _load_any_model(args.model, report)
+    model = _load_interval_model(args.model, report)
     phi0 = load_policy_file(args.phi0, model)
     phi1 = load_policy_file(args.phi1, model)
     report.add_input(args.phi0)
@@ -303,7 +339,7 @@ def cmd_path(args, report):
 
 
 def cmd_mix(args, report):
-    model = _load_any_model(args.model, report)
+    model = _load_interval_model(args.model, report)
     phi0 = load_policy_file(args.phi0, model)
     phi1 = load_policy_file(args.phi1, model)
     report.add_input(args.phi0)
@@ -321,7 +357,7 @@ def cmd_mix(args, report):
 
 
 def cmd_derandomize(args, report):
-    model = _load_any_model(args.model, report)
+    model = _load_interval_model(args.model, report)
     policy = load_policy_file(args.policy, model)
     report.add_input(args.policy)
     work = discounted_to_absorbing(model) if model.kind == "discounted" else model
@@ -353,7 +389,9 @@ def cmd_lyapunov(args, report):
             _write_csv(args.out, header, rows)
             report.outputs.append(args.out)
         return 0
-    target = np.array([float(t) for t in args.target])
+    target = np.array(args.target)
+    if target.size != vm.criteria:
+        raise ModelFormatError("target", f"expected {vm.criteria} values, got {target.size}")
     sets = find_set(vm, target, tol=args.tol)
     achieved = vm.integrate(sets)
     report.tolerances["tol"] = args.tol
@@ -366,9 +404,7 @@ def cmd_lyapunov(args, report):
 
 
 def cmd_transform(args, report):
-    model = _load_any_model(args.model, report)
-    if not isinstance(model, AtomlessMDP):
-        raise ModelFormatError("model", "transforms require an interval model")
+    model = _load_interval_model(args.model, report)
     if args.subcommand == "discount":
         out_model = discounted_to_absorbing(model)
     else:
@@ -425,13 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="compute the uniform-absorption certificate")
     p.add_argument("model")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_positive, default=1e-12)
     p.set_defaults(fn=cmd_certify)
 
     p = sub.add_parser("evaluate", help="performance vector of a policy")
     p.add_argument("model")
     p.add_argument("policy")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_evaluate)
 
@@ -440,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("phi0")
     p.add_argument("phi1")
     p.add_argument("--grid", type=int, default=11)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_path)
 
@@ -448,15 +484,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("phi0")
     p.add_argument("phi1")
-    p.add_argument("lam", type=float)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("lam", type=_fraction)
+    p.add_argument("--tol", type=_positive, default=1e-6)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_mix)
 
     p = sub.add_parser("derandomize", help="deterministic policy matching a stationary one")
     p.add_argument("model")
     p.add_argument("policy")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive, default=1e-6)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_derandomize)
 
@@ -469,8 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     ph.set_defaults(fn=cmd_lyapunov)
     pf = lsub.add_parser("find", help="interval set hitting a target integral")
     pf.add_argument("densities")
-    pf.add_argument("target", nargs="+")
-    pf.add_argument("--tol", type=float, default=1e-6)
+    pf.add_argument("target", nargs="+", type=float)
+    pf.add_argument("--tol", type=_positive, default=1e-6)
     pf.add_argument("--out")
     pf.set_defaults(fn=cmd_lyapunov)
 
@@ -508,12 +544,17 @@ def main(argv=None) -> int:
         report.wall_clock = time.perf_counter() - start
         print(report.render())
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
-    except (ModelFormatError, AtomlessMDPError, ValueError) as exc:
+    except AtomlessMDPError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # not a statement about the input: report the bug as such
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 5
     report.wall_clock = time.perf_counter() - start
     print(report.render())
     return code

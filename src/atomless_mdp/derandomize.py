@@ -25,19 +25,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CertifiedFailure
 from .geometry import caratheodory_prune, distance_to_hull, min_norm_point
-from .measure import PieceMeasure
+from .measure import PieceMeasure, StatePartition
 from .model import (
     AtomlessMDP,
     DeterministicPolicy,
     StationaryPolicy,
     validate_policy,
 )
-from .occupancy import occupancy, performance
+from .occupancy import evaluate_weights, performance
 from .scalar_dp import SubmodelSpec, conserving_submodel, support, value_iteration
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "MixCertificate",
     "make_context",
     "path_policy",
+    "path_value",
     "tv_modulus",
     "distance_to_performance_set",
     "DistanceResult",
@@ -54,27 +56,31 @@ __all__ = [
     "derandomize",
 ]
 
-EVAL_TOL = 1e-12          # occupancy truncation for performance evaluations
+EVAL_TOL = 1e-12          # certified marginal error for performance evaluations
 DISTANCE_CAP = 200        # support calls per distance iteration
 POLISH_SUBSETS = 100_000  # N-point subsets one polish round may enumerate
 SCALAR_ITERS = 220        # threshold bisection steps for one criterion
 
 
 def _perf(model: AtomlessMDP, policy) -> np.ndarray:
-    """Cached tight-tolerance performance evaluation."""
-    cache = getattr(model, "_perf_cache", None)
-    if cache is None:
-        cache = {}
-        model._perf_cache = cache
+    """Tight-tolerance performance evaluation, cached on the model by policy digest."""
     if isinstance(policy, DeterministicPolicy):
         key = (policy.partition.points.tobytes(), policy.actions.tobytes())
     else:
         key = (policy.partition.points.tobytes(), policy.probs.tobytes())
-    hit = cache.get(key)
+    hit = model._perf_cache.get(key)
     if hit is None:
         hit = performance(model, policy, tol=EVAL_TOL)
-        cache[key] = hit
+        model._perf_cache[key] = hit
     return hit
+
+
+def _cell_weights(model: AtomlessMDP, owner, frac, actions) -> np.ndarray:
+    """(cells x actions) sums of ``frac`` by base cell and action, added in
+    interval order as ``cell_action_weights`` adds them."""
+    a = model.action_count
+    flat = np.bincount(owner * a + actions, weights=frac, minlength=model.cell_count * a)
+    return flat.reshape(model.cell_count, a)
 
 
 # ---------------------------------------------------------------------------
@@ -82,27 +88,59 @@ def _perf(model: AtomlessMDP, policy) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class PathSplit(NamedTuple):
+    """``TwoPolicyContext.partition`` with one threshold added, per interval."""
+
+    partition: StatePartition
+    rows: np.ndarray        # the interval's index in the context's partition
+    frac: np.ndarray        # its width over its base cell's width
+    below: np.ndarray       # it lies left of the threshold
+    actions: np.ndarray     # phi1's action below the threshold, phi0's from it on
+
+
 @dataclass
 class TwoPolicyContext:
-    """Shared data for constructions over the submodel {phi0(x), phi1(x)}."""
+    """Shared data for constructions over the submodel {phi0(x), phi1(x)}.
+
+    The per-interval arrays live on ``partition``, the common refinement of
+    both policies and the base grid: base cell, width fraction of that cell,
+    and both actions.
+    """
 
     model: AtomlessMDP
     phi0: DeterministicPolicy
     phi1: DeterministicPolicy
-    pi_star: StationaryPolicy      # the half/half average
-    q: PieceMeasure                # state occupancy of pi_star
+    partition: StatePartition
+    owner: np.ndarray
+    frac: np.ndarray
+    a0: np.ndarray
+    a1: np.ndarray
+    q: PieceMeasure                # state occupancy of the half/half average
     pair: SubmodelSpec             # the action sets {phi0(x), phi1(x)}
-
-    @property
-    def partition(self):
-        return self.pi_star.partition
 
     def threshold(self, alpha: float) -> float:
         return self.q.quantile(alpha)[0]
 
+    def split(self, alpha: float) -> PathSplit:
+        """The arrays split at the alpha-threshold, which is added as a
+        breakpoint unless one lies within MERGE_TOL of it (StatePartition.with_point)."""
+        t = self.threshold(alpha)
+        part = self.partition.with_point(t)
+        rows, frac = np.arange(self.partition.cell_count), self.frac
+        if part is not self.partition:
+            # interval j of the context's partition is cut in two
+            j = int(np.searchsorted(self.partition.points, t)) - 1
+            pieces = part.widths[j:j + 2] / self.model.grid.widths[self.owner[j]]
+            rows = np.concatenate((rows[:j + 1], rows[j:]))
+            frac = np.concatenate((frac[:j], pieces, frac[j + 1:]))
+        below = 0.5 * (part.points[:-1] + part.points[1:]) < t
+        actions = np.where(below, self.a1[rows], self.a0[rows])
+        return PathSplit(part, rows, frac, below, actions)
+
     def submodel_at(self, alpha: float) -> SubmodelSpec:
         """Action sets with phi1 forced below the alpha-threshold of q."""
-        return self.pair.frozen_below(self.threshold(alpha), self.phi1)
+        s = self.split(alpha)
+        return self.pair.frozen(s.partition, s.rows, s.below, self.a1[s.rows])
 
 
 def make_context(model: AtomlessMDP, phi0: DeterministicPolicy,
@@ -112,26 +150,38 @@ def make_context(model: AtomlessMDP, phi0: DeterministicPolicy,
     part = phi0.partition.refine(phi1.partition).refine(model.grid)
     a0 = phi0.refined_to(part).actions
     a1 = phi1.refined_to(part).actions
-    probs = np.zeros((part.cell_count, model.action_count))
+    owner = part.index_map_from(model.grid)
+    frac = part.widths / model.grid.widths[owner]
+    half = 0.5 * frac
+    w = _cell_weights(model, owner, half, a0) + _cell_weights(model, owner, half, a1)
+    q = PieceMeasure(model.grid, evaluate_weights(model, w, EVAL_TOL)[0])
     rows = np.arange(part.cell_count)
-    probs[rows, a0] += 0.5
-    probs[rows, a1] += 0.5
-    pi_star = StationaryPolicy(part, probs)
-    q = occupancy(model, pi_star, tol=EVAL_TOL).state_marginal().coarsened_to(model.grid)
-    return TwoPolicyContext(model, phi0, phi1, pi_star, q, SubmodelSpec(model, part, probs > 0.0))
+    allowed = np.zeros((part.cell_count, model.action_count), dtype=bool)
+    allowed[rows, a0] = True
+    allowed[rows, a1] = True
+    return TwoPolicyContext(model, phi0, phi1, part, owner, frac, a0, a1, q,
+                            SubmodelSpec(model, part, allowed))
 
 
 def path_policy(ctx: TwoPolicyContext, alpha: float) -> DeterministicPolicy:
-    """Threshold policy: phi1 strictly below the alpha-quantile of q, phi0 from it on."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha {alpha} outside [0,1]")
-    t = ctx.threshold(alpha)
-    part = ctx.partition.with_point(t)
-    a0 = ctx.phi0.refined_to(part).actions
-    a1 = ctx.phi1.refined_to(part).actions
-    mids = 0.5 * (part.points[:-1] + part.points[1:])
-    actions = np.where(mids < t, a1, a0)
-    return DeterministicPolicy(part, actions).canonical()
+    """Threshold policy on ctx.partition with the alpha-quantile t of q added:
+    phi1 strictly below t, phi0 from it on."""
+    s = ctx.split(alpha)
+    return DeterministicPolicy(s.partition, s.actions)
+
+
+def path_value(ctx: TwoPolicyContext, alpha: float):
+    """Cell weights w and performance vector v of path_policy(ctx, alpha),
+    without building the policy, and a bound on each coordinate's error.
+
+    w is bitwise ``cell_action_weights(model, path_policy(ctx, alpha))``, so v
+    is what ``performance`` returns for that policy.
+    """
+    model = ctx.model
+    s = ctx.split(alpha)
+    w = _cell_weights(model, ctx.owner[s.rows], s.frac, s.actions)
+    _, err, v = evaluate_weights(model, w, EVAL_TOL)
+    return w, v, err * float(np.abs(model.rewards).max(initial=0.0))
 
 
 def tv_modulus(ctx: TwoPolicyContext, delta: float) -> float:
@@ -469,13 +519,18 @@ def _realize_scalar(model, phi0, phi1, target, coord, tol, trace):
     a_lo, a_hi = 0.0, 1.0
     best_err = abs(v_lo - t)
     for it in range(SCALAR_ITERS):
+        # each step is one solve on the threshold's cell weights; only the
+        # accepted step becomes a policy, evaluated once more through _perf
         mid = 0.5 * (a_lo + a_hi)
-        phi_mid = path_policy(ctx, mid)
-        val = float(_perf(model, phi_mid)[coord])
-        err = abs(val - t)
+        _, v, bound = path_value(ctx, mid)
+        val = float(v[coord])
+        err = abs(val - t) + bound
         best_err = min(best_err, err)
         if err <= tol:
-            trace.append({"kind": "scalar", "coord": coord, "achieved": val, "iters": it + 1})
+            phi_mid = path_policy(ctx, mid)
+            achieved = float(_perf(model, phi_mid)[coord])
+            trace.append({"kind": "scalar", "coord": coord, "achieved": achieved,
+                          "iters": it + 1})
             return phi_mid
         if val < t:
             a_lo = mid

@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: ModelFormatError -> 2,
-CertifiedFailure / NotCertifiedError -> 3, I/O errors -> 4.
+Exit-code mapping used by the CLI: CertifiedFailure / NotCertifiedError -> 3,
+every other AtomlessMDPError (bad input) -> 2, OSError -> 4, and any other
+exception -> 5, an internal error reported with its type.  The CLI's file
+loaders therefore turn constructor ValueErrors on user input into
+ModelFormatError with the file path.
 """
 
 

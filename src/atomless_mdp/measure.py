@@ -61,7 +61,7 @@ class StatePartition:
         k = int(np.searchsorted(pts, b))
         if not 0 < k < pts.size or min(b - pts[k - 1], pts[k] - b) <= MERGE_TOL:
             return self
-        return StatePartition(np.insert(pts, k, b))
+        return StatePartition(np.concatenate((pts[:k], [b], pts[k:])))
 
     def refines(self, coarser: "StatePartition") -> bool:
         """True if every breakpoint of ``coarser`` appears here (within MERGE_TOL)."""

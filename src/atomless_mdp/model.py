@@ -61,6 +61,7 @@ class AtomlessMDP:
         self.kind = kind
         self.beta = None if beta is None else float(beta)
         self._certificate = None
+        self._perf_cache = {}         # policy digest -> performance vector
         self._validate()
         for arr in (self.kernel, self.absorb, self.rewards, self._mask):
             arr.setflags(write=False)
@@ -906,6 +907,10 @@ def builtin(name: str, seed=None):
     AtomlessMDP) and ``random:<cells>x<actions>x<criteria>`` (seeded).
     """
     base, _, arg = name.partition(":")
+    try:
+        sizes = [int(x) for x in arg.split("x")] if arg else []
+    except ValueError:
+        raise ModelFormatError("builtin", f"bad size {arg!r} in {name!r}") from None
     if base == "unit-interval-onestep":
         grid = StatePartition([0.0, 1.0])
         return _onestep(grid, np.array([[1.0]]), PieceMeasure.uniform())
@@ -915,11 +920,14 @@ def builtin(name: str, seed=None):
         dens = np.column_stack([np.ones(4), 2.0 * mids])
         return _onestep(grid, dens, PieceMeasure(grid, grid.widths))
     if base == "doubling-corridor":
-        return doubling_corridor(int(arg) if arg else 10)
+        if len(sizes) > 1 or min(sizes, default=0) < 0:
+            raise ModelFormatError("builtin", "corridor depth must be a nonnegative integer")
+        return doubling_corridor(sizes[0] if sizes else 10)
     if base == "random":
-        dims = [int(x) for x in arg.split("x")] if arg else [6, 3, 2]
-        if len(dims) != 3:
-            raise ModelFormatError("builtin", "random model size must be CELLSxACTIONSxCRITERIA")
+        dims = sizes or [6, 3, 2]
+        if len(dims) != 3 or min(dims) < 1:
+            raise ModelFormatError("builtin", "random model size must be CELLSxACTIONSxCRITERIA, "
+                                   "each at least 1")
         return random_model(*dims, seed=0 if seed is None else seed)
     raise ModelFormatError("builtin", f"unknown builtin {name!r}")
 

@@ -4,14 +4,15 @@ Because kernels and rewards are constant on base-grid cells and every kernel
 row is a base-grid measure, the state marginal after each step is again a
 base-grid measure, regardless of any sub-cell structure in the policy.  A
 policy therefore enters the dynamics only through its length-averaged action
-probabilities per cell, and the occupancy series can be accumulated exactly,
-with the truncation point certified by the absorption certificate.
+probabilities per cell, and the state marginal is one linear solve on the
+base grid, its error certified by the absorption certificate's bound L.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ToleranceError
 from .measure import PieceMeasure, StatePartition, total_variation
 from .model import (
     AtomlessMDP,
@@ -24,6 +25,7 @@ from .model import (
 __all__ = [
     "OccupancyMeasure",
     "marginal_step",
+    "evaluate_weights",
     "occupancy",
     "performance",
     "policy_from_occupancy",
@@ -32,7 +34,8 @@ __all__ = [
 
 
 class OccupancyMeasure:
-    """Expected visit counts on state-interval x action pairs before absorption."""
+    """Expected visit counts on state-interval x action pairs before absorption;
+    ``truncation_error`` bounds their total error, and ``terms`` is 1 (one solve)."""
 
     __slots__ = ("model", "partition", "masses", "truncation_error", "terms")
 
@@ -88,54 +91,48 @@ def marginal_step(model: AtomlessMDP, policy, q_n: PieceMeasure) -> PieceMeasure
     return PieceMeasure(model.grid, out)
 
 
-def transition_matrix(model: AtomlessMDP, policy) -> np.ndarray:
-    """Substochastic cell-to-cell matrix induced by the policy's cell averages."""
-    w = cell_action_weights(model, policy)
+def transition_matrix(model: AtomlessMDP, w: np.ndarray) -> np.ndarray:
+    """Substochastic cell-to-cell matrix P_w of the (cells x actions) cell weights w."""
     return np.einsum("ia,iaj->ij", w, model.kernel)
 
 
-def occupancy(model: AtomlessMDP, policy, tol: float = 1e-9) -> OccupancyMeasure:
-    """Accumulate the visit-count series with certificate-certified truncation.
+def evaluate_weights(model: AtomlessMDP, w: np.ndarray, tol: float = 1e-9):
+    """(m, truncation_error, v) for the (cells x actions) cell weights ``w``.
 
-    The partial sums are grown by doubling:  S_{2k} = S_k + S_k P^k  keeps the
-    accumulation exact while reaching the certified cutoff in O(log) matrix
-    products.  The reported truncation error bounds the total mass missed.
+    The state marginal m solves m (I - P_w) = mu (m = mu on a one-step model).
+    (I - P_w)^-1 has row sums at most L, so |m - m*|(X) <= truncation_error =
+    L |mu - m (I - P_w)|_1, which must be at most ``tol``.  The performance
+    vector v = m . sum_a w r is within truncation_error * max |r|.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     cert = model.certificate()
-    pi = _as_stationary(model, policy)
     mu = model.initial.masses
-
     if model.is_one_step():
-        validate_policy(model, pi)
-        partial, bound, k = mu.copy(), 0.0, 1
+        marginal, err = mu, 0.0
     else:
-        P = transition_matrix(model, pi)
-        partial = mu.copy()      # sum of q_0 .. q_{k-1}
-        power = P                # P^k
-        k = 1
-        while True:
-            alive = float((mu @ power).sum())
-            bound = min(cert.tail(k), cert.L * alive)
-            if bound <= tol or alive == 0.0:
-                break
-            if k > 2**48:
-                raise RuntimeError("occupancy series failed to reach the certified cutoff")
-            partial = partial + partial @ power
-            power = power @ power
-            k *= 2
+        system = np.eye(model.cell_count) - transition_matrix(model, w)
+        # clipping moves toward the exact marginal, which is nonnegative
+        marginal = np.maximum(np.linalg.solve(system.T, mu), 0.0)
+        err = cert.L * float(np.abs(mu - marginal @ system).sum())
+        if not err <= tol:        # a NaN residual certifies nothing either
+            raise ToleranceError(f"certified marginal error {err:.3e} exceeds tol {tol:.3e}")
+    return marginal, err, marginal @ np.einsum("ia,ian->in", w, model.rewards)
 
+
+def occupancy(model: AtomlessMDP, policy, tol: float = 1e-9) -> OccupancyMeasure:
+    """Occupancy measure of the policy from one certified solve; see evaluate_weights."""
+    pi = _as_stationary(model, policy)
+    marginal, err, _ = evaluate_weights(model, cell_action_weights(model, pi), tol)
     part = pi.partition.refine(model.grid)
-    marginal = PieceMeasure(model.grid, partial).refined_to(part)
-    probs = pi.refined_to(part).probs
-    masses = marginal.masses[:, None] * probs
-    return OccupancyMeasure(model, part, masses, truncation_error=bound, terms=k)
+    masses = PieceMeasure(model.grid, marginal).refined_to(part).masses[:, None]
+    return OccupancyMeasure(model, part, masses * pi.refined_to(part).probs,
+                            truncation_error=err, terms=1)
 
 
 def performance(model: AtomlessMDP, policy, tol: float = 1e-9) -> np.ndarray:
-    """Expected total reward vector of the policy; see OccupancyMeasure.performance."""
-    return occupancy(model, policy, tol).performance()
+    """Expected total reward vector of the policy; see evaluate_weights."""
+    return evaluate_weights(model, cell_action_weights(model, policy), tol)[2]
 
 
 def policy_from_occupancy(q: OccupancyMeasure) -> StationaryPolicy:
@@ -161,7 +158,7 @@ def occupancy_total_variation(q1: OccupancyMeasure, q2: OccupancyMeasure) -> flo
 
 
 def fixed_point_residual(model: AtomlessMDP, policy, q: OccupancyMeasure) -> float:
-    """Total-variation defect of q = mu + step(q); equals the truncated tail."""
+    """Total-variation defect of q = mu + step(q): the solve's residual, up to rounding."""
     marginal = q.state_marginal().coarsened_to(model.grid)
     stepped = marginal_step(model, policy, marginal)
     reproduced = PieceMeasure(model.grid, model.initial.masses + stepped.masses)

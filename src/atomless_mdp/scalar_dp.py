@@ -78,11 +78,17 @@ class SubmodelSpec:
     def frozen_below(self, threshold: float, low: DeterministicPolicy) -> "SubmodelSpec":
         """Force the ``low`` policy's action on every interval left of the threshold."""
         part = self.partition.refine(low.partition).with_point(threshold)
-        allowed = self.allowed[part.index_map_from(self.partition)]
-        below = np.flatnonzero(0.5 * (part.points[:-1] + part.points[1:]) < threshold)
+        below = 0.5 * (part.points[:-1] + part.points[1:]) < threshold
+        return self.frozen(part, part.index_map_from(self.partition), below,
+                           low.refined_to(part).actions)
+
+    def frozen(self, partition: StatePartition, rows, below, low_actions) -> "SubmodelSpec":
+        """This mask's ``rows`` on a refining ``partition``, with the single
+        action ``low_actions`` forced on the intervals flagged ``below``."""
+        allowed = self.allowed[rows]
         allowed[below] = False
-        allowed[below, low.refined_to(part).actions[below]] = True
-        return SubmodelSpec(self.model, part, allowed)
+        allowed[below, low_actions[below]] = True
+        return SubmodelSpec(self.model, partition, allowed)
 
     def averaging_matrix(self) -> np.ndarray:
         """Read-only (cells x intervals) matrix turning interval values into cell averages."""

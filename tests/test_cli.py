@@ -362,17 +362,21 @@ def test_path_computes_one_occupancy_per_grid_point(tmp_path, monkeypatch):
     save_policy_file(random_deterministic_policy(model, rng), phi1)
 
     occ = importlib.import_module("atomless_mdp.occupancy")
-    original = occ.occupancy
-    calls = []
+    calls = {"occupancy": [], "evaluate_weights": []}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name].append(1)
+            return original(*args, **kwargs)
+        return wrapper
 
-    for name in ("atomless_mdp.occupancy", "atomless_mdp.cli", "atomless_mdp.derandomize"):
-        monkeypatch.setattr(importlib.import_module(name), "occupancy", counting)
+    for name in ("occupancy", "evaluate_weights"):
+        wrapper = counting(name, getattr(occ, name))
+        for module in ("atomless_mdp.occupancy", "atomless_mdp.cli", "atomless_mdp.derandomize"):
+            monkeypatch.setattr(importlib.import_module(module), name, wrapper, raising=False)
     assert run("path", model_path, phi0, phi1, "--grid", 5, "--out", tmp_path / "p.csv") == 0
-    assert len(calls) == 5 + 1  # one per grid point, one for the path's context
+    assert len(calls["occupancy"]) == 5  # one per grid point
+    assert len(calls["evaluate_weights"]) == 5 + 1  # one solve each, one for the path's context
 
 
 def test_derandomize_four_criteria(tmp_path):
@@ -407,3 +411,88 @@ def test_derandomize_leaves_scipy_unimported(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=300)
     assert done.stdout.strip().splitlines()[-1] == "0 []", done.stderr
+
+
+@pytest.fixture()
+def evaluate_inputs(tmp_path):
+    """A multi-step model file and a stationary policy file for `evaluate`."""
+    from atomless_mdp.cli import save_policy_file
+    from atomless_mdp.model import random_stationary_policy
+
+    model = random_model(5, 2, 2, seed=33)
+    model_path = tmp_path / "m.json"
+    save_model_file(model, model_path)
+    policy = tmp_path / "pi.txt"
+    save_policy_file(random_stationary_policy(model, np.random.default_rng(1)), policy)
+    return model_path, policy
+
+
+def _raise(exc):
+    def raising(*args, **kwargs):
+        raise exc
+    return raising
+
+
+@pytest.mark.parametrize("cause, code, stderr", [
+    ("ok", 0, ""),
+    ("probabilities", 2, "validation error: "),
+    ("unabsorbed", 3, ""),
+    ("missing", 4, "I/O error: "),
+    ("singular", 5, "internal error: LinAlgError: "),
+    ("internal ValueError", 5, "internal error: ValueError: "),
+])
+def test_exit_code_matches_cause(evaluate_inputs, tmp_path, capsys, monkeypatch,
+                                 cause, code, stderr):
+    import importlib
+
+    model_path, policy = evaluate_inputs
+    occ = importlib.import_module("atomless_mdp.occupancy")
+    if cause == "probabilities":
+        # rows that do not sum to 1 fail the policy's constructor: bad input
+        policy.write_text("0 0.5 0.5 0.25\n0.5 1 1 0\n")
+        stderr += f"{policy}: "
+    elif cause == "unabsorbed":
+        # an action that never leaves its cell: no absorption certificate
+        doc = model_to_doc(builtin("unit-interval-onestep"))
+        doc["kernel"][0][0] = {"to": [[0.0, 1.0, 1.0]], "absorb": 0.0}
+        model_path.write_text(json.dumps(doc))
+        policy.write_text("0 1 0\n")
+    elif cause == "missing":
+        policy = tmp_path / "nope.txt"
+    elif cause == "singular":
+        monkeypatch.setattr(occ.np.linalg, "solve", _raise(np.linalg.LinAlgError("Singular matrix")))
+    elif cause == "internal ValueError":
+        monkeypatch.setattr(importlib.import_module("atomless_mdp.cli"), "evaluate_weights",
+                            _raise(ValueError("not about the input")))
+    assert run("evaluate", model_path, policy) == code
+    err = capsys.readouterr().err
+    assert err.startswith(stderr) if stderr else err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["mix", "{m}", "{p}", "{p}", "1.5", "--out", "{o}"],
+    ["evaluate", "{m}", "{p}", "--tol", "0"],
+    ["lyapunov", "find", "{d}", "0.5", "x"],
+], ids=["lambda", "tol", "target"])
+def test_bad_arguments_exit_2(evaluate_inputs, tmp_path, argv):
+    model_path, policy = evaluate_inputs
+    names = {"m": model_path, "p": policy, "o": tmp_path / "o", "d": tmp_path / "d.txt"}
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**names) for a in argv])
+    assert exc.value.code == 2
+
+
+def test_wrong_target_size_and_builtin_size_exit_2(tmp_path, capsys):
+    dens = tmp_path / "dens.txt"
+    dens.write_text("0.0 0.5 0.5 1.0 0.2\n0.5 1.0 0.5 0.3 1.0\n")
+    assert run("lyapunov", "find", dens, 0.5, "--out", tmp_path / "set.txt") == 2
+    assert "validation error: target: expected 2 values" in capsys.readouterr().err
+    for name in ("random:6x0x2", "random:6xtwox2", "doubling-corridor:-1"):
+        assert run("builtin", name, "--out", tmp_path / "b.json") == 2
+        assert "validation error: builtin: " in capsys.readouterr().err
+    chain = tmp_path / "chain.json"
+    assert run("builtin", "doubling-corridor:3", "--out", chain) == 0
+    policy = tmp_path / "phi.txt"
+    policy.write_text("0 1 0\n")
+    assert run("evaluate", chain, policy) == 2
+    assert "a discrete chain supports only validate and certify" in capsys.readouterr().err

@@ -14,14 +14,16 @@ from atomless_mdp.derandomize import (
     make_context,
     mix_pair,
     path_policy,
+    path_value,
     tv_modulus,
 )
 from atomless_mdp.errors import CertifiedFailure
-from atomless_mdp.measure import StatePartition, total_variation
+from atomless_mdp.measure import MERGE_TOL, StatePartition, total_variation
 from atomless_mdp.model import (
     DeterministicPolicy,
     StationaryPolicy,
     builtin,
+    cell_action_weights,
     discounted_to_absorbing,
     random_deterministic_policy,
     random_model,
@@ -107,6 +109,43 @@ def test_path_rejects_bad_alpha():
     ctx = make_context(m, phi0, phi1)
     with pytest.raises(ValueError):
         path_policy(ctx, 1.5)
+
+
+def path_contexts():
+    """12 seeded contexts: absorbing two-criterion, discounted then
+    transformed, and one-step models, four of each."""
+    from tests.test_scalar_dp import onestep_model, seeded_discounted
+
+    rng = np.random.default_rng(31)
+    for seed in range(4):
+        for m in (random_model(int(rng.integers(4, 8)), 3, 2, seed=1200 + seed),
+                  seeded_discounted(1300 + seed), onestep_model(1400 + seed)):
+            phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+            yield m, make_context(m, phi0, phi1)
+
+
+def test_path_value_is_the_path_policy_evaluation():
+    # the bisection's step evaluates w(alpha) without building a policy; it
+    # must be the evaluation of the policy path_policy would build
+    near_breakpoint = 0
+    for m, ctx in path_contexts():
+        alphas = [0.0, 1.0, *np.linspace(0.0, 1.0, 23)[1:-1]]
+        for p in ctx.partition.points[1:-1]:
+            # the threshold lands within MERGE_TOL of an existing breakpoint,
+            # so the split adds none
+            alpha = min(1.0, ctx.q.cdf(p) / ctx.q.total)
+            if abs(ctx.threshold(alpha) - p) <= MERGE_TOL:
+                assert ctx.partition.with_point(ctx.threshold(alpha)) is ctx.partition
+                alphas.append(alpha)
+                near_breakpoint += 1
+        for alpha in alphas:
+            w, v, bound = path_value(ctx, alpha)
+            phi = path_policy(ctx, alpha)
+            assert np.array_equal(w, cell_action_weights(m, phi)), alpha
+            ref = performance(m, phi, tol=1e-12)
+            assert np.all(np.abs(v - ref) <= 1e-12 * (1.0 + np.abs(v))), alpha
+            assert 0.0 <= bound <= 1e-12 * np.abs(m.rewards).max()
+    assert near_breakpoint >= 12
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +520,41 @@ def test_mix_pair_realizes_once(monkeypatch, criteria):
         _, cert = mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
         assert calls == [1e-6 / (2 * criteria)], seed
         assert cert.error <= 1e-6
+
+
+def test_scalar_realization_evaluates_one_path_policy(monkeypatch):
+    # bisection steps are solves on cell weights; only the accepted step is
+    # built as a policy and evaluated, once, through performance
+    module = importlib.import_module("atomless_mdp.derandomize")
+    evaluated, realized = [], []
+
+    def counting(evaluate):
+        def wrapper(model, policy, *args, **kwargs):
+            if isinstance(policy, DeterministicPolicy):
+                evaluated.append(policy)
+            return evaluate(model, policy, *args, **kwargs)
+        return wrapper
+
+    original = module._realize_scalar
+
+    def realize(*args, **kwargs):
+        before = len(evaluated)
+        phi = original(*args, **kwargs)
+        realized.append((args[6][-1]["iters"], evaluated[before:], phi))
+        return phi
+
+    monkeypatch.setattr(module, "performance", counting(performance))
+    monkeypatch.setattr(module, "occupancy", counting(occupancy), raising=False)
+    monkeypatch.setattr(module, "_realize_scalar", realize)
+    rng = np.random.default_rng(17)
+    for seed in range(6):
+        m = random_model(6, 3, 1 + seed % 2, seed=1500 + seed)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
+    bisected = [(evals, phi) for iters, evals, phi in realized if iters > 0]
+    assert len(bisected) >= 4 and max(iters for iters, _, _ in realized) > 1
+    for evals, phi in bisected:
+        assert len(evals) == 1 and evals[0] is phi
 
 
 def test_mix_rejects_bad_lambda():

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from atomless_mdp.errors import ToleranceError
 from atomless_mdp.measure import PieceMeasure, StatePartition, total_variation
 from atomless_mdp.model import (
     AtomlessMDP,
     DeterministicPolicy,
     StationaryPolicy,
     builtin,
+    cell_action_weights,
     discounted_to_absorbing,
     random_model,
     random_stationary_policy,
@@ -123,6 +125,28 @@ def test_occupancy_total_bounded_by_certificate():
         pi = random_stationary_policy(m, np.random.default_rng(seed))
         q = occupancy(m, pi, tol=1e-10)
         assert q.total <= m.certificate().L + 1e-9
+
+
+def test_truncation_error_is_the_certified_solve_bound():
+    m = random_model(8, 3, 2, seed=21)
+    pi = random_stationary_policy(m, np.random.default_rng(2))
+    q = occupancy(m, pi, tol=1e-12)
+    err = q.truncation_error
+    assert 0.0 < err <= 1e-12
+    # against a dense solve of the same system, the marginal is within err
+    w = cell_action_weights(m, pi)
+    system = np.eye(m.cell_count) - np.einsum("ia,iaj->ij", w, m.kernel)
+    exact = np.linalg.solve(system.T, m.initial.masses)
+    marginal = q.state_marginal().coarsened_to(m.grid).masses
+    assert np.abs(marginal - exact).sum() <= err + 1e-14
+    # a tolerance below the solve's bound is refused, not met by more work
+    with pytest.raises(ToleranceError):
+        occupancy(m, pi, tol=0.5 * err)
+    with pytest.raises(ToleranceError):
+        performance(m, pi, tol=0.5 * err)
+    # a one-step model's marginal is the initial measure itself
+    one = absorb_immediately()
+    assert occupancy(one, uniform_policy(one), tol=1e-300).truncation_error == 0.0
 
 
 def test_occupancy_requires_certificate():

@@ -312,9 +312,10 @@ def ref_pair_from_sets(part, sets, phi0, phi1):
 
 
 def test_masks_match_tuple_reference():
-    from atomless_mdp.derandomize import _pair_from_submodel
+    from atomless_mdp.derandomize import _pair_from_submodel, make_context
 
     rng = np.random.default_rng(11)
+    rng_ctx = np.random.default_rng(12)
     pruned = 0
     for seed in range(8):
         m = random_model(int(rng.integers(4, 8)), 3, 2, seed=900 + seed)
@@ -323,6 +324,17 @@ def test_masks_match_tuple_reference():
         pair = SubmodelSpec.from_pair(m, phi0, phi1)
         part, sets = ref_from_pair(m, phi0, phi1)
         assert pair.partition == part and as_sets(pair.allowed) == sets
+        # the two-policy context freezes from its split arrays, as frozen_below does
+        ctx = make_context(m, phi0, phi1)
+        inner = ctx.partition.points[1:-1]
+        near = min(1.0, ctx.q.cdf(inner[inner.size // 2]) / ctx.q.total) if inner.size else 0.5
+        for alpha in (0.0, 1.0, near, *rng_ctx.uniform(0.0, 1.0, size=3)):
+            t = ctx.threshold(alpha)
+            frozen, ref = ctx.submodel_at(alpha), pair.frozen_below(t, phi1)
+            assert np.array_equal(frozen.partition.points, ref.partition.points)
+            assert np.array_equal(frozen.allowed, ref.allowed)
+            part_f, sets_f = ref_frozen_below(part, sets, t, phi1)
+            assert frozen.partition == part_f and as_sets(frozen.allowed) == sets_f
         for threshold in rng.uniform(0.0, 1.0, size=3):
             frozen = pair.frozen_below(float(threshold), phi1)
             part_f, sets_f = ref_frozen_below(part, sets, float(threshold), phi1)
