@@ -103,15 +103,15 @@ class TwoPolicyContext:
     """Shared data for constructions over the submodel {phi0(x), phi1(x)}.
 
     The per-interval arrays live on ``partition``, the common refinement of
-    both policies and the base grid: base cell, width fraction of that cell,
-    and both actions.
+    both policies and the base grid (``pair.partition``; ``pair.owner`` maps
+    its intervals to base cells): width fraction of the base cell, and both
+    actions.
     """
 
     model: AtomlessMDP
     phi0: DeterministicPolicy
     phi1: DeterministicPolicy
     partition: StatePartition
-    owner: np.ndarray
     frac: np.ndarray
     a0: np.ndarray
     a1: np.ndarray
@@ -130,7 +130,7 @@ class TwoPolicyContext:
         if part is not self.partition:
             # interval j of the context's partition is cut in two
             j = int(np.searchsorted(self.partition.points, t)) - 1
-            pieces = part.widths[j:j + 2] / self.model.grid.widths[self.owner[j]]
+            pieces = part.widths[j:j + 2] / self.model.grid.widths[self.pair.owner[j]]
             rows = np.concatenate((rows[:j + 1], rows[j:]))
             frac = np.concatenate((frac[:j], pieces, frac[j + 1:]))
         below = 0.5 * (part.points[:-1] + part.points[1:]) < t
@@ -147,20 +147,15 @@ def make_context(model: AtomlessMDP, phi0: DeterministicPolicy,
                  phi1: DeterministicPolicy) -> TwoPolicyContext:
     validate_policy(model, phi0)
     validate_policy(model, phi1)
-    part = phi0.partition.refine(phi1.partition).refine(model.grid)
+    pair = SubmodelSpec.from_pair(model, phi0, phi1)
+    part, owner = pair.partition, pair.owner
     a0 = phi0.refined_to(part).actions
     a1 = phi1.refined_to(part).actions
-    owner = part.index_map_from(model.grid)
     frac = part.widths / model.grid.widths[owner]
     half = 0.5 * frac
     w = _cell_weights(model, owner, half, a0) + _cell_weights(model, owner, half, a1)
     q = PieceMeasure(model.grid, evaluate_weights(model, w, EVAL_TOL)[0])
-    rows = np.arange(part.cell_count)
-    allowed = np.zeros((part.cell_count, model.action_count), dtype=bool)
-    allowed[rows, a0] = True
-    allowed[rows, a1] = True
-    return TwoPolicyContext(model, phi0, phi1, part, owner, frac, a0, a1, q,
-                            SubmodelSpec(model, part, allowed))
+    return TwoPolicyContext(model, phi0, phi1, part, frac, a0, a1, q, pair)
 
 
 def path_policy(ctx: TwoPolicyContext, alpha: float) -> DeterministicPolicy:
@@ -179,7 +174,7 @@ def path_value(ctx: TwoPolicyContext, alpha: float):
     """
     model = ctx.model
     s = ctx.split(alpha)
-    w = _cell_weights(model, ctx.owner[s.rows], s.frac, s.actions)
+    w = _cell_weights(model, ctx.pair.owner[s.rows], s.frac, s.actions)
     _, err, v = evaluate_weights(model, w, EVAL_TOL)
     return w, v, err * float(np.abs(model.rewards).max(initial=0.0))
 

@@ -96,13 +96,43 @@ def transition_matrix(model: AtomlessMDP, w: np.ndarray) -> np.ndarray:
     return np.einsum("ia,iaj->ij", w, model.kernel)
 
 
+def _residual_bound(model: AtomlessMDP, m: np.ndarray, system: np.ndarray, L: float) -> float:
+    """L |mu - m (I - P_w)|_1 plus a bound on that residual's rounding in m's
+    dtype (the A-term sums of P_w, the n-term products with m, two subtractions)."""
+    rounding = (model.cell_count + model.action_count + 2) * np.finfo(m.dtype).eps * m.sum()
+    return L * float(np.abs(model.initial.masses - m @ system).sum() + rounding)
+
+
+def _refined_marginal(model: AtomlessMDP, w: np.ndarray, system: np.ndarray,
+                      marginal: np.ndarray, L: float):
+    """(m, bound) after one step of iterative refinement in extended precision.
+
+    A float64 residual's rounding, about n eps |m|_1 = n eps L, keeps its
+    bound above n eps L^2: over 1e-12 once L passes about 20 on a few cells.
+    Here the marginal is corrected as an np.longdouble vector m_x, with its
+    residual taken against I - P_w formed in np.longdouble; the float64
+    m = round(m_x) is within |m - m_x|_1 plus m_x's bound.  Where
+    np.longdouble is float64 this gains nothing and tol decides.
+    """
+    ext = np.longdouble
+    exact = np.eye(model.cell_count, dtype=ext) - np.einsum(
+        "ia,iaj->ij", w.astype(ext), model.kernel.astype(ext))
+    m_x = marginal.astype(ext)
+    step = np.linalg.solve(system.T, (model.initial.masses - m_x @ exact).astype(float))
+    m_x = np.maximum(m_x + step, 0.0)
+    m = m_x.astype(float)
+    return m, _residual_bound(model, m_x, exact, L) + float(np.abs(m_x - m).sum())
+
+
 def evaluate_weights(model: AtomlessMDP, w: np.ndarray, tol: float = 1e-9):
     """(m, truncation_error, v) for the (cells x actions) cell weights ``w``.
 
     The state marginal m solves m (I - P_w) = mu (m = mu on a one-step model).
     (I - P_w)^-1 has row sums at most L, so |m - m*|(X) <= truncation_error =
-    L |mu - m (I - P_w)|_1, which must be at most ``tol``.  The performance
-    vector v = m . sum_a w r is within truncation_error * max |r|.
+    L |mu - m (I - P_w)|_1, with that residual's rounding added, and must be
+    at most ``tol``; when the float64 residual is too coarse for that,
+    _refined_marginal tightens it.  The performance vector
+    v = m . sum_a w r is within truncation_error * max |r|.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -114,7 +144,9 @@ def evaluate_weights(model: AtomlessMDP, w: np.ndarray, tol: float = 1e-9):
         system = np.eye(model.cell_count) - transition_matrix(model, w)
         # clipping moves toward the exact marginal, which is nonnegative
         marginal = np.maximum(np.linalg.solve(system.T, mu), 0.0)
-        err = cert.L * float(np.abs(mu - marginal @ system).sum())
+        err = _residual_bound(model, marginal, system, cert.L)
+        if not err <= tol:
+            marginal, err = _refined_marginal(model, w, system, marginal, cert.L)
         if not err <= tol:        # a NaN residual certifies nothing either
             raise ToleranceError(f"certified marginal error {err:.3e} exceeds tol {tol:.3e}")
     return marginal, err, marginal @ np.einsum("ia,ian->in", w, model.rewards)

@@ -440,6 +440,7 @@ def _raise(exc):
     ("missing", 4, "I/O error: "),
     ("singular", 5, "internal error: LinAlgError: "),
     ("internal ValueError", 5, "internal error: ValueError: "),
+    ("path unavailable action", 2, "validation error: "),
 ])
 def test_exit_code_matches_cause(evaluate_inputs, tmp_path, capsys, monkeypatch,
                                  cause, code, stderr):
@@ -447,7 +448,12 @@ def test_exit_code_matches_cause(evaluate_inputs, tmp_path, capsys, monkeypatch,
 
     model_path, policy = evaluate_inputs
     occ = importlib.import_module("atomless_mdp.occupancy")
-    if cause == "probabilities":
+    argv = ["evaluate", model_path, policy]
+    if cause == "path unavailable action":
+        # action 0 is in range but not available in the model's second cell
+        policy.write_text("0 1 0\n")
+        argv = ["path", model_path, policy, policy, "--grid", 3]
+    elif cause == "probabilities":
         # rows that do not sum to 1 fail the policy's constructor: bad input
         policy.write_text("0 0.5 0.5 0.25\n0.5 1 1 0\n")
         stderr += f"{policy}: "
@@ -458,13 +464,13 @@ def test_exit_code_matches_cause(evaluate_inputs, tmp_path, capsys, monkeypatch,
         model_path.write_text(json.dumps(doc))
         policy.write_text("0 1 0\n")
     elif cause == "missing":
-        policy = tmp_path / "nope.txt"
+        argv[2] = tmp_path / "nope.txt"
     elif cause == "singular":
         monkeypatch.setattr(occ.np.linalg, "solve", _raise(np.linalg.LinAlgError("Singular matrix")))
     elif cause == "internal ValueError":
         monkeypatch.setattr(importlib.import_module("atomless_mdp.cli"), "evaluate_weights",
                             _raise(ValueError("not about the input")))
-    assert run("evaluate", model_path, policy) == code
+    assert run(*argv) == code
     err = capsys.readouterr().err
     assert err.startswith(stderr) if stderr else err == ""
 

@@ -148,6 +148,38 @@ def test_path_value_is_the_path_policy_evaluation():
     assert near_breakpoint >= 12
 
 
+@pytest.mark.parametrize("beta", [0.99, 0.995])
+def test_long_lifetime_context_path_and_pipeline(beta):
+    # expected lifetimes of 100 and 200: the context's q, every path step and
+    # the one-criterion pipeline stay certified at the evaluator's 1e-12
+    from tests.test_scalar_dp import seeded_discounted
+
+    rng = np.random.default_rng(41)
+    for seed in range(4):
+        m = seeded_discounted(1500 + seed, beta)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        ctx = make_context(m, phi0, phi1)
+        for alpha in np.linspace(0.0, 1.0, 7):
+            _, v, bound = path_value(ctx, alpha)
+            ref = performance(m, path_policy(ctx, alpha), tol=1e-12)
+            assert np.all(np.abs(v - ref) <= 1e-12 * (1.0 + np.abs(v))), alpha
+            assert 0.0 <= bound <= 1e-12 * np.abs(m.rewards).max()
+
+        one = seeded_discounted(1500 + seed, beta, criteria=1)
+        phi0, phi1 = random_deterministic_policy(one, rng), random_deterministic_policy(one, rng)
+        lam = float(rng.uniform(0.2, 0.8))
+        phi, cert = mix_pair(one, phi0, phi1, lam, tol=1e-6)
+        target = (lam * performance(one, phi0, tol=1e-12)
+                  + (1 - lam) * performance(one, phi1, tol=1e-12))
+        assert np.linalg.norm(performance(one, phi, tol=1e-12) - target) <= 1e-6
+        assert cert.error <= 1e-6
+        pi = random_stationary_policy(one, rng)
+        phi, _ = derandomize(one, pi, tol=1e-6)
+        assert isinstance(phi, DeterministicPolicy)
+        assert np.linalg.norm(performance(one, phi, tol=1e-12)
+                              - performance(one, pi, tol=1e-12)) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # tv_modulus
 # ---------------------------------------------------------------------------

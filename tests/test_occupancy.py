@@ -16,6 +16,7 @@ from atomless_mdp.model import (
     random_stationary_policy,
 )
 from atomless_mdp.occupancy import (
+    evaluate_weights,
     fixed_point_residual,
     marginal_step,
     occupancy,
@@ -139,14 +140,55 @@ def test_truncation_error_is_the_certified_solve_bound():
     exact = np.linalg.solve(system.T, m.initial.masses)
     marginal = q.state_marginal().coarsened_to(m.grid).masses
     assert np.abs(marginal - exact).sum() <= err + 1e-14
-    # a tolerance below the solve's bound is refused, not met by more work
+    # below the float64 residual's bound the extended-precision refinement
+    # certifies the marginal; a tolerance below that bound is refused
+    tight = occupancy(m, pi, tol=0.5 * err)
+    assert 0.0 < tight.truncation_error <= 0.5 * err
+    refined = tight.state_marginal().coarsened_to(m.grid).masses
+    assert np.abs(refined - exact).sum() <= tight.truncation_error + 1e-14
     with pytest.raises(ToleranceError):
-        occupancy(m, pi, tol=0.5 * err)
+        occupancy(m, pi, tol=0.5 * tight.truncation_error)
     with pytest.raises(ToleranceError):
-        performance(m, pi, tol=0.5 * err)
+        performance(m, pi, tol=0.5 * tight.truncation_error)
     # a one-step model's marginal is the initial measure itself
     one = absorb_immediately()
     assert occupancy(one, uniform_policy(one), tol=1e-300).truncation_error == 0.0
+
+
+def series_marginal(model, w):
+    """sum_k mu P_w^k by doubling (S_2k = S_k + S_k P^k) in np.longdouble,
+    until the surviving mass is below 1e-30: a reference independent of the
+    solve, whose own rounding is far below a float64 solve's eps L^2."""
+    ext = np.longdouble
+    mu = model.initial.masses.astype(ext)
+    power = np.einsum("ia,iaj->ij", w.astype(ext), model.kernel.astype(ext))
+    partial = mu.copy()
+    while (mu @ power).sum() > 1e-30:
+        partial = partial + partial @ power
+        power = power @ power
+    return partial
+
+
+@pytest.mark.parametrize("beta", [0.99, 0.995, 0.998])
+def test_long_lifetime_evaluation_meets_tight_tol(beta):
+    # expected lifetimes L of 100 to 500: a float64 residual's rounding alone
+    # puts the bound near n eps L^2, over 1e-12; the refined solve certifies
+    # 1e-12, and the bound holds against an independent reference
+    from tests.test_scalar_dp import seeded_discounted
+
+    rng = np.random.default_rng(7)
+    for seed in range(4):
+        m = seeded_discounted(1500 + seed, beta)
+        assert m.certificate().L == pytest.approx(1.0 / (1.0 - beta))
+        for pi in (uniform_policy(m), random_stationary_policy(m, rng)):
+            q = occupancy(m, pi, tol=1e-12)
+            assert 0.0 <= q.truncation_error <= 1e-12
+            w = cell_action_weights(m, pi)
+            marginal, err, _ = evaluate_weights(m, w, tol=1e-12)
+            assert err == q.truncation_error
+            assert np.abs(marginal - series_marginal(m, w)).sum() <= err
+            assert np.allclose(performance(m, pi, tol=1e-12), q.performance(),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_occupancy_requires_certificate():

@@ -179,14 +179,15 @@ def test_frozen_below_forces_low_policy():
 # the vertex vector returned by support
 # ---------------------------------------------------------------------------
 
-def seeded_discounted(seed):
-    """random_model's dynamics renormalized to stay put, with discount 0.8."""
-    m = random_model(5, 3, 2, seed=seed)
+def seeded_discounted(seed, beta=0.8, criteria=2):
+    """random_model's dynamics renormalized to stay put, with discount beta:
+    after the transform the expected lifetime L is 1 / (1 - beta)."""
+    m = random_model(5, 3, criteria, seed=seed)
     mask = m.available_mask()
     kernel = m.kernel / np.where(mask, 1.0 - m.absorb, 1.0)[..., None]
     return discounted_to_absorbing(AtomlessMDP(
         m.grid, m.action_count, m.available, kernel, np.where(mask, 0.0, 1.0), m.rewards,
-        m.initial, kind="discounted", beta=0.8))
+        m.initial, kind="discounted", beta=beta))
 
 
 def onestep_model(seed):
