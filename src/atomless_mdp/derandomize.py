@@ -102,17 +102,16 @@ class PathSplit(NamedTuple):
 class TwoPolicyContext:
     """Shared data for constructions over the submodel {phi0(x), phi1(x)}.
 
-    The per-interval arrays live on ``partition``, the common refinement of
-    both policies and the base grid (``pair.partition``; ``pair.owner`` maps
-    its intervals to base cells): width fraction of the base cell, and both
-    actions.
+    ``a0`` and ``a1`` are both policies' actions on ``partition``, the common
+    refinement of both policies and the base grid (``pair.partition``;
+    ``pair.owner`` and ``pair.frac`` give each interval's base cell and its
+    share of that cell's width).
     """
 
     model: AtomlessMDP
     phi0: DeterministicPolicy
     phi1: DeterministicPolicy
     partition: StatePartition
-    frac: np.ndarray
     a0: np.ndarray
     a1: np.ndarray
     q: PieceMeasure                # state occupancy of the half/half average
@@ -126,7 +125,7 @@ class TwoPolicyContext:
         breakpoint unless one lies within MERGE_TOL of it (StatePartition.with_point)."""
         t = self.threshold(alpha)
         part = self.partition.with_point(t)
-        rows, frac = np.arange(self.partition.cell_count), self.frac
+        rows, frac = np.arange(self.partition.cell_count), self.pair.frac
         if part is not self.partition:
             # interval j of the context's partition is cut in two
             j = int(np.searchsorted(self.partition.points, t)) - 1
@@ -151,11 +150,10 @@ def make_context(model: AtomlessMDP, phi0: DeterministicPolicy,
     part, owner = pair.partition, pair.owner
     a0 = phi0.refined_to(part).actions
     a1 = phi1.refined_to(part).actions
-    frac = part.widths / model.grid.widths[owner]
-    half = 0.5 * frac
+    half = 0.5 * pair.frac
     w = _cell_weights(model, owner, half, a0) + _cell_weights(model, owner, half, a1)
     q = PieceMeasure(model.grid, evaluate_weights(model, w, EVAL_TOL)[0])
-    return TwoPolicyContext(model, phi0, phi1, part, frac, a0, a1, q, pair)
+    return TwoPolicyContext(model, phi0, phi1, part, a0, a1, q, pair)
 
 
 def path_policy(ctx: TwoPolicyContext, alpha: float) -> DeterministicPolicy:

@@ -81,13 +81,20 @@ class StatePartition:
         k = np.searchsorted(coarser.points, mids, side="right") - 1
         return np.minimum(np.maximum(k, 0), coarser.cell_count - 1)
 
+    def rebin_from(self, coarser: "StatePartition") -> tuple[np.ndarray, np.ndarray]:
+        """(owner, frac): each cell's covering cell of ``coarser`` and its share
+        of that cell's width.  Raises ValueError unless this partition refines
+        ``coarser``."""
+        if not self.refines(coarser):
+            raise ValueError("partition does not refine the coarser partition")
+        owner = self.index_map_from(coarser)
+        return owner, self.widths / coarser.widths[owner]
+
+    # equality is within MERGE_TOL, which no hash can respect: not hashable
     def __eq__(self, other):
         return isinstance(other, StatePartition) and self.points.size == other.points.size and bool(
             np.all(np.abs(self.points - other.points) <= MERGE_TOL)
         )
-
-    def __hash__(self):
-        return hash(self.points.tobytes())
 
     def __repr__(self):
         return f"StatePartition({self.points.tolist()})"
@@ -251,11 +258,8 @@ class PieceMeasure:
         """Re-express on a finer partition; masses split in proportion to length."""
         if finer == self.partition:
             return self
-        if not finer.refines(self.partition):
-            raise ValueError("target partition does not refine the measure's partition")
-        owner = finer.index_map_from(self.partition)
-        dens = self.densities()[owner]
-        return PieceMeasure(finer, dens * finer.widths)
+        owner, frac = finer.rebin_from(self.partition)
+        return PieceMeasure(finer, self.masses[owner] * frac)
 
     def coarsened_to(self, coarser: StatePartition) -> "PieceMeasure":
         """Aggregate masses onto a coarser partition (exact for any coarser grid)."""

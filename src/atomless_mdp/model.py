@@ -265,8 +265,7 @@ def cell_action_weights(model: AtomlessMDP, policy) -> np.ndarray:
     validate_policy(model, policy)
     joint = policy.partition.refine(model.grid)
     probs = policy.probs[joint.index_map_from(policy.partition)]
-    owner = joint.index_map_from(model.grid)
-    frac = joint.widths / model.grid.widths[owner]
+    owner, frac = joint.rebin_from(model.grid)
     w = np.zeros((model.cell_count, model.action_count))
     np.add.at(w, owner, probs * frac[:, None])
     return w

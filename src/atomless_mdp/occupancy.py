@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ToleranceError
-from .measure import PieceMeasure, StatePartition, total_variation
+from .measure import PieceMeasure, total_variation
 from .model import (
     AtomlessMDP,
     DeterministicPolicy,
@@ -58,11 +58,6 @@ class OccupancyMeasure:
         """Expected total reward vector  v = sum over (interval, action) of reward * mass."""
         owner = self.partition.index_map_from(self.model.grid)
         return np.einsum("sa,san->n", self.masses, self.model.rewards[owner])
-
-    def refined_masses(self, finer: StatePartition) -> np.ndarray:
-        owner = finer.index_map_from(self.partition)
-        frac = finer.widths / self.partition.widths[owner]
-        return self.masses[owner] * frac[:, None]
 
     def __repr__(self):
         return (
@@ -157,7 +152,8 @@ def occupancy(model: AtomlessMDP, policy, tol: float = 1e-9) -> OccupancyMeasure
     pi = _as_stationary(model, policy)
     marginal, err, _ = evaluate_weights(model, cell_action_weights(model, pi), tol)
     part = pi.partition.refine(model.grid)
-    masses = PieceMeasure(model.grid, marginal).refined_to(part).masses[:, None]
+    owner, frac = part.rebin_from(model.grid)
+    masses = (marginal[owner] * frac)[:, None]
     return OccupancyMeasure(model, part, masses * pi.refined_to(part).probs,
                             truncation_error=err, terms=1)
 
@@ -172,21 +168,20 @@ def policy_from_occupancy(q: OccupancyMeasure) -> StationaryPolicy:
     probabilities given the state interval; zero-marginal intervals get the
     lowest available action deterministically."""
     model = q.model
-    marg = q.masses.sum(axis=1)
+    marg = q.masses.sum(axis=1)[:, None]
     owner = q.partition.index_map_from(model.grid)
-    probs = np.zeros_like(q.masses)
-    for s in range(q.partition.cell_count):
-        if marg[s] > 0.0:
-            probs[s] = q.masses[s] / marg[s]
-        else:
-            probs[s, model.available[owner[s]][0]] = 1.0
+    probs = np.eye(model.action_count)[np.argmax(model.available_mask()[owner], axis=1)]
+    np.divide(q.masses, marg, out=probs, where=marg > 0.0)
     return StationaryPolicy(q.partition, probs)
 
 
 def occupancy_total_variation(q1: OccupancyMeasure, q2: OccupancyMeasure) -> float:
     """Total variation between two occupancy measures on state x action."""
     part = q1.partition.refine(q2.partition)
-    return float(np.abs(q1.refined_masses(part) - q2.refined_masses(part)).sum())
+    owner1, frac1 = part.rebin_from(q1.partition)
+    owner2, frac2 = part.rebin_from(q2.partition)
+    diff = q1.masses[owner1] * frac1[:, None] - q2.masses[owner2] * frac2[:, None]
+    return float(np.abs(diff).sum())
 
 
 def fixed_point_residual(model: AtomlessMDP, policy, q: OccupancyMeasure) -> float:

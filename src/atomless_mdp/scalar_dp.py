@@ -30,20 +30,19 @@ POLICY_ROUNDS = 500       # policy improvement steps before giving up
 class SubmodelSpec:
     """Per-interval allowed actions on a partition refining the base grid.
 
-    ``allowed`` is a read-only boolean (intervals x actions) mask and
-    ``owner`` maps each interval to its base-grid cell.  The averaging matrix
-    and the initial masses on the partition are built on first use and kept.
+    ``allowed`` is a boolean (intervals x actions) mask; ``owner`` maps each
+    interval to its base-grid cell, ``frac`` is its share of that cell's
+    width and ``initial_masses`` holds the initial distribution's mass on
+    each interval.  All four arrays are read-only.
     """
 
-    __slots__ = ("model", "partition", "allowed", "owner", "_avg", "_mu")
+    __slots__ = ("model", "partition", "allowed", "owner", "frac", "initial_masses")
 
     def __init__(self, model: AtomlessMDP, partition: StatePartition, allowed):
         allowed = np.array(allowed, dtype=bool)
         if allowed.shape != (partition.cell_count, model.action_count):
             raise ValueError("allowed must be an (intervals x actions) mask")
-        if not partition.refines(model.grid):
-            raise ValueError("submodel partition must refine the base grid")
-        owner = partition.index_map_from(model.grid)
+        owner, frac = partition.rebin_from(model.grid)
         empty = ~allowed.any(axis=1)
         bad = np.flatnonzero(empty | (allowed & ~model.available_mask()[owner]).any(axis=1))
         if bad.size:
@@ -52,14 +51,15 @@ class SubmodelSpec:
                 raise ValueError(f"interval {s}: empty allowed set")
             acts = tuple(np.flatnonzero(allowed[s]).tolist())
             raise ValueError(f"interval {s}: actions {acts} not all available")
-        allowed.setflags(write=False)
-        owner.setflags(write=False)
+        mu = model.initial.masses[owner] * frac
+        for arr in (allowed, owner, frac, mu):
+            arr.setflags(write=False)
         self.model = model
         self.partition = partition
         self.allowed = allowed
         self.owner = owner
-        self._avg = None
-        self._mu = None
+        self.frac = frac
+        self.initial_masses = mu
 
     @classmethod
     def full(cls, model: AtomlessMDP) -> "SubmodelSpec":
@@ -90,22 +90,6 @@ class SubmodelSpec:
         allowed[below, low_actions[below]] = True
         return SubmodelSpec(self.model, partition, allowed)
 
-    def averaging_matrix(self) -> np.ndarray:
-        """Read-only (cells x intervals) matrix turning interval values into cell averages."""
-        if self._avg is None:
-            model, part, owner = self.model, self.partition, self.owner
-            avg = np.zeros((model.cell_count, part.cell_count))
-            avg[owner, np.arange(part.cell_count)] = part.widths / model.grid.widths[owner]
-            avg.setflags(write=False)
-            self._avg = avg
-        return self._avg
-
-    def initial_masses(self) -> np.ndarray:
-        """Read-only masses of the initial distribution on the partition's intervals."""
-        if self._mu is None:
-            self._mu = self.model.initial.refined_to(self.partition).masses
-        return self._mu
-
     def __repr__(self):
         sizes = np.unique(self.allowed.sum(axis=1)).tolist()
         return f"SubmodelSpec({self.partition.cell_count} intervals, set sizes {sizes})"
@@ -121,19 +105,13 @@ class ValueFunction:
         self.values = np.asarray(values, dtype=float)
         self.error_bound = float(error_bound)
 
-    def cell_averages(self, model: AtomlessMDP) -> np.ndarray:
-        owner = self.partition.index_map_from(model.grid)
-        frac = self.partition.widths / model.grid.widths[owner]
-        out = np.zeros(model.cell_count)
-        np.add.at(out, owner, frac * self.values)
-        return out
 
-
-def _q_values(scalar_r, kernel, owner, avg, values):
+def _q_values(sub: SubmodelSpec, scalar_r, values):
     """q[s, a] = r(cell(s), a) + integral of the value under the kernel row."""
-    cell_avg = avg @ values
+    kernel = sub.model.kernel
+    cell_avg = np.bincount(sub.owner, sub.frac * values, kernel.shape[0])
     cont = kernel @ cell_avg          # (cells, actions)
-    return (scalar_r + cont)[owner]
+    return (scalar_r + cont)[sub.owner]
 
 
 def _policy_iteration(sub: SubmodelSpec, direction, tol: float):
@@ -161,12 +139,11 @@ def _policy_iteration(sub: SubmodelSpec, direction, tol: float):
         x = np.column_stack((np.max(q_masked, axis=1), model.rewards[owner, actions]))
         return actions, x, 0.0, 0.0
 
-    avg = sub.averaging_matrix()
     scale = float(np.abs(scalar_r).max(initial=0.0))
     stacked = np.concatenate((scalar_r[..., None], model.rewards), axis=2)
 
     def greedy(values, current=None):
-        q = _q_values(scalar_r, model.kernel, owner, avg, values)
+        q = _q_values(sub, scalar_r, values)
         q_masked = np.where(sub.allowed, q, -np.inf)
         best = np.argmax(q_masked, axis=1)
         if current is not None:
@@ -178,7 +155,7 @@ def _policy_iteration(sub: SubmodelSpec, direction, tol: float):
 
     def evaluate(actions):
         # I - P, with P[s, t] the mass the policy moves from interval s to t
-        system = np.eye(n) - model.kernel[owner, actions] @ avg
+        system = np.eye(n) - model.kernel[owner, actions][:, owner] * sub.frac
         rhs = stacked[owner, actions]
         return system, rhs, np.linalg.solve(system, rhs)
 
@@ -216,7 +193,7 @@ def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10):
     values = x[:, 0]
     vf = ValueFunction(sub.partition, values, err)
     policy = DeterministicPolicy(sub.partition, actions)
-    return vf, policy, float(sub.initial_masses() @ values)
+    return vf, policy, float(sub.initial_masses @ values)
 
 
 def support(model_or_sub, direction, tol: float = 1e-10):
@@ -236,7 +213,7 @@ def support(model_or_sub, direction, tol: float = 1e-10):
         raise ToleranceError(
             f"certified performance error {err:.3e} exceeds requested tol {tol:.3e}"
         )
-    mu = sub.initial_masses()
+    mu = sub.initial_masses
     return float(mu @ x[:, 0]), DeterministicPolicy(sub.partition, actions), mu @ x[:, 1:]
 
 
@@ -250,8 +227,7 @@ def conserving_submodel(sub: SubmodelSpec, direction, vf: ValueFunction,
         raise ValueError("value function must live on the submodel partition")
     b = np.asarray(direction, dtype=float)
     scalar_r = model.rewards @ b
-    avg = sub.averaging_matrix()
-    q = _q_values(scalar_r, model.kernel, sub.owner, avg, vf.values)
+    q = _q_values(sub, scalar_r, vf.values)
     gaps = np.abs(q - vf.values[:, None])
     keep = sub.allowed & (gaps <= eta)
     empty = np.flatnonzero(~keep.any(axis=1))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from atomless_mdp.errors import DegenerateMeasureError
 from atomless_mdp.measure import (
+    MERGE_TOL,
     PieceMeasure,
     StatePartition,
     total_variation,
@@ -70,6 +71,20 @@ def test_refines_and_index_map():
     assert fine.refines(coarse)
     assert not coarse.refines(fine)
     assert fine.index_map_from(coarse).tolist() == [0, 0, 1, 1]
+    owner, frac = fine.rebin_from(coarse)
+    assert owner.tolist() == [0, 0, 1, 1] and frac.tolist() == [0.5] * 4
+    with pytest.raises(ValueError, match="does not refine"):
+        coarse.rebin_from(fine)
+    with pytest.raises(ValueError, match="does not refine"):
+        StatePartition([0.0, 0.3, 1.0]).rebin_from(coarse)
+
+
+def test_partition_is_not_hashable():
+    # equality holds within MERGE_TOL, which no hash of the points respects
+    a = StatePartition([0.0, 0.5, 1.0])
+    assert a == StatePartition([0.0, 0.5 + 1e-13, 1.0])
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +286,27 @@ def test_split_preserves_total_and_cdf(m, b):
     assert s.total == pytest.approx(m.total, abs=1e-12)
     for x in (0.0, 0.33, b, 0.77, 1.0):
         assert s.cdf(x) == pytest.approx(m.cdf(x), abs=1e-12)
+
+
+@given(piece_measures(), st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+       st.booleans())
+@example(pm([0, 0.5, np.nextafter(0.5, 1), 1], [0.25, 0.5, 0.25]), [0.3], True)
+@example(pm([0, 0.01, 1], [1.0, 3.0]), [np.nextafter(0.01, 0), 0.5, 0.7], False)
+@settings(max_examples=60, deadline=None)
+def test_rebin_shares_and_masses(m, cuts, ulp_cells):
+    coarse = m.partition
+    extra = np.array(cuts)
+    if ulp_cells:
+        extra = np.concatenate((extra, np.nextafter(extra, 1.0)))
+    fine = StatePartition(np.union1d(coarse.points, extra[(extra > 0.0) & (extra < 1.0)]))
+    owner, frac = fine.rebin_from(coarse)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    count = np.bincount(owner, minlength=coarse.cell_count)
+    assert np.all(np.abs(np.bincount(owner, frac, coarse.cell_count) - 1.0) <= count * eps)
+    # relative to each coarse mass, plus one underflow step per product
+    kept = np.bincount(owner, m.refined_to(fine).masses, coarse.cell_count)
+    assert np.all(np.abs(kept - m.masses) <= count * (eps * m.masses + tiny))
+    # the reverse pair is not nested once a new breakpoint stands apart
+    if any(np.abs(coarse.points - c).min() > MERGE_TOL for c in fine.points):
+        with pytest.raises(ValueError, match="does not refine"):
+            coarse.rebin_from(fine)

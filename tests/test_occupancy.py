@@ -254,12 +254,44 @@ def test_policy_from_occupancy_one_step_identity():
     assert np.allclose(sigma.probs, [[0.5, 0.5]])
 
 
+def ref_policy_probs(q):
+    """policy_from_occupancy's probabilities, one interval at a time."""
+    marg = q.masses.sum(axis=1)
+    owner = q.partition.index_map_from(q.model.grid)
+    probs = np.zeros_like(q.masses)
+    for s in range(q.partition.cell_count):
+        if marg[s] > 0.0:
+            probs[s] = q.masses[s] / marg[s]
+        else:
+            probs[s, q.model.available[owner[s]][0]] = 1.0
+    return probs
+
+
+def test_policy_from_occupancy_unreached_cell_gets_lowest_available_action():
+    # no initial mass and no kernel row reaches cell 1, where actions 1 and 2 are available
+    grid = StatePartition([0.0, 0.5, 1.0])
+    kernel = np.zeros((2, 3, 2))
+    kernel[0, :, 0] = 0.5
+    absorb = np.ones((2, 3))
+    absorb[0] = 0.5
+    m = AtomlessMDP(grid, 3, [(0, 2), (1, 2)], kernel, absorb, np.ones((2, 3, 1)),
+                    PieceMeasure(grid, [1.0, 0.0]))
+    pi = StationaryPolicy(StatePartition([0.0, 0.25, 0.5, 1.0]),
+                          [[0.5, 0.0, 0.5], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+    q = occupancy(m, pi, tol=1e-12)
+    assert q.masses.sum(axis=1).tolist() == [1.0, 1.0, 0.0]
+    sigma = policy_from_occupancy(q)
+    assert sigma.probs.tolist() == [[0.5, 0.0, 0.5], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    assert np.array_equal(sigma.probs, ref_policy_probs(q))
+
+
 def test_policy_from_occupancy_roundtrip():
     for seed in (0, 1, 2):
         m = random_model(8, 3, 2, seed=seed)
         pi = random_stationary_policy(m, np.random.default_rng(seed + 100))
         q_pi = occupancy(m, pi, tol=1e-12)
         sigma = policy_from_occupancy(q_pi)
+        assert np.array_equal(sigma.probs, ref_policy_probs(q_pi))
         q_sigma = occupancy(m, sigma, tol=1e-12)
         assert occupancy_total_variation(q_pi, q_sigma) <= 1e-9
 

@@ -231,7 +231,7 @@ def test_support_vector_on_pair_and_frozen_submodels():
 
 
 def test_support_reuses_submodel_setup(monkeypatch):
-    # a submodel builds its averaging matrix and initial masses once; support
+    # a submodel computes its initial masses once, when built; support
     # reads v from the solve that evaluates the optimum, so it makes no more
     # solves than value_iteration and returns the same policy and h
     original_refined, original_solve = PieceMeasure.refined_to, np.linalg.solve
@@ -254,9 +254,7 @@ def test_support_reuses_submodel_setup(monkeypatch):
         phi1 = random_deterministic_policy(m, rng)
         sub = SubmodelSpec.from_pair(m, phi0, phi1).frozen_below(float(rng.uniform(0.1, 0.9)), phi1)
         support(sub, rng.normal(size=2))
-        assert sub.averaging_matrix() is sub.averaging_matrix()
-        assert not sub.averaging_matrix().flags.writeable
-        assert not sub.initial_masses().flags.writeable
+        assert not sub.initial_masses.flags.writeable
         for _ in range(4):
             b = rng.normal(size=2)
             counts.update(refined_to=0, solve=0)
@@ -293,7 +291,10 @@ def ref_frozen_below(part, sets, threshold, low):
 def ref_gaps(model, sub, b, vf):
     """|one-step value - vf| per interval and action."""
     owner = sub.partition.index_map_from(model.grid)
-    q = (model.rewards @ b + model.kernel @ vf.cell_averages(model))[owner]
+    frac = sub.partition.widths / model.grid.widths[owner]
+    cell_averages = np.zeros(model.cell_count)
+    np.add.at(cell_averages, owner, frac * vf.values)
+    q = (model.rewards @ b + model.kernel @ cell_averages)[owner]
     return np.abs(q - vf.values[:, None])
 
 
