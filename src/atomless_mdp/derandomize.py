@@ -139,21 +139,21 @@ class TwoPolicyContext:
     def submodel_at(self, alpha: float) -> SubmodelSpec:
         """Action sets with phi1 forced below the alpha-threshold of q."""
         s = self.split(alpha)
-        return self.pair.frozen(s.partition, s.rows, s.below, self.a1[s.rows])
+        allowed = self.pair.allowed[s.rows]
+        allowed[s.below] = False
+        allowed[s.below, s.actions[s.below]] = True
+        return self.pair._child(s.partition, self.pair.owner[s.rows], s.frac, allowed)
 
 
 def make_context(model: AtomlessMDP, phi0: DeterministicPolicy,
                  phi1: DeterministicPolicy) -> TwoPolicyContext:
     validate_policy(model, phi0)
     validate_policy(model, phi1)
-    pair = SubmodelSpec.from_pair(model, phi0, phi1)
-    part, owner = pair.partition, pair.owner
-    a0 = phi0.refined_to(part).actions
-    a1 = phi1.refined_to(part).actions
+    pair, a0, a1 = SubmodelSpec._pair(model, phi0, phi1)
     half = 0.5 * pair.frac
-    w = _cell_weights(model, owner, half, a0) + _cell_weights(model, owner, half, a1)
+    w = _cell_weights(model, pair.owner, half, a0) + _cell_weights(model, pair.owner, half, a1)
     q = PieceMeasure(model.grid, evaluate_weights(model, w, EVAL_TOL)[0])
-    return TwoPolicyContext(model, phi0, phi1, part, a0, a1, q, pair)
+    return TwoPolicyContext(model, phi0, phi1, pair.partition, a0, a1, q, pair)
 
 
 def path_policy(ctx: TwoPolicyContext, alpha: float) -> DeterministicPolicy:

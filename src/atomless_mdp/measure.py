@@ -17,29 +17,23 @@ from .errors import DegenerateMeasureError
 MERGE_TOL = 1e-12
 
 
-def _as_points(values) -> np.ndarray:
-    pts = np.asarray(values, dtype=float)
-    if pts.ndim != 1:
-        raise ValueError("breakpoints must be a 1-d sequence")
-    return pts
-
-
 class StatePartition:
     """Strictly increasing breakpoints t_0 < ... < t_K with t_0 = 0, t_K = 1."""
 
     __slots__ = ("points", "widths")
 
     def __init__(self, points):
-        pts = _as_points(points)
-        if pts.size < 2:
-            raise ValueError("a partition needs at least two breakpoints")
-        if abs(pts[0]) > MERGE_TOL or abs(pts[-1] - 1.0) > MERGE_TOL:
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 1 or pts.size < 2:
+            raise ValueError("a partition needs a 1-d sequence of at least two breakpoints")
+        # written so that a NaN fails each test
+        if not (abs(pts[0]) <= MERGE_TOL and abs(pts[-1] - 1.0) <= MERGE_TOL):
             raise ValueError("partition must start at 0 and end at 1")
         pts = pts.copy()
         pts[0], pts[-1] = 0.0, 1.0
         widths = np.diff(pts)
-        if np.any(widths <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
+        if not np.all(widths > 0):
+            raise ValueError("breakpoints must be finite and strictly increasing")
         pts.setflags(write=False)
         widths.setflags(write=False)
         self.points = pts

@@ -147,10 +147,14 @@ class DeterministicPolicy:
     __slots__ = ("partition", "actions")
 
     def __init__(self, partition: StatePartition, actions):
-        acts = np.asarray(actions, dtype=int)
+        acts = np.asarray(actions)
+        if acts.dtype.kind not in "iu":     # integer arrays, every internal caller's, pass
+            acts = acts.astype(float)
+            if not np.all(np.isfinite(acts) & (acts == np.round(acts))):
+                raise ValueError("actions must be finite integers")
         if acts.shape != (partition.cell_count,):
             raise ValueError("one action per partition interval required")
-        acts = acts.copy()
+        acts = acts.astype(int)
         acts.setflags(write=False)
         self.partition = partition
         self.actions = acts
@@ -228,30 +232,43 @@ def validate_policy(model: AtomlessMDP, policy) -> None:
     in every cell it covers; when a single policy interval straddles cells and
     violates availability, that is reported as a partition mismatch.
     """
-    joint = policy.partition.refine(model.grid)
-    cell_of = joint.index_map_from(model.grid)
-    interval_of = joint.index_map_from(policy.partition)
-    mask = model.available_mask()
+    _on_joint(model, policy)
 
+
+def _on_joint(model: AtomlessMDP, policy):
+    """validate_policy's check, returning what it builds: the joint refinement
+    of the policy's partition with the base grid, each joint cell's base cell
+    and share of that cell's width, and the policy's action probabilities."""
+    joint = policy.partition.refine(model.grid)
+    owner, frac = joint.rebin_from(model.grid)
+    interval_of = joint.index_map_from(policy.partition)
     if isinstance(policy, DeterministicPolicy):
         acts = policy.actions[interval_of]
-        in_range = (acts >= 0) & (acts < model.action_count)
-        bad = np.flatnonzero(~(in_range & mask[cell_of, np.where(in_range, acts, 0)]))
+        out_of_range = (acts < 0) | (acts >= model.action_count)
+        probs = np.eye(model.action_count)[np.where(out_of_range, 0, acts)]
     else:
         if policy.action_count != model.action_count:
             raise ModelFormatError("policy", "action count mismatch")
-        bad = np.flatnonzero(((policy.probs[interval_of] > 1e-12) & ~mask[cell_of]).any(axis=1))
+        out_of_range, probs = False, policy.probs[interval_of]
+    unavailable = (probs > 1e-12) & ~model.available_mask()[owner]
+    bad = np.flatnonzero(out_of_range | unavailable.any(axis=1))
     if bad.size == 0:
-        return
+        return joint, owner, frac, probs
     s = bad[0]
     what = (f"unavailable action {acts[s]}" if isinstance(policy, DeterministicPolicy)
             else "mass on an unavailable action")
-    what = f"{what} in cell {cell_of[s]}"
+    what = f"{what} in cell {owner[s]}"
     if policy.partition.refines(model.grid):
         raise ModelFormatError(f"policy[{interval_of[s]}]", what)
     raise PartitionMismatchError(
         f"policy interval {interval_of[s]} straddles the base grid and uses {what}"
     )
+
+
+def _joint_weights(model: AtomlessMDP, owner, frac, probs) -> np.ndarray:
+    w = np.zeros((model.cell_count, model.action_count))
+    np.add.at(w, owner, probs * frac[:, None])
+    return w
 
 
 def cell_action_weights(model: AtomlessMDP, policy) -> np.ndarray:
@@ -260,15 +277,7 @@ def cell_action_weights(model: AtomlessMDP, policy) -> np.ndarray:
     State marginals have constant density on each base cell, so these averages
     are the only part of a policy the occupancy dynamics can see.
     """
-    if isinstance(policy, DeterministicPolicy):
-        policy = policy.to_stationary(model.action_count)
-    validate_policy(model, policy)
-    joint = policy.partition.refine(model.grid)
-    probs = policy.probs[joint.index_map_from(policy.partition)]
-    owner, frac = joint.rebin_from(model.grid)
-    w = np.zeros((model.cell_count, model.action_count))
-    np.add.at(w, owner, probs * frac[:, None])
-    return w
+    return _joint_weights(model, *_on_joint(model, policy)[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ from .errors import ToleranceError
 from .measure import PieceMeasure, total_variation
 from .model import (
     AtomlessMDP,
-    DeterministicPolicy,
     StationaryPolicy,
+    _joint_weights,
+    _on_joint,
     cell_action_weights,
-    validate_policy,
 )
 
 __all__ = [
@@ -66,19 +66,12 @@ class OccupancyMeasure:
         )
 
 
-def _as_stationary(model, policy):
-    if isinstance(policy, DeterministicPolicy):
-        return policy.to_stationary(model.action_count)
-    return policy
-
-
 def marginal_step(model: AtomlessMDP, policy, q_n: PieceMeasure) -> PieceMeasure:
     """One exact transition step: returns the next state marginal on the base grid."""
-    pi = _as_stationary(model, policy)
-    validate_policy(model, pi)
-    joint = q_n.partition.refine(pi.partition).refine(model.grid)
+    on_grid, _, _, probs = _on_joint(model, policy)
+    joint = q_n.partition.refine(on_grid)
     q_masses = q_n.refined_to(joint).masses
-    probs = pi.refined_to(joint).probs
+    probs = probs[joint.index_map_from(on_grid)]
     owner = joint.index_map_from(model.grid)
     weights = np.zeros((model.cell_count, model.action_count))
     np.add.at(weights, owner, q_masses[:, None] * probs)
@@ -149,13 +142,10 @@ def evaluate_weights(model: AtomlessMDP, w: np.ndarray, tol: float = 1e-9):
 
 def occupancy(model: AtomlessMDP, policy, tol: float = 1e-9) -> OccupancyMeasure:
     """Occupancy measure of the policy from one certified solve; see evaluate_weights."""
-    pi = _as_stationary(model, policy)
-    marginal, err, _ = evaluate_weights(model, cell_action_weights(model, pi), tol)
-    part = pi.partition.refine(model.grid)
-    owner, frac = part.rebin_from(model.grid)
+    joint, owner, frac, probs = _on_joint(model, policy)
+    marginal, err, _ = evaluate_weights(model, _joint_weights(model, owner, frac, probs), tol)
     masses = (marginal[owner] * frac)[:, None]
-    return OccupancyMeasure(model, part, masses * pi.refined_to(part).probs,
-                            truncation_error=err, terms=1)
+    return OccupancyMeasure(model, joint, masses * probs, truncation_error=err, terms=1)
 
 
 def performance(model: AtomlessMDP, policy, tol: float = 1e-9) -> np.ndarray:

@@ -33,7 +33,9 @@ class SubmodelSpec:
     ``allowed`` is a boolean (intervals x actions) mask; ``owner`` maps each
     interval to its base-grid cell, ``frac`` is its share of that cell's
     width and ``initial_masses`` holds the initial distribution's mass on
-    each interval.  All four arrays are read-only.
+    each interval.  All four arrays are read-only.  Only the constructor
+    checks: a child of a checked submodel (``_child``) reuses its ``owner``
+    and ``frac``, and its mask is a nonempty subset of the parent's rows.
     """
 
     __slots__ = ("model", "partition", "allowed", "owner", "frac", "initial_masses")
@@ -51,15 +53,22 @@ class SubmodelSpec:
                 raise ValueError(f"interval {s}: empty allowed set")
             acts = tuple(np.flatnonzero(allowed[s]).tolist())
             raise ValueError(f"interval {s}: actions {acts} not all available")
+        self._fill(model, partition, allowed, owner, frac)
+
+    def _fill(self, model, partition, allowed, owner, frac):
         mu = model.initial.masses[owner] * frac
         for arr in (allowed, owner, frac, mu):
             arr.setflags(write=False)
-        self.model = model
-        self.partition = partition
-        self.allowed = allowed
-        self.owner = owner
-        self.frac = frac
-        self.initial_masses = mu
+        self.model, self.partition, self.allowed = model, partition, allowed
+        self.owner, self.frac, self.initial_masses = owner, frac, mu
+
+    def _child(self, partition: StatePartition, owner, frac, allowed) -> "SubmodelSpec":
+        """Unchecked submodel on a refinement of this one's partition; each
+        interval's ``allowed`` row (a new array) is a nonempty subset of its
+        parent row's, and ``owner`` and ``frac`` are taken from this one's."""
+        sub = SubmodelSpec.__new__(SubmodelSpec)
+        sub._fill(self.model, partition, allowed, owner, frac)
+        return sub
 
     @classmethod
     def full(cls, model: AtomlessMDP) -> "SubmodelSpec":
@@ -68,27 +77,25 @@ class SubmodelSpec:
     @classmethod
     def from_pair(cls, model: AtomlessMDP, phi0: DeterministicPolicy,
                   phi1: DeterministicPolicy) -> "SubmodelSpec":
+        return cls._pair(model, phi0, phi1)[0]
+
+    @classmethod
+    def _pair(cls, model, phi0, phi1):
+        """from_pair's submodel and both policies' actions on its partition."""
         part = phi0.partition.refine(phi1.partition).refine(model.grid)
+        acts = [phi.refined_to(part).actions for phi in (phi0, phi1)]
         allowed = np.zeros((part.cell_count, model.action_count), dtype=bool)
-        rows = np.arange(part.cell_count)
-        allowed[rows, phi0.refined_to(part).actions] = True
-        allowed[rows, phi1.refined_to(part).actions] = True
-        return cls(model, part, allowed)
+        allowed[np.arange(part.cell_count), acts] = True
+        return cls(model, part, allowed), *acts
 
     def frozen_below(self, threshold: float, low: DeterministicPolicy) -> "SubmodelSpec":
         """Force the ``low`` policy's action on every interval left of the threshold."""
         part = self.partition.refine(low.partition).with_point(threshold)
         below = 0.5 * (part.points[:-1] + part.points[1:]) < threshold
-        return self.frozen(part, part.index_map_from(self.partition), below,
-                           low.refined_to(part).actions)
-
-    def frozen(self, partition: StatePartition, rows, below, low_actions) -> "SubmodelSpec":
-        """This mask's ``rows`` on a refining ``partition``, with the single
-        action ``low_actions`` forced on the intervals flagged ``below``."""
-        allowed = self.allowed[rows]
+        allowed = self.allowed[part.index_map_from(self.partition)]
         allowed[below] = False
-        allowed[below, low_actions[below]] = True
-        return SubmodelSpec(self.model, partition, allowed)
+        allowed[below, low.refined_to(part).actions[below]] = True
+        return SubmodelSpec(self.model, part, allowed)
 
     def __repr__(self):
         sizes = np.unique(self.allowed.sum(axis=1)).tolist()
@@ -222,11 +229,9 @@ def conserving_submodel(sub: SubmodelSpec, direction, vf: ValueFunction,
     """Keep, per interval, exactly the actions whose one-step operator reproduces
     the optimal value within eta.  Every policy of the result is eta-conserving,
     so its scalarized performance sits within L * eta of the optimum."""
-    model = sub.model
     if vf.partition != sub.partition:
         raise ValueError("value function must live on the submodel partition")
-    b = np.asarray(direction, dtype=float)
-    scalar_r = model.rewards @ b
+    scalar_r = sub.model.rewards @ np.asarray(direction, dtype=float)
     q = _q_values(sub, scalar_r, vf.values)
     gaps = np.abs(q - vf.values[:, None])
     keep = sub.allowed & (gaps <= eta)
@@ -237,4 +242,4 @@ def conserving_submodel(sub: SubmodelSpec, direction, vf: ValueFunction,
             f"interval {s}: no action conserves the value within eta={eta:.3e} "
             f"(best gap {gaps[s, sub.allowed[s]].min():.3e})"
         )
-    return SubmodelSpec(model, sub.partition, keep)
+    return sub._child(sub.partition, sub.owner, sub.frac, keep)

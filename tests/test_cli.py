@@ -48,6 +48,15 @@ def test_validate_broken_row_sum(tmp_path, capsys):
     assert "kernel[0][0]" in err
 
 
+def test_validate_rejects_nan_grid_breakpoint(tmp_path, capsys):
+    doc = model_to_doc(random_model(3, 2, 1, seed=1))
+    doc["grid"][1] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert run("validate", path) == 2
+    assert "validation error: grid: " in capsys.readouterr().err
+
+
 def test_missing_file_is_io_error(tmp_path):
     assert run("validate", tmp_path / "nope.json") == 4
 

@@ -1,6 +1,7 @@
 """Tests for the threshold-path constructions, pairwise mixing and derandomization."""
 
 import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from atomless_mdp.derandomize import (
     path_value,
     tv_modulus,
 )
-from atomless_mdp.errors import CertifiedFailure
-from atomless_mdp.measure import MERGE_TOL, StatePartition, total_variation
+from atomless_mdp.errors import CertifiedFailure, ModelFormatError, PartitionMismatchError
+from atomless_mdp.measure import MERGE_TOL, PieceMeasure, StatePartition, total_variation
 from atomless_mdp.model import (
+    AtomlessMDP,
     DeterministicPolicy,
     StationaryPolicy,
     builtin,
@@ -28,9 +30,10 @@ from atomless_mdp.model import (
     random_deterministic_policy,
     random_model,
     random_stationary_policy,
+    validate_policy,
 )
 from atomless_mdp.occupancy import occupancy, occupancy_total_variation, performance
-from atomless_mdp.scalar_dp import SubmodelSpec, support
+from atomless_mdp.scalar_dp import SubmodelSpec, conserving_submodel, support, value_iteration
 from tests.test_geometry import nnls_projection
 from tests.test_model import one_cell_discounted
 
@@ -333,6 +336,81 @@ def test_alpha_hat_evaluates_no_vertex_through_occupancy(monkeypatch):
     a = alpha_hat(ctx, v, tol=1e-7)
     assert 0.0 < a < 1.0
     assert calls == []
+
+
+def count_calls(monkeypatch, *methods):
+    """Count calls of each (class, method name) pair by name."""
+    calls = Counter()
+    for owner, name in methods:
+        def counting(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_trusted_submodels_skip_revalidation(monkeypatch):
+    # frozen and conserving submodels reuse their checked parent's owner,
+    # shares and mask: no nesting test, owner lookup or availability check
+    m = random_model(5, 2, 2, seed=50)
+    rng = np.random.default_rng(9)
+    phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+    ctx = make_context(m, phi0, phi1)
+    v = 0.4 * performance(m, phi0, tol=1e-12) + 0.6 * performance(m, phi1, tol=1e-12)
+    frozen = ctx.submodel_at(0.3)
+    b = np.array([0.6, -0.8])
+    vf, _, _ = value_iteration(frozen, b)
+    calls = count_calls(monkeypatch, (StatePartition, "refines"),
+                        (StatePartition, "index_map_from"), (SubmodelSpec, "__init__"),
+                        (type(ctx), "submodel_at"))
+    a = alpha_hat(ctx, v, tol=1e-7)
+    kept = conserving_submodel(frozen, b, vf, 1e-8)
+    assert 0.0 < a < 1.0 and calls.pop("submodel_at") > 3
+    assert calls == Counter()
+    assert np.array_equal(kept.owner, frozen.owner) and np.array_equal(kept.frac, frozen.frac)
+    assert not (kept.allowed & ~frozen.allowed).any()
+    # a policy is put on its joint refinement with the base grid once per call
+    calls = count_calls(monkeypatch, (StatePartition, "refine"))
+    pi = random_stationary_policy(m, rng)
+    for evaluate in (occupancy, performance, cell_action_weights):
+        calls.clear()
+        evaluate(m, pi)
+        assert calls["refine"] == 1, evaluate.__name__
+
+
+def test_public_entries_reject_bad_policies():
+    # checks happen at the public entry points, each with its typed error
+    grid = StatePartition([0.0, 0.5, 1.0])
+    rewards = np.arange(8.0).reshape(2, 2, 2)
+    m = AtomlessMDP(grid, 2, [(0,), (0, 1)], np.zeros((2, 2, 2)), np.ones((2, 2)),
+                    rewards, PieceMeasure(grid, [0.5, 0.5]))
+    good = DeterministicPolicy(grid, [0, 1])
+    unavailable = DeterministicPolicy(grid, [1, 0])               # action 1 in cell 0
+    straddling = DeterministicPolicy(StatePartition([0.0, 1.0]), [1])
+    for bad, error in ((unavailable, ModelFormatError), (straddling, PartitionMismatchError)):
+        for phi in (bad, bad.to_stationary(2)):
+            for evaluate in (occupancy, performance, cell_action_weights):
+                with pytest.raises(error):
+                    evaluate(m, phi)
+        for call in (lambda: make_context(m, bad, good), lambda: make_context(m, good, bad),
+                     lambda: mix_pair(m, good, bad, 0.5), lambda: mix_pair(m, bad, good, 1.0)):
+            with pytest.raises(error):
+                call()
+    # an action out of range is bad input too, not an IndexError or a wrapped index
+    for acts in ([0, 2], [0, -1]):
+        for evaluate in (occupancy, performance, cell_action_weights, validate_policy):
+            with pytest.raises(ModelFormatError, match=rf"unavailable action {acts[1]} in cell 1"):
+                evaluate(m, DeterministicPolicy(grid, acts))
+    for bad in (unavailable, straddling):
+        with pytest.raises(ValueError, match="not all available"):
+            SubmodelSpec.from_pair(m, bad, good)
+    with pytest.raises(ValueError, match="^interval 0: empty allowed set"):
+        SubmodelSpec(m, grid, [[False, False], [True, True]])
+    with pytest.raises(ValueError, match="^interval 0: actions"):
+        SubmodelSpec(m, grid, [[True, True], [True, True]])
+    full = SubmodelSpec.full(m)
+    assert np.array_equal(full.allowed, m.available_mask())
+    assert np.array_equal(SubmodelSpec.from_pair(m, good, good).allowed, [[1, 0], [0, 1]])
 
 
 def test_alpha_hat_monotone_distance_profile():

@@ -54,6 +54,13 @@ def test_partition_validation():
         StatePartition([0.1, 1.0])
 
 
+def test_partition_rejects_non_finite_breakpoints():
+    # a NaN once passed as cells of width NaN, or silently became 0
+    for pts in ([0.0, np.nan, 1.0], [np.nan, 0.5, 1.0], [0.0, 0.5, np.nan], [0.0, np.inf, 1.0]):
+        with pytest.raises(ValueError):
+            StatePartition(pts)
+
+
 def test_partition_widths_are_stored_read_only():
     part = StatePartition([0.0, 0.1, 0.35, 1.0])
     assert part.widths is part.widths

@@ -91,6 +91,15 @@ def test_load_rejects_empty_available():
         load_model(doc)
 
 
+def test_load_rejects_nan_grid_breakpoint():
+    # it once loaded as a different model, its rewards and kernel moved
+    doc = model_to_doc(random_model(3, 2, 1, seed=1))
+    doc["grid"][1] = float("nan")
+    with pytest.raises(ModelFormatError, match="^grid: ") as exc:
+        load_model(doc)
+    assert exc.value.field == "grid"
+
+
 def test_load_refines_grid_to_kernel_endpoints():
     doc = minimal_doc()
     doc["kernel"][0][0] = {"to": [[0.0, 0.25, 0.5]], "absorb": 0.5}
@@ -399,6 +408,16 @@ def test_policy_validation_names_first_offending_interval():
 def test_stationary_policy_rejects_non_finite_probabilities():
     with pytest.raises(ValueError, match="finite"):
         StationaryPolicy(StatePartition([0.0, 1.0]), [[np.nan, 1.0]])
+
+
+def test_deterministic_policy_rejects_non_integral_actions():
+    part = StatePartition([0.0, 1.0])
+    for actions in ([1.7], [np.nan], [np.inf], [-np.inf]):
+        with pytest.raises(ValueError, match="finite integers"):
+            DeterministicPolicy(part, actions)
+    for actions in ([1.0], [1], np.array([1], dtype=np.uint8)):
+        phi = DeterministicPolicy(part, actions)
+        assert phi.actions.tolist() == [1] and phi.actions.dtype == np.int_
 
 
 def test_cell_action_weights_sub_cell_split():
