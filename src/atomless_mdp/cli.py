@@ -27,7 +27,7 @@ from .errors import (
     ModelFormatError,
     NotCertifiedError,
 )
-from .measure import PieceMeasure, StatePartition, merge_breakpoints
+from .measure import PieceMeasure, StatePartition, locate_breakpoints, merge_breakpoints
 from .model import (
     AtomlessMDP,
     DeterministicPolicy,
@@ -412,14 +412,19 @@ def cmd_transform(args, report):
         report.add_input(args.weights)
         entries = sorted((lo, hi, wv, lineno) for lineno, (lo, hi, wv) in weights_rows)
         _check_tiling([(lineno, lo, hi) for lo, hi, _, lineno in entries], args.weights)
-        w = np.empty(model.cell_count)
-        pts = model.grid.points
-        for i in range(model.cell_count):
-            mid = 0.5 * (pts[i] + pts[i + 1])
-            match = [wv for lo, hi, wv, _ in entries if lo - 1e-12 <= mid <= hi + 1e-12]
-            if not match:
-                raise ModelFormatError(args.weights, f"no weight covers cell {i}")
-            w[i] = match[0]
+        try:
+            rows = StatePartition([0.0] + [lo for lo, _, _, _ in entries[1:]] + [1.0])
+        except ValueError as exc:
+            raise ModelFormatError(args.weights, str(exc)) from None
+        # the weight must be constant on each grid cell: no row starts inside one
+        _, on_grid = locate_breakpoints(model.grid.points, rows.points)
+        if not on_grid.all():
+            k = int(np.argmin(on_grid))
+            x = float(rows.points[k])
+            i = int(np.searchsorted(model.grid.points, x)) - 1
+            raise ModelFormatError(f"{args.weights}:{entries[k][3]}",
+                                   f"row starts at {x!r}, inside grid cell {i}")
+        w = np.array([wv for _, _, wv, _ in entries])[model.grid.index_map_from(rows)]
         out_model = weighted_transform(model, w)
     save_model_file(out_model, args.out)
     report.outputs.append(args.out)

@@ -89,10 +89,10 @@ def _cell_weights(model: AtomlessMDP, owner, frac, actions) -> np.ndarray:
 
 
 class PathSplit(NamedTuple):
-    """``TwoPolicyContext.partition`` with one threshold added, per interval."""
+    """``TwoPolicyContext.pair.partition`` with one threshold added, per interval."""
 
     partition: StatePartition
-    rows: np.ndarray        # the interval's index in the context's partition
+    rows: np.ndarray        # the interval's index in the pair's partition
     frac: np.ndarray        # its width over its base cell's width
     below: np.ndarray       # it lies left of the threshold
     actions: np.ndarray     # phi1's action below the threshold, phi0's from it on
@@ -102,20 +102,16 @@ class PathSplit(NamedTuple):
 class TwoPolicyContext:
     """Shared data for constructions over the submodel {phi0(x), phi1(x)}.
 
-    ``a0`` and ``a1`` are both policies' actions on ``partition``, the common
-    refinement of both policies and the base grid (``pair.partition``;
-    ``pair.owner`` and ``pair.frac`` give each interval's base cell and its
-    share of that cell's width).
+    ``pair`` allows exactly the actions ``a0`` (phi0's) and ``a1`` (phi1's)
+    on each interval of ``pair.partition``, the common refinement of both
+    policies and the base grid; ``pair.owner`` and ``pair.frac`` give each
+    interval's base cell and its share of that cell's width.
     """
 
-    model: AtomlessMDP
-    phi0: DeterministicPolicy
-    phi1: DeterministicPolicy
-    partition: StatePartition
+    pair: SubmodelSpec
     a0: np.ndarray
     a1: np.ndarray
     q: PieceMeasure                # state occupancy of the half/half average
-    pair: SubmodelSpec             # the action sets {phi0(x), phi1(x)}
 
     def threshold(self, alpha: float) -> float:
         return self.q.quantile(alpha)[0]
@@ -124,12 +120,13 @@ class TwoPolicyContext:
         """The arrays split at the alpha-threshold, which is added as a
         breakpoint unless one lies within MERGE_TOL of it (StatePartition.with_point)."""
         t = self.threshold(alpha)
-        part = self.partition.with_point(t)
-        rows, frac = np.arange(self.partition.cell_count), self.pair.frac
-        if part is not self.partition:
-            # interval j of the context's partition is cut in two
-            j = int(np.searchsorted(self.partition.points, t)) - 1
-            pieces = part.widths[j:j + 2] / self.model.grid.widths[self.pair.owner[j]]
+        pair = self.pair
+        part = pair.partition.with_point(t)
+        rows, frac = np.arange(pair.partition.cell_count), pair.frac
+        if part is not pair.partition:
+            # interval j of the pair's partition is cut in two
+            j = int(np.searchsorted(pair.partition.points, t)) - 1
+            pieces = part.widths[j:j + 2] / pair.model.grid.widths[pair.owner[j]]
             rows = np.concatenate((rows[:j + 1], rows[j:]))
             frac = np.concatenate((frac[:j], pieces, frac[j + 1:]))
         below = 0.5 * (part.points[:-1] + part.points[1:]) < t
@@ -145,19 +142,23 @@ class TwoPolicyContext:
         return self.pair._child(s.partition, self.pair.owner[s.rows], s.frac, allowed)
 
 
+def _context(pair: SubmodelSpec, a0, a1) -> TwoPolicyContext:
+    """The context over a checked pair submodel that allows exactly a0 and a1."""
+    model, half = pair.model, 0.5 * pair.frac
+    w = _cell_weights(model, pair.owner, half, a0) + _cell_weights(model, pair.owner, half, a1)
+    q = PieceMeasure(model.grid, evaluate_weights(model, w, EVAL_TOL)[0])
+    return TwoPolicyContext(pair, a0, a1, q)
+
+
 def make_context(model: AtomlessMDP, phi0: DeterministicPolicy,
                  phi1: DeterministicPolicy) -> TwoPolicyContext:
     validate_policy(model, phi0)
     validate_policy(model, phi1)
-    pair, a0, a1 = SubmodelSpec._pair(model, phi0, phi1)
-    half = 0.5 * pair.frac
-    w = _cell_weights(model, pair.owner, half, a0) + _cell_weights(model, pair.owner, half, a1)
-    q = PieceMeasure(model.grid, evaluate_weights(model, w, EVAL_TOL)[0])
-    return TwoPolicyContext(model, phi0, phi1, pair.partition, a0, a1, q, pair)
+    return _context(*SubmodelSpec._pair(model, phi0, phi1))
 
 
 def path_policy(ctx: TwoPolicyContext, alpha: float) -> DeterministicPolicy:
-    """Threshold policy on ctx.partition with the alpha-quantile t of q added:
+    """Threshold policy on ctx.pair.partition with the alpha-quantile t of q added:
     phi1 strictly below t, phi0 from it on."""
     s = ctx.split(alpha)
     return DeterministicPolicy(s.partition, s.actions)
@@ -170,7 +171,7 @@ def path_value(ctx: TwoPolicyContext, alpha: float):
     w is bitwise ``cell_action_weights(model, path_policy(ctx, alpha))``, so v
     is what ``performance`` returns for that policy.
     """
-    model = ctx.model
+    model = ctx.pair.model
     s = ctx.split(alpha)
     w = _cell_weights(model, ctx.pair.owner[s.rows], s.frac, s.actions)
     _, err, v = evaluate_weights(model, w, EVAL_TOL)
@@ -187,7 +188,7 @@ def tv_modulus(ctx: TwoPolicyContext, delta: float) -> float:
     minimizes over the cut.
     """
     delta = abs(float(delta))
-    cert = ctx.model.certificate()
+    cert = ctx.pair.model.certificate()
     q_total = ctx.q.total
     best = np.inf
     horizon = cert.survival.size + 64
@@ -327,7 +328,7 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     (None at 1.0), as ``direction``.
     """
     target = np.asarray(target, dtype=float)
-    active = tuple(range(ctx.model.criteria)) if active is None else tuple(active)
+    active = tuple(range(ctx.pair.model.criteria)) if active is None else tuple(active)
     t_active = target[list(active)]
     pool: list = []
     sub0 = ctx.submodel_at(0.0)
@@ -471,28 +472,27 @@ class MixCertificate:
         }
 
 
-def _pair_from_submodel(sub: SubmodelSpec, phi0: DeterministicPolicy,
-                        phi1: DeterministicPolicy):
-    """Re-express a (possibly pruned) two-policy submodel as a policy pair."""
-    part, allowed = sub.partition, sub.allowed
-    rows = np.arange(part.cell_count)
-    a0 = phi0.refined_to(part).actions
-    a1 = phi1.refined_to(part).actions
-    # a pruned phi0 takes the highest allowed action, a pruned phi1 the lowest
+def _pair_from_submodel(sub: SubmodelSpec, a0, a1):
+    """The pair submodel (a child of ``sub``) of two action arrays on its
+    partition, and the arrays: where ``sub`` prunes an action, a0 takes the
+    highest allowed action and a1 the lowest."""
+    allowed = sub.allowed
+    rows = np.arange(sub.partition.cell_count)
     highest = allowed.shape[1] - 1 - np.argmax(allowed[:, ::-1], axis=1)
     lowest = np.argmax(allowed, axis=1)
     a0 = np.where(allowed[rows, a0], a0, highest)
     a1 = np.where(allowed[rows, a1], a1, lowest)
-    return DeterministicPolicy(part, a0), DeterministicPolicy(part, a1)
+    mask = np.zeros_like(allowed)
+    mask[rows, a0] = mask[rows, a1] = True
+    return sub._child(sub.partition, sub.owner, sub.frac, mask), a0, a1
 
 
-def _realize_scalar(model, phi0, phi1, target, coord, tol, trace):
+def _realize_scalar(pair, target, coord, tol, trace):
     """Intermediate-value bisection along the threshold path for one criterion."""
-    sub = SubmodelSpec.from_pair(model, phi0, phi1)
-    n = model.criteria
-    e = _embed(np.array([1.0]), (coord,), n)
-    _, phi_hi, v_hi = support(sub, e)
-    _, phi_lo, v_lo = support(sub, -e)
+    model = pair.model
+    e = _embed(np.array([1.0]), (coord,), model.criteria)
+    _, phi_hi, v_hi = support(pair, e)
+    _, phi_lo, v_lo = support(pair, -e)
     v_lo, v_hi = float(v_lo[coord]), float(v_hi[coord])
     t = float(target[coord])
     slack = max(tol, 1e-11)
@@ -508,7 +508,7 @@ def _realize_scalar(model, phi0, phi1, target, coord, tol, trace):
     if abs(v_lo - t) <= tol:
         trace.append({"kind": "scalar", "coord": coord, "achieved": v_lo, "iters": 0})
         return phi_lo
-    ctx = make_context(model, phi_lo, phi_hi)
+    ctx = _context(*_pair_from_submodel(pair, phi_lo.actions, phi_hi.actions))
     a_lo, a_hi = 0.0, 1.0
     best_err = abs(v_lo - t)
     for it in range(SCALAR_ITERS):
@@ -533,37 +533,37 @@ def _realize_scalar(model, phi0, phi1, target, coord, tol, trace):
                            residual=best_err, trace=trace)
 
 
-def _realize(model, phi0, phi1, target, active, tol, trace, depth=0):
-    """Find a deterministic policy of the two-policy submodel matching the
-    target on the active coordinates within tol."""
+def _realize(pair, a0, a1, target, active, tol, trace, depth=0):
+    """Find a deterministic policy of the pair submodel, which allows exactly
+    the actions a0 and a1, matching the target on the active coordinates
+    within tol.  Each level below derives its pair from checked arrays."""
     if len(active) == 1:
-        return _realize_scalar(model, phi0, phi1, target, active[0], tol, trace)
+        return _realize_scalar(pair, target, active[0], tol, trace)
 
     member_tol = 0.25 * tol
-    ctx = make_context(model, phi0, phi1)
+    ctx = _context(pair, a0, a1)
     t_active = np.asarray(target, dtype=float)[list(active)]
 
     stop: dict = {}
     a_hat = alpha_hat(ctx, target, tol=member_tol, active=active, certificate=stop)
-    frozen = ctx.submodel_at(a_hat)
-    phi0_f = path_policy(ctx, a_hat)       # phi0 spliced to phi1 below the threshold
-
     if a_hat >= 1.0:
-        candidate = path_policy(ctx, 1.0)
         trace.append({"kind": "endpoint", "alpha_hat": 1.0})
-        return candidate
+        return path_policy(ctx, 1.0)
+    frozen = ctx.submodel_at(a_hat)
 
     # the direction that certified alpha_hat already supports V(alpha_hat)
     # within tol at the target; polishing sharpens it to the supporting normal
     b_active, gap = _polish_direction(frozen, t_active, active, init=stop["direction"])
 
-    b_full = _embed(b_active, active, model.criteria)
+    b_full = _embed(b_active, active, pair.model.criteria)
     # the stop bounds |gap| by member_tol and no tighter, and a target that
     # close to a face can need actions whose Q-gap is near that bound
     eta = 4.0 * member_tol
     vf, _, h_val = value_iteration(frozen, b_full, tol=max(1e-10, member_tol))
     kept = conserving_submodel(frozen, b_full, vf, eta)
-    phi0_c, phi1_c = _pair_from_submodel(kept, phi0_f, ctx.phi1)
+    # phi0 spliced to phi1 below the threshold, and phi1, pruned to kept
+    s = ctx.split(a_hat)
+    next_pair = _pair_from_submodel(kept, s.actions, ctx.a1[s.rows])
 
     drop_pos = int(np.argmax(np.abs(b_active)))
     dropped = active[drop_pos]
@@ -588,8 +588,7 @@ def _realize(model, phi0, phi1, target, active, tol, trace, depth=0):
         "dropped": dropped,
         "membership_gap": repair.g,
     })
-    return _realize(model, phi0_c, phi1_c, new_target, new_active,
-                    tol, trace, depth + 1)
+    return _realize(*next_pair, new_target, new_active, tol, trace, depth + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +619,8 @@ def mix_pair(model: AtomlessMDP, phi0: DeterministicPolicy, phi1: DeterministicP
     v0, v1 = _perf(model, phi0), _perf(model, phi1)
     target = lam * v0 + (1.0 - lam) * v1
     trace: list = []
-    phi = _realize(model, phi0, phi1, target, tuple(range(model.criteria)),
-                   tol / (2.0 * model.criteria), trace)
+    phi = _realize(*SubmodelSpec._pair(model, phi0, phi1), target,
+                   tuple(range(model.criteria)), tol / (2.0 * model.criteria), trace)
     achieved = _perf(model, phi)
     err = float(np.linalg.norm(achieved - target))
     if err > tol:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMeasureError
+from .errors import DegenerateMeasureError, PartitionMismatchError
 
 # Breakpoints closer than this are considered identical and merged.
 MERGE_TOL = 1e-12
@@ -44,8 +44,20 @@ class StatePartition:
         return self.points.size - 1
 
     def refine(self, other: "StatePartition") -> "StatePartition":
-        """Coarsest common refinement: sorted union of breakpoints, merged at MERGE_TOL."""
-        return StatePartition(merge_breakpoints(self.points, other.points))
+        """Coarsest common refinement: sorted union of breakpoints, merged at MERGE_TOL.
+
+        Raises PartitionMismatchError when the union refines neither side: a
+        chain of breakpoints, each within MERGE_TOL of the next, merges into
+        one breakpoint farther than MERGE_TOL from some of them.
+        """
+        both = np.concatenate((self.points, other.points))
+        pts = merge_breakpoints(both)
+        _, found = locate_breakpoints(pts, both)
+        if not found.all():
+            raise PartitionMismatchError(
+                f"breakpoint {float(both[np.argmin(found)])!r} is within {MERGE_TOL} of "
+                "another breakpoint but not of the breakpoint they merge to")
+        return StatePartition(pts)
 
     def with_point(self, b: float) -> "StatePartition":
         """This partition with breakpoint b added, or itself when a breakpoint

@@ -420,7 +420,7 @@ def weighted_transform(model: AtomlessMDP, w) -> AtomlessMDP:
         if worst[i, a] > 1.0 + ROW_SUM_TOL:
             raise WeightConditionError(
                 f"kernel[{i}][{a}]",
-                f"weighted row expands by {worst[i, a]!r} > 1; certificate fails",
+                f"weighted row expands by {float(worst[i, a])!r} > 1; certificate fails",
             )
     else:
         c = float(np.where(mask, ratio, 0.0).max(initial=0.0))
@@ -428,7 +428,7 @@ def weighted_transform(model: AtomlessMDP, w) -> AtomlessMDP:
             i, a = np.unravel_index(np.argmax(np.where(mask, ratio, 0.0)), ratio.shape)
             raise WeightConditionError(
                 f"kernel[{i}][{a}]",
-                f"beta * weighted expansion = {model.beta * c!r} >= 1",
+                f"beta * weighted expansion = {float(model.beta * c)!r} >= 1",
             )
         if c > 1.0:
             scale = 1.0 / c

@@ -239,6 +239,27 @@ def test_transform_weight(tmp_path):
     assert run("validate", out) == 0
 
 
+def test_transform_weight_rows_must_not_cut_grid_cells(tmp_path, capsys):
+    from atomless_mdp.model import load_model_file, weighted_transform
+
+    src = tmp_path / "m.json"
+    save_model_file(random_model(3, 2, 1, seed=1), src)
+    model = load_model_file(src)
+    g1, g2 = map(float, model.grid.points[1:3])
+    weights, out = tmp_path / "w.txt", tmp_path / "o.json"
+    # rows on grid breakpoints: one weight per cell, as weighted_transform takes it
+    weights.write_text(f"0.0 {g1!r} 1.0\n{g1!r} 1.0 1.0001\n")
+    assert run("transform", "weight", src, weights, "--out", out) == 0
+    expected = model_to_doc(weighted_transform(model, np.array([1.0, 1.0001, 1.0001])))
+    assert json.loads(out.read_text()) == expected
+    # a row boundary inside cell 1: the cell's weight is not constant
+    mid = 0.5 * (g1 + g2)
+    weights.write_text(f"0.0 {mid!r} 1.0\n{mid!r} 1.0 1.0001\n")
+    capsys.readouterr()
+    assert run("transform", "weight", src, weights, "--out", out) == 2
+    assert f"w.txt:2: row starts at {mid!r}, inside grid cell 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rows, where", [
     ("0.0 0.5 2.0\n0.5 1.0\n", "w.txt:2: "),
     ("0.0 0.5 2.0\n0.5 1.0 heavy\n", "w.txt:2: non-numeric entry"),
@@ -325,6 +346,36 @@ def test_validate_malformed_document_exits_2(tmp_path, capsys, case):
     mutate, path = MALFORMED[case]
     assert run("validate", write_doc(tmp_path, mutate)) == 2
     assert f"validation error: {path}: " in capsys.readouterr().err
+
+
+def chain_grid_model(tmp_path):
+    """A one-step model on the grid [0, 0.5, 0.5 + 1.8e-12, 1], whose two inner
+    breakpoints are farther apart than MERGE_TOL."""
+    from atomless_mdp.measure import PieceMeasure, StatePartition
+    from atomless_mdp.model import AtomlessMDP
+
+    grid = StatePartition([0.0, 0.5, 0.5 + 1.8e-12, 1.0])
+    model = AtomlessMDP(grid, 2, [(0, 1)] * 3, np.zeros((3, 2, 3)), np.ones((3, 2)),
+                        np.arange(12.0).reshape(3, 2, 2), PieceMeasure(grid, grid.widths))
+    path = tmp_path / "chain.json"
+    save_model_file(model, path)
+    return path
+
+
+@pytest.mark.parametrize("cut, code", [(0.5 + 0.9e-12, 2), (0.5 + 0.5e-12, 0)],
+                         ids=["chain", "lone near-duplicate"])
+def test_breakpoint_chain_is_bad_input(tmp_path, capsys, cut, code):
+    # a policy breakpoint within MERGE_TOL of both grid breakpoints chains
+    # them, and the merged refinement refines neither the grid nor the policy
+    model = chain_grid_model(tmp_path)
+    phi0 = write_policy(tmp_path, "phi0.txt", [(0.0, cut, "0"), (cut, 1.0, "1")])
+    phi1 = write_policy(tmp_path, "phi1.txt", [(0.0, 1.0, "1")])
+    for argv in (("evaluate", model, phi0), ("path", model, phi0, phi1)):
+        capsys.readouterr()
+        assert run(*argv, "--out", tmp_path / "out.csv") == code, argv[0]
+        if code:
+            assert ("validation error: breakpoint 0.5000000000018 is within 1e-12 of another "
+                    "breakpoint") in capsys.readouterr().err
 
 
 def test_policy_file_rejects_non_finite_probability(onestep_model, tmp_path):

@@ -133,12 +133,12 @@ def test_path_value_is_the_path_policy_evaluation():
     near_breakpoint = 0
     for m, ctx in path_contexts():
         alphas = [0.0, 1.0, *np.linspace(0.0, 1.0, 23)[1:-1]]
-        for p in ctx.partition.points[1:-1]:
+        for p in ctx.pair.partition.points[1:-1]:
             # the threshold lands within MERGE_TOL of an existing breakpoint,
             # so the split adds none
             alpha = min(1.0, ctx.q.cdf(p) / ctx.q.total)
             if abs(ctx.threshold(alpha) - p) <= MERGE_TOL:
-                assert ctx.partition.with_point(ctx.threshold(alpha)) is ctx.partition
+                assert ctx.pair.partition.with_point(ctx.threshold(alpha)) is ctx.pair.partition
                 alphas.append(alpha)
                 near_breakpoint += 1
         for alpha in alphas:
@@ -376,6 +376,40 @@ def test_trusted_submodels_skip_revalidation(monkeypatch):
         calls.clear()
         evaluate(m, pi)
         assert calls["refine"] == 1, evaluate.__name__
+
+
+@pytest.mark.parametrize("criteria", [2, 3])
+def test_realize_builds_no_checked_objects(monkeypatch, criteria):
+    # mix_pair checks its policies once; every level of the recursion below
+    # derives its pair from checked arrays, so no policy is checked or
+    # refined and no submodel goes through the checking constructor
+    module = importlib.import_module("atomless_mdp.derandomize")
+    calls = count_calls(monkeypatch, (module, "validate_policy"), (module, "make_context"),
+                        (SubmodelSpec, "__init__"), (SubmodelSpec, "from_pair"),
+                        (DeterministicPolicy, "refined_to"))
+    inside = Counter()
+    original = module._realize
+
+    def realize(*args, **kwargs):
+        if len(args) >= 8:                  # a deeper level of the same call
+            return original(*args, **kwargs)
+        before = calls.copy()
+        phi = original(*args, **kwargs)
+        inside.update(calls - before)
+        return phi
+
+    monkeypatch.setattr(module, "_realize", realize)
+    rng = np.random.default_rng(40 + criteria)
+    depths, bisected = [], 0
+    for seed in range(3):
+        m = random_model(6, 3, criteria, seed=1700 + 10 * criteria + seed)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        _, cert = mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
+        depths.append(sum(e["kind"] == "reduce" for e in cert.trace))
+        bisected += any(e["kind"] == "scalar" and e["iters"] > 0 for e in cert.trace)
+    assert min(depths) >= 1 and max(depths) == criteria - 1 and bisected > 0
+    assert calls["validate_policy"] > 0 and calls["__init__"] > 0
+    assert inside == Counter()
 
 
 def test_public_entries_reject_bad_policies():
@@ -650,7 +684,7 @@ def test_scalar_realization_evaluates_one_path_policy(monkeypatch):
     def realize(*args, **kwargs):
         before = len(evaluated)
         phi = original(*args, **kwargs)
-        realized.append((args[6][-1]["iters"], evaluated[before:], phi))
+        realized.append((args[4][-1]["iters"], evaluated[before:], phi))
         return phi
 
     monkeypatch.setattr(module, "performance", counting(performance))

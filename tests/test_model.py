@@ -373,7 +373,7 @@ def test_weighted_transform_rejects_expanding_weight():
     absorb = np.array([[0.0], [1.0]])
     m = AtomlessMDP(grid, 1, [(0,), (0,)], kernel, absorb,
                     np.zeros((2, 1, 1)), PieceMeasure(grid, [0.5, 0.5]))
-    with pytest.raises(WeightConditionError, match=r"kernel\[0\]\[0\]"):
+    with pytest.raises(WeightConditionError, match=r"kernel\[0\]\[0\]: weighted row expands by 2\.0 > 1"):
         weighted_transform(m, np.array([1.0, 2.0]))
 
 

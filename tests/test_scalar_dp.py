@@ -313,8 +313,21 @@ def ref_pair_from_sets(part, sets, phi0, phi1):
     return a0, a1
 
 
+def pair_actions(sub, phi0, phi1):
+    """_pair_from_submodel on both policies' actions on the submodel's
+    partition; the returned pair allows exactly {a0, a1} on each interval."""
+    from atomless_mdp.derandomize import _pair_from_submodel
+
+    part = sub.partition
+    pair, a0, a1 = _pair_from_submodel(sub, phi0.refined_to(part).actions,
+                                       phi1.refined_to(part).actions)
+    assert pair.partition is part
+    assert as_sets(pair.allowed) == tuple(tuple(sorted({x, y})) for x, y in zip(a0.tolist(), a1.tolist()))
+    return a0, a1
+
+
 def test_masks_match_tuple_reference():
-    from atomless_mdp.derandomize import _pair_from_submodel, make_context
+    from atomless_mdp.derandomize import make_context
 
     rng = np.random.default_rng(11)
     rng_ctx = np.random.default_rng(12)
@@ -328,7 +341,7 @@ def test_masks_match_tuple_reference():
         assert pair.partition == part and as_sets(pair.allowed) == sets
         # the two-policy context freezes from its split arrays, as frozen_below does
         ctx = make_context(m, phi0, phi1)
-        inner = ctx.partition.points[1:-1]
+        inner = ctx.pair.partition.points[1:-1]
         near = min(1.0, ctx.q.cdf(inner[inner.size // 2]) / ctx.q.total) if inner.size else 0.5
         for alpha in (0.0, 1.0, near, *rng_ctx.uniform(0.0, 1.0, size=3)):
             t = ctx.threshold(alpha)
@@ -349,9 +362,9 @@ def test_masks_match_tuple_reference():
             sets_k = ref_conserving(sets_f, gaps, eta)
             assert as_sets(kept.allowed) == sets_k
             pruned += sets_k != sets_f
-            p0, p1 = _pair_from_submodel(kept, phi0, phi1)
+            p0, p1 = pair_actions(kept, phi0, phi1)
             r0, r1 = ref_pair_from_sets(part_f, sets_k, phi0, phi1)
-            assert np.array_equal(p0.actions, r0) and np.array_equal(p1.actions, r1)
+            assert np.array_equal(p0, r0) and np.array_equal(p1, r1)
         # on the full model, with eta equal to one of the gaps
         full = SubmodelSpec.full(m)
         b = rng.normal(size=2)
@@ -368,9 +381,9 @@ def test_masks_match_tuple_reference():
         sub = SubmodelSpec(m, m.grid, mask)
         phi0 = DeterministicPolicy(m.grid, rng.integers(0, 3, size=m.cell_count))
         phi1 = DeterministicPolicy(m.grid, rng.integers(0, 3, size=m.cell_count))
-        p0, p1 = _pair_from_submodel(sub, phi0, phi1)
+        p0, p1 = pair_actions(sub, phi0, phi1)
         r0, r1 = ref_pair_from_sets(m.grid, as_sets(mask), phi0, phi1)
-        assert np.array_equal(p0.actions, r0) and np.array_equal(p1.actions, r1)
+        assert np.array_equal(p0, r0) and np.array_equal(p1, r1)
     assert pruned > 0
 
 
