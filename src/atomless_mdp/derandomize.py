@@ -210,7 +210,7 @@ class DistanceResult:
     g: float                                   # certified upper bound on the distance
     lower: float                               # certified lower bound
     witness: list                              # [(weight, DeterministicPolicy)]
-    direction: np.ndarray | None               # separating direction when outside
+    direction: np.ndarray | None               # the direction that attained ``lower``
     projection: np.ndarray                     # nearest achieved point
     vertices: list = field(default_factory=list)   # [(policy, vector)] hull generators
 
@@ -241,7 +241,10 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
     support vertex that is already in the hull means the oracle added
     nothing, so the loop stops there instead of repeating the same call.
     ``seeds`` are (policy, vector) pairs with the vector on the active
-    coordinates, like ``DistanceResult.vertices``.
+    coordinates, like ``DistanceResult.vertices``.  ``direction`` is the
+    queried b whose support call attained ``lower``, so that h(b) <=
+    <b, target> - lower, or the first one queried while no lower bound is
+    positive.
     """
     n = sub.model.criteria
     active = tuple(range(n)) if active is None else tuple(active)
@@ -270,7 +273,7 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
         _, policy, v = support(sub, _embed(np.ones(len(active)) / np.sqrt(len(active)), active, n))
         add_vertex(policy, v[list(active)])
 
-    lower = 0.0
+    lower, b_low = 0.0, None
     for _ in range(DISTANCE_CAP):
         mat = np.array([v for _, v in verts])
         d, proj, lam = distance_to_hull(mat, t_active)
@@ -279,13 +282,15 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
             return DistanceResult(d, max(lower, 0.0), witness, None, proj, verts)
         b = (t_active - proj) / d
         h, policy, v = support(sub, _embed(b, active, n))
-        lower = max(lower, float(b @ t_active) - h)
+        sep = float(b @ t_active) - h
+        if sep > lower or b_low is None:
+            lower, b_low = max(lower, sep), b
         if lower > d:
             lower = d          # rounding guard; bounds must nest
         if (d - lower <= tol or (decide is not None and lower > decide)
                 or not add_vertex(policy, v[list(active)])):
             witness = [(float(l), p) for l, (p, _) in zip(lam, verts) if l > 1e-14]
-            return DistanceResult(d, lower, witness, b, proj, verts)
+            return DistanceResult(d, lower, witness, b_low, proj, verts)
     raise CertifiedFailure("distance iteration exceeded its cap", residual=d)
 
 
@@ -299,7 +304,9 @@ def _membership(sub, target, tol, active, pool, alpha):
 
     Policies found feasible at a larger freeze fraction remain feasible at a
     smaller one (thresholds nest), so the pool carries hull generators across
-    the bisection.  Pool entries are (alpha, policy, active-coordinate vector).
+    the membership tests of one root solve.  Pool entries are (alpha, policy,
+    active-coordinate vector).  An "outside" answer's ``res.direction`` b
+    has h(b) <= <b, target> - ``res.lower`` on the active coordinates.
     """
     seeds = [(p, v) for a0, p, v in pool if a0 >= alpha - 1e-15]
     res = distance_to_performance_set(sub, target, tol=0.25 * tol, active=active, seeds=seeds,
@@ -315,51 +322,60 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     """Freeze fraction alpha at which the target is within tol of the
     boundary of V(alpha), certified by one support call.
 
-    V(alpha) shrinks as alpha grows, so membership d(target, V(alpha)) <= tol
-    is monotone and bisection applies; vertices feasible at large alpha seed
-    the membership tests at smaller alpha.  With gap(alpha) the signed
-    distance from the target to the boundary (positive inside), an "inside"
-    answer gives gap >= -tol, and h_alpha(b) <= <b, target> for the
-    separating direction b of the last "outside" answer gives gap <= 0; the
-    bisection stops at the first alpha with both, or at float spacing.  The
-    same support call at a midpoint settles "outside" alone when
-    h(b) < <b, target> - tol.  Returns 1.0 when the target is within tol of
-    V(1).  A ``certificate`` dict receives b, on the active coordinates
-    (None at 1.0), as ``direction``.
+    V(alpha) shrinks as alpha grows, so g(alpha) = h_alpha(b) - <b, target>
+    is nonincreasing for the separating direction b of the last "outside"
+    answer, at hi, and the search is a safeguarded Illinois root solve of g
+    on [a, hi], one support call per step: g < -tol certifies "outside" and
+    moves hi, g > 0 moves a, and g in [-tol, 0] calls a membership test.
+    "Inside" stops with the certificate (inside, and g <= 0); "outside"
+    gives a new hi and b and restarts the bracket from lo, the last
+    "inside".  Where g(hi) >= 0 (b does not separate) or the secant leaves
+    (a, hi), the step is a midpoint of [lo, hi] with a membership test.
+    Returns 1.0 when the target is within tol of V(1).  A ``certificate``
+    dict receives b on the active coordinates (None at 1.0) as
+    ``direction`` and the search's ``membership_tests`` and ``support_calls``.
     """
     target = np.asarray(target, dtype=float)
     active = tuple(range(ctx.pair.model.criteria)) if active is None else tuple(active)
     t_active = target[list(active)]
     pool: list = []
-    sub0 = ctx.submodel_at(0.0)
-    ok0, res0 = _membership(sub0, target, tol, active, pool, 0.0)
+    counts = {"membership_tests": 2, "support_calls": 0}
+
+    def gap(sub):
+        counts["support_calls"] += 1
+        return _support_gap(sub, b, active, t_active)[0]
+
+    ok0, res0 = _membership(ctx.submodel_at(0.0), target, tol, active, pool, 0.0)
     if not ok0:
-        raise CertifiedFailure(
-            "target is not in the two-policy performance set", residual=res0.g
-        )
-    ok1, res1 = _membership(ctx.submodel_at(1.0), target, tol, active, pool, 1.0)
-    if ok1:
-        if certificate is not None:
-            certificate["direction"] = None
-        return 1.0
-    lo, hi, b_hi = 0.0, 1.0, res1.direction
-    gap, _ = _support_gap(sub0, b_hi, active, t_active)
-    while gap > 0.0:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        sub = ctx.submodel_at(mid)
-        gap_mid, _ = _support_gap(sub, b_hi, active, t_active)
-        if gap_mid < -tol:
-            hi = mid
+        raise CertifiedFailure("target is not in the two-policy performance set", residual=res0.g)
+    ok, res = _membership(ctx.submodel_at(1.0), target, tol, active, pool, 1.0)
+    lo, x, b, g_lo = (1.0 if ok else 0.0), 1.0, None, 0.0
+    while not ok or g_lo > 0.0:
+        if not ok:
+            # "outside" at x: h_x(b) <= <b, target> - lower for its direction
+            hi, g_hi, b, side = x, -res.lower, res.direction, 0
+            a, ok = lo, True
+            g_lo = g_a = gap(ctx.submodel_at(lo))
             continue
-        ok, res = _membership(sub, target, tol, active, pool, mid)
-        if ok:
-            lo, gap = mid, gap_mid
+        x = a + g_a * (hi - a) / (g_a - g_hi) if g_hi < 0.0 else hi
+        bisect = not a < x < hi
+        x = 0.5 * (lo + hi) if bisect else x
+        if not lo < x < hi:
+            break
+        sub = ctx.submodel_at(x)
+        g_x = gap(sub)
+        if g_x < -tol:
+            # certified "outside"; Illinois: an end kept twice running has its g halved
+            hi, g_hi, g_a, side = x, g_x, g_a * (0.5 if side < 0 else 1.0), -1
+        elif g_x > 0.0 and not bisect:
+            a, g_a, g_hi, side = x, g_x, g_hi * (0.5 if side > 0 else 1.0), 1
         else:
-            hi, b_hi = mid, res.direction
+            counts["membership_tests"] += 1
+            ok, res = _membership(sub, target, tol, active, pool, x)
+            if ok:
+                lo, g_lo, a, g_a = x, g_x, x, g_x
     if certificate is not None:
-        certificate["direction"] = b_hi
+        certificate.update(direction=b, **counts)
     return lo
 
 
@@ -587,6 +603,8 @@ def _realize(pair, a0, a1, target, active, tol, trace, depth=0):
         "eta": float(eta),
         "dropped": dropped,
         "membership_gap": repair.g,
+        "membership_tests": stop["membership_tests"],
+        "support_calls": stop["support_calls"],
     })
     return _realize(*next_pair, new_target, new_active, tol, trace, depth + 1)
 

@@ -169,7 +169,7 @@ def _policy_iteration(sub: SubmodelSpec, direction, tol: float):
     actions, _ = greedy(np.zeros(n))
     system, rhs, x = evaluate(actions)
     for _ in range(POLICY_ROUNDS):
-        improved, _ = greedy(x[:, 0], actions)
+        improved, q_masked = greedy(x[:, 0], actions)
         if np.array_equal(improved, actions):
             break
         actions = improved
@@ -178,7 +178,6 @@ def _policy_iteration(sub: SubmodelSpec, direction, tol: float):
         raise CertifiedFailure("policy iteration did not stabilize", residual=np.inf)
 
     values = x[:, 0]
-    _, q_masked = greedy(values)
     err = cert.L * float(np.abs(np.max(q_masked, axis=1) - values).max(initial=0.0))
     if err > tol:
         raise ToleranceError(

@@ -279,6 +279,35 @@ def test_distance_matches_dense_hull_oracle():
         assert res.g == pytest.approx(oracle, abs=1e-4)
 
 
+def test_distance_direction_attains_lower(monkeypatch):
+    # an "outside" answer's direction is the one whose support call gave the
+    # lower bound, so it separates the target from the set by that much; in
+    # the pool-seeded membership tests of derandomize on small
+    # three-criterion models the last queried direction is often weaker
+    module = importlib.import_module("atomless_mdp.derandomize")
+    original = module._membership
+    answers = []
+
+    def recording(sub, target, tol, active, pool, alpha):
+        ok, res = original(sub, target, tol, active, pool, alpha)
+        if not ok and res.lower > 0.0:
+            answers.append((sub, np.asarray(target), active, res))
+        return ok, res
+
+    monkeypatch.setattr(module, "_membership", recording)
+    for s in range(2, 6):
+        rng = np.random.default_rng(200 + s)
+        m = random_model(int(rng.integers(2, 9)), int(rng.integers(2, 4)), 3, seed=7000 + s)
+        derandomize(m, random_stationary_policy(m, rng), tol=1e-6)
+    assert len(answers) >= 100
+    for sub, target, active, res in answers:
+        b = np.zeros(target.size)
+        b[list(active)] = res.direction
+        h, _, _ = support(sub, b)
+        scale = 1.0 + abs(h) + float(np.abs(target).max())
+        assert h <= float(b @ target) - res.lower + 1e-15 * scale
+
+
 # ---------------------------------------------------------------------------
 # alpha_hat
 # ---------------------------------------------------------------------------
@@ -498,6 +527,104 @@ def test_alpha_hat_stop_is_certified(monkeypatch):
         assert h <= float(b @ v) + 1e-15 * scale, seed
     assert interior >= 10
     assert len(answers) / 12 <= 30
+
+
+def test_alpha_hat_membership_tests_per_call(monkeypatch):
+    # the root solve settles most steps by one support call, so on the
+    # contexts above it averages at most 10 membership tests per alpha_hat,
+    # the two endpoint tests included, and its certificate counts them
+    module = importlib.import_module("atomless_mdp.derandomize")
+    original = module._membership
+    tests = [0]
+
+    def counting(*args, **kwargs):
+        tests[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_membership", counting)
+    per_call = []
+    for seed in range(12):
+        m = random_model(6, 3, 2, seed=460 + seed)
+        rng = np.random.default_rng(seed)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        ctx = make_context(m, phi0, phi1)
+        lam = float(rng.uniform(0.2, 0.8))
+        v = lam * performance(m, phi0, tol=1e-12) + (1.0 - lam) * performance(m, phi1, tol=1e-12)
+        stop = {}
+        tests[0] = 0
+        alpha_hat(ctx, v, tol=1e-7, certificate=stop)
+        assert stop["membership_tests"] == tests[0], seed
+        assert stop["support_calls"] >= tests[0] - 2, seed
+        per_call.append(tests[0])
+    assert np.mean(per_call) <= 10
+
+
+def test_alpha_hat_falls_back_where_direction_does_not_separate(monkeypatch):
+    # an "outside" answer whose direction does not separate (a duplicate-
+    # vertex exit, lower bound 0) gives no bracket for the root solve, so the
+    # next step, after the support call that restarts from lo, is the
+    # midpoint of [lo, hi] with a membership test; every alpha_hat of the mix
+    # still stops with the certificate
+    module = importlib.import_module("atomless_mdp.derandomize")
+    member, gap, search = module._membership, module._support_gap, module.alpha_hat
+    events, stops = [], []
+
+    def recording(sub, target, tol, active, pool, alpha):
+        ok, res = member(sub, target, tol, active, pool, alpha)
+        events.append((alpha, ok, res, sub, np.asarray(target)[list(active)], active))
+        return ok, res
+
+    def counting(*args):
+        events.append(None)
+        return gap(*args)
+
+    def stopping(ctx, target, tol=1e-7, active=None, *, certificate=None):
+        start, stop = len(events), {} if certificate is None else certificate
+        a = search(ctx, target, tol=tol, active=active, certificate=stop)
+        stops.append((ctx, np.asarray(target), active, a, stop, events[start:]))
+        return a
+
+    monkeypatch.setattr(module, "_membership", recording)
+    monkeypatch.setattr(module, "_support_gap", counting)
+    monkeypatch.setattr(module, "alpha_hat", stopping)
+    m = random_model(3, 3, 3, seed=103)
+    rng = np.random.default_rng(103)
+    phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+    _, cert = mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
+    assert cert.error <= 1e-6
+    fallbacks = 0
+    for ctx, target, active, a, stop, seen in stops:
+        tests = [(k, e) for k, e in enumerate(seen) if e is not None]
+        assert (a, True) in [(alpha, ok) for _, (alpha, ok, *_) in tests]
+        if a < 1.0:
+            t_active = target[list(active)]
+            g, _ = gap(ctx.submodel_at(a), stop["direction"], active, t_active)
+            assert g <= 1e-15 * (1.0 + float(np.abs(t_active).max()))
+        for n, (k, (alpha, ok, res, sub, t_active, act)) in enumerate(tests[:-1]):
+            if ok or res.lower > 0.0:
+                continue
+            assert gap(sub, res.direction, act, t_active)[0] >= 0.0
+            lo = max(x for _, (x, inside, *_) in tests[:n] if inside)
+            k_next, (x_next, *_) = tests[n + 1]
+            assert (k_next - k, x_next) == (3, 0.5 * (lo + alpha))
+            fallbacks += 1
+    assert fallbacks >= 1
+
+
+def test_alpha_hat_work_counts_are_recorded():
+    # each reduction level records its search's membership tests and support
+    # calls; the search is deterministic, so a repeated mix repeats them
+    def counts():
+        m = random_model(6, 3, 3, seed=1731)
+        rng = np.random.default_rng(5)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        _, cert = mix_pair(m, phi0, phi1, 0.4, tol=1e-6)
+        return [(e["membership_tests"], e["support_calls"])
+                for e in cert.trace if e["kind"] == "reduce"]
+
+    first = counts()
+    assert len(first) == 2 and all(tests >= 3 and calls >= 1 for tests, calls in first)
+    assert counts() == first
 
 
 def test_membership_decision_matches_full_iteration(monkeypatch):
