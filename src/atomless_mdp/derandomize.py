@@ -7,8 +7,8 @@ by a deterministic threshold construction:
   the state space, and quantile thresholds of q cut out policies phi_alpha
   that interpolate continuously (in occupancy total variation) between the
   endpoints;
-* for one criterion a bisection over the threshold hits any intermediate
-  value exactly (intermediate value theorem);
+* for one criterion a safeguarded Illinois root solve over the threshold
+  hits any intermediate value exactly (intermediate value theorem);
 * for several criteria, the largest alpha whose frozen submodel still attains
   the target admits a supporting direction there; keeping only the actions
   that conserve the scalarized optimum pins one coordinate affinely to the
@@ -59,7 +59,7 @@ __all__ = [
 EVAL_TOL = 1e-12          # certified marginal error for performance evaluations
 DISTANCE_CAP = 200        # support calls per distance iteration
 POLISH_SUBSETS = 100_000  # N-point subsets one polish round may enumerate
-SCALAR_ITERS = 220        # threshold bisection steps for one criterion
+SCALAR_ITERS = 220        # threshold root-solve steps for one criterion
 
 
 def _perf(model: AtomlessMDP, policy) -> np.ndarray:
@@ -317,6 +317,51 @@ def _membership(sub, target, tol, active, pool, alpha):
     return res.g <= tol, res
 
 
+class _Illinois:
+    """A bracket a < b of a sign change of f, narrowed by a safeguarded
+    Illinois root solve (Dowell & Jarratt, BIT 11, 1971).
+
+    ``f_a`` and ``f_b`` are the ends' f values: of opposite signs, or zero
+    at an end that is itself a root.  ``move`` puts (x, f_x) in place of the
+    end whose f has f_x's sign, and halves the other end's f when that end
+    is kept twice running.
+    """
+
+    __slots__ = ("a", "f_a", "b", "f_b", "side", "widths")
+
+    def __init__(self, a: float, f_a: float, b: float, f_b: float):
+        self.a, self.f_a, self.b, self.f_b = a, f_a, b, f_b
+        self.side = 0                       # +1 when a moved last, -1 when b did
+        self.widths = (np.inf, np.inf)      # b - a before the last two steps
+
+    def secant(self) -> float:
+        """The secant root of the ends, or the midpoint where that root is
+        not strictly inside (a, b)."""
+        a, f_a, b, f_b = self.a, self.f_a, self.b, self.f_b
+        if f_a < 0.0 < f_b or f_b < 0.0 < f_a:
+            x = a + f_a * (b - a) / (f_a - f_b)
+            if a < x < b:
+                return x
+        return 0.5 * (a + b)
+
+    def step(self) -> float:
+        """``secant``, or the midpoint where the bracket failed to halve over
+        the last two steps; so narrowing the bracket to a given width takes
+        at most about twice bisection's steps."""
+        a, b = self.a, self.b
+        x = 0.5 * (a + b) if b - a >= 0.5 * self.widths[1] else self.secant()
+        self.widths = (b - a, self.widths[0])
+        return x
+
+    def move(self, x: float, f_x: float) -> None:
+        if (f_x < 0.0) == (self.f_a < 0.0):
+            self.a, self.f_a, self.f_b = x, f_x, self.f_b * (0.5 if self.side > 0 else 1.0)
+            self.side = 1
+        else:
+            self.b, self.f_b, self.f_a = x, f_x, self.f_a * (0.5 if self.side < 0 else 1.0)
+            self.side = -1
+
+
 def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
               certificate: dict | None = None) -> float:
     """Freeze fraction alpha at which the target is within tol of the
@@ -325,12 +370,14 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     V(alpha) shrinks as alpha grows, so g(alpha) = h_alpha(b) - <b, target>
     is nonincreasing for the separating direction b of the last "outside"
     answer, at hi, and the search is a safeguarded Illinois root solve of g
-    on [a, hi], one support call per step: g < -tol certifies "outside" and
-    moves hi, g > 0 moves a, and g in [-tol, 0] calls a membership test.
-    "Inside" stops with the certificate (inside, and g <= 0); "outside"
-    gives a new hi and b and restarts the bracket from lo, the last
-    "inside".  Where g(hi) >= 0 (b does not separate) or the secant leaves
-    (a, hi), the step is a midpoint of [lo, hi] with a membership test.
+    on [a, hi] (``_Illinois``), one support call per step: g < -tol
+    certifies "outside" and moves hi, g > 0 moves a, and g in [-tol, 0]
+    calls a membership test.  "Inside" stops with the certificate (inside,
+    and g <= 0); "outside" gives a new hi and b and restarts the bracket
+    from lo, the last "inside".  Where g(hi) = 0 (b does not separate) the
+    step is the midpoint, and g > 0 there calls a membership test too.  The
+    steps are ``_Illinois.secant``, without ``step``'s halving test, whose
+    forced midpoints only added support calls here.
     Returns 1.0 when the target is within tol of V(1).  A ``certificate``
     dict receives b on the active coordinates (None at 1.0) as
     ``direction`` and the search's ``membership_tests`` and ``support_calls``.
@@ -353,27 +400,23 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     while not ok or g_lo > 0.0:
         if not ok:
             # "outside" at x: h_x(b) <= <b, target> - lower for its direction
-            hi, g_hi, b, side = x, -res.lower, res.direction, 0
-            a, ok = lo, True
-            g_lo = g_a = gap(ctx.submodel_at(lo))
+            b, ok = res.direction, True
+            g_lo = gap(ctx.submodel_at(lo))
+            bracket = _Illinois(lo, g_lo, x, -res.lower)
             continue
-        x = a + g_a * (hi - a) / (g_a - g_hi) if g_hi < 0.0 else hi
-        bisect = not a < x < hi
-        x = 0.5 * (lo + hi) if bisect else x
-        if not lo < x < hi:
+        x = bracket.secant()
+        if not bracket.a < x < bracket.b:
             break
         sub = ctx.submodel_at(x)
         g_x = gap(sub)
-        if g_x < -tol:
-            # certified "outside"; Illinois: an end kept twice running has its g halved
-            hi, g_hi, g_a, side = x, g_x, g_a * (0.5 if side < 0 else 1.0), -1
-        elif g_x > 0.0 and not bisect:
-            a, g_a, g_hi, side = x, g_x, g_hi * (0.5 if side > 0 else 1.0), 1
+        if g_x < -tol or (g_x > 0.0 and bracket.f_b < 0.0):
+            bracket.move(x, g_x)
         else:
             counts["membership_tests"] += 1
             ok, res = _membership(sub, target, tol, active, pool, x)
             if ok:
-                lo, g_lo, a, g_a = x, g_x, x, g_x
+                lo, g_lo = x, g_x
+                bracket.move(x, g_x)
     if certificate is not None:
         certificate.update(direction=b, **counts)
     return lo
@@ -478,6 +521,11 @@ class MixCertificate:
     trace: list
 
     def summary(self) -> dict:
+        """The run's figures and its work: the trace's totals of alpha_hat's
+        membership tests and support calls and of scalar path solves."""
+        def total(kind, key):
+            return sum(e[key] for e in self.trace if e["kind"] == kind)
+
         return {
             "lambda": self.requested_lambda,
             "target": [float(x) for x in self.target],
@@ -485,6 +533,9 @@ class MixCertificate:
             "error": self.error,
             "tol": self.tol,
             "levels": len(self.trace),
+            "membership_tests": total("reduce", "membership_tests"),
+            "support_calls": total("reduce", "support_calls"),
+            "path_solves": total("scalar", "iters"),
         }
 
 
@@ -504,7 +555,7 @@ def _pair_from_submodel(sub: SubmodelSpec, a0, a1):
 
 
 def _realize_scalar(pair, target, coord, tol, trace):
-    """Intermediate-value bisection along the threshold path for one criterion."""
+    """Intermediate-value root solve along the threshold path for one criterion."""
     model = pair.model
     e = _embed(np.array([1.0]), (coord,), model.criteria)
     _, phi_hi, v_hi = support(pair, e)
@@ -525,27 +576,25 @@ def _realize_scalar(pair, target, coord, tol, trace):
         trace.append({"kind": "scalar", "coord": coord, "achieved": v_lo, "iters": 0})
         return phi_lo
     ctx = _context(*_pair_from_submodel(pair, phi_lo.actions, phi_hi.actions))
-    a_lo, a_hi = 0.0, 1.0
+    # v(alpha)[coord] - t is below zero at phi_lo's end and above at phi_hi's
+    bracket = _Illinois(0.0, v_lo - t, 1.0, v_hi - t)
     best_err = abs(v_lo - t)
     for it in range(SCALAR_ITERS):
         # each step is one solve on the threshold's cell weights; only the
         # accepted step becomes a policy, evaluated once more through _perf
-        mid = 0.5 * (a_lo + a_hi)
-        _, v, bound = path_value(ctx, mid)
+        alpha = bracket.step()
+        _, v, bound = path_value(ctx, alpha)
         val = float(v[coord])
         err = abs(val - t) + bound
         best_err = min(best_err, err)
         if err <= tol:
-            phi_mid = path_policy(ctx, mid)
-            achieved = float(_perf(model, phi_mid)[coord])
+            phi = path_policy(ctx, alpha)
+            achieved = float(_perf(model, phi)[coord])
             trace.append({"kind": "scalar", "coord": coord, "achieved": achieved,
                           "iters": it + 1})
-            return phi_mid
-        if val < t:
-            a_lo = mid
-        else:
-            a_hi = mid
-    raise CertifiedFailure("scalar path bisection missed its tolerance",
+            return phi
+        bracket.move(alpha, val - t)
+    raise CertifiedFailure("scalar path root solve missed its tolerance",
                            residual=best_err, trace=trace)
 
 
@@ -627,6 +676,11 @@ def mix_pair(model: AtomlessMDP, phi0: DeterministicPolicy, phi1: DeterministicP
     model.certificate()
     validate_policy(model, phi0)
     validate_policy(model, phi1)
+    return _mix(model, phi0, phi1, lam, tol)
+
+
+def _mix(model, phi0, phi1, lam, tol):
+    """mix_pair on two checked policies and a lambda in [0, 1]."""
     if lam == 1.0 or phi0 == phi1:
         v = _perf(model, phi0)
         return phi0.canonical(), MixCertificate(lam, v, v, 0.0, tol, [])
@@ -678,7 +732,7 @@ def derandomize(model: AtomlessMDP, pi: StationaryPolicy, tol: float = 1e-6):
     """Deterministic policy with the same performance vector as ``pi``.
 
     Decomposes v(pi) over vertex policies, then folds the terms through
-    mix_pair left to right with the per-stage budget tol / (2 * #terms).
+    the mixer left to right with the per-stage budget tol / (2 * #terms).
     """
     model.certificate()
     if isinstance(pi, DeterministicPolicy) or pi.is_deterministic(1e-12):
@@ -702,8 +756,8 @@ def derandomize(model: AtomlessMDP, pi: StationaryPolicy, tol: float = 1e-6):
         # unused budget rolls forward; stage errors only shrink under later
         # reweighting, so the sum of stage errors bounds the fold error
         stage_tol = max(stage_floor, (0.7 * tol - consumed) / remaining)
-        phi_acc, cert = mix_pair(model, phi_acc, phi_k, weight / (weight + lam_k),
-                                 tol=stage_tol)
+        # the terms are support vertices and the folds' outputs: checked already
+        phi_acc, cert = _mix(model, phi_acc, phi_k, weight / (weight + lam_k), stage_tol)
         consumed += cert.error
         remaining -= 1
         trace.extend(cert.trace)

@@ -3,8 +3,8 @@ Caratheodory pruning of convex combinations.
 
 The min-norm-point routine is Wolfe's algorithm: it terminates after finitely
 many affine-minimization steps on point sets and is exact up to linear-algebra
-rounding, which matters here because hull-membership decisions feed bisection
-loops downstream.  Its affine steps solve least squares on differences of
+rounding, which matters here because hull-membership decisions feed root
+solves downstream.  Its affine steps solve least squares on differences of
 points, never on a Gram matrix, which would square their condition number.
 """
 

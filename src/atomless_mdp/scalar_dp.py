@@ -134,42 +134,44 @@ def _policy_iteration(sub: SubmodelSpec, direction, tol: float):
     """
     model = sub.model
     cert = model.certificate()
-    b = np.asarray(direction, dtype=float)
-    scalar_r = model.rewards @ b      # (cells, actions)
-    owner = sub.owner
+    scalar_r = model.rewards @ np.asarray(direction, dtype=float)      # (cells, actions)
+    owner, blocked = sub.owner, ~sub.allowed
     n = sub.partition.cell_count
+    rows = np.arange(n)
+    r_own = scalar_r[owner]
+    # the first greedy step is on the masked immediate rewards (zero values)
+    q_masked = np.where(sub.allowed, r_own, -np.inf)
 
     if model.is_one_step():
         # one-step model: the value is the per-interval best immediate reward
-        q_masked = np.where(sub.allowed, scalar_r[owner], -np.inf)
         actions = np.argmax(q_masked, axis=1)
         x = np.column_stack((np.max(q_masked, axis=1), model.rewards[owner, actions]))
         return actions, x, 0.0, 0.0
 
-    scale = float(np.abs(scalar_r).max(initial=0.0))
-    stacked = np.concatenate((scalar_r[..., None], model.rewards), axis=2)
+    # keep the incumbent unless the gain is numerically meaningful
+    keep_gain = 1e-13 * (1.0 + float(np.abs(scalar_r).max(initial=0.0))) * cert.L
+    eye = np.eye(n)
 
-    def greedy(values, current=None):
+    def greedy(values, current):
+        """Improved actions and the masked Q row maxima at ``values``."""
         q = _q_values(sub, scalar_r, values)
-        q_masked = np.where(sub.allowed, q, -np.inf)
-        best = np.argmax(q_masked, axis=1)
-        if current is not None:
-            # keep the incumbent unless the gain is numerically meaningful
-            gain = q_masked[np.arange(n), best] - q_masked[np.arange(n), current]
-            keep = gain <= 1e-13 * (1.0 + scale) * cert.L
-            best[keep] = current[keep]
-        return best, q_masked
+        np.copyto(q, -np.inf, where=blocked)
+        best = q.argmax(axis=1)
+        top = q[rows, best]
+        keep = top - q[rows, current] <= keep_gain
+        best[keep] = current[keep]
+        return best, top
 
     def evaluate(actions):
         # I - P, with P[s, t] the mass the policy moves from interval s to t
-        system = np.eye(n) - model.kernel[owner, actions][:, owner] * sub.frac
-        rhs = stacked[owner, actions]
+        system = eye - model.kernel[owner[:, None], actions[:, None], owner] * sub.frac
+        rhs = np.concatenate((r_own[rows, actions][:, None], model.rewards[owner, actions]), axis=1)
         return system, rhs, np.linalg.solve(system, rhs)
 
-    actions, _ = greedy(np.zeros(n))
+    actions = q_masked.argmax(axis=1)
     system, rhs, x = evaluate(actions)
     for _ in range(POLICY_ROUNDS):
-        improved, q_masked = greedy(x[:, 0], actions)
+        improved, top = greedy(x[:, 0], actions)
         if np.array_equal(improved, actions):
             break
         actions = improved
@@ -177,8 +179,7 @@ def _policy_iteration(sub: SubmodelSpec, direction, tol: float):
     else:
         raise CertifiedFailure("policy iteration did not stabilize", residual=np.inf)
 
-    values = x[:, 0]
-    err = cert.L * float(np.abs(np.max(q_masked, axis=1) - values).max(initial=0.0))
+    err = cert.L * float(np.abs(top - x[:, 0]).max(initial=0.0))
     if err > tol:
         raise ToleranceError(
             f"certified optimality gap {err:.3e} exceeds requested tol {tol:.3e}"

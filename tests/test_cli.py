@@ -487,6 +487,18 @@ def evaluate_inputs(tmp_path):
     return model_path, policy
 
 
+def test_derandomize_certificate_totals_work(evaluate_inputs, tmp_path):
+    # the certificate JSON carries the run's work totals, and two identical
+    # runs write identical ones
+    model, policy = evaluate_inputs
+    totals = []
+    for name in ("first", "second"):
+        assert run("derandomize", model, policy, "--out", tmp_path / name, "--tol", 1e-6) == 0
+        cert = json.loads((tmp_path / f"{name}.cert.json").read_text())
+        totals.append({k: cert[k] for k in ("membership_tests", "support_calls", "path_solves")})
+    assert totals[0] == totals[1] and all(v > 0 for v in totals[0].values())
+
+
 def _raise(exc):
     def raising(*args, **kwargs):
         raise exc

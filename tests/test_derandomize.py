@@ -670,6 +670,76 @@ def test_membership_decision_matches_full_iteration(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the safeguarded Illinois root solve
+# ---------------------------------------------------------------------------
+
+ROOT_CASES = {
+    # exactly flat: bitwise-equal values over [0, 0.95), where a plain
+    # secant step stalls
+    "flat": lambda x: -0.5 if x < 0.95 else 40.0 * (x - 0.9625),
+    # flat at -1e-4, then a slope: plain secant steps stall here, and only
+    # the halving test keeps the solve within twice bisection's steps
+    "hockey-stick": lambda x: -1e-4 + 10.0 * max(0.0, x - 0.2),
+    # no value within tol of 0: the solve runs until the bracket is narrow
+    "step": lambda x: -1.0 if x < 1.0 / 3.0 else 1.0,
+    # one sign change, at 0.3, with the slope changing sign around it
+    "non-monotone": lambda x: (x - 0.3) * (1.0 + 0.9 * np.sin(25.0 * x)),
+}
+
+
+def bisection_steps(f, tol, width):
+    a, b = 0.0, 1.0
+    for k in range(1, 200):
+        x = 0.5 * (a + b)
+        if abs(f(x)) <= tol:
+            return k
+        a, b = (x, b) if f(x) < 0.0 else (a, x)
+        if b - a <= width:
+            return k
+    raise AssertionError("bisection did not stop")
+
+
+@pytest.mark.parametrize("name", ROOT_CASES)
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_illinois_keeps_a_sign_change_within_twice_bisection(name, tol):
+    # every step keeps f(a) < 0 <= f(b), and the solve stops (|f(x)| <= tol
+    # or the bracket under 1e-12 wide) within twice bisection's steps
+    f = ROOT_CASES[name]
+    module = importlib.import_module("atomless_mdp.derandomize")
+    bracket = module._Illinois(0.0, f(0.0), 1.0, f(1.0))
+    for k in range(1, 200):
+        x = bracket.step()
+        assert bracket.a < x < bracket.b
+        if abs(f(x)) <= tol:
+            break
+        bracket.move(x, f(x))
+        assert f(bracket.a) < 0.0 <= f(bracket.b), (k, bracket.a, bracket.b)
+        assert (bracket.f_a < 0.0) == (f(bracket.a) < 0.0)
+        assert (bracket.f_b < 0.0) == (f(bracket.b) < 0.0)
+        if bracket.b - bracket.a <= 1e-12:
+            break
+    assert k <= 2 * bisection_steps(f, tol, 1e-12), k
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_illinois_beats_bisection_on_a_smooth_function(tol):
+    # on a smooth concave f the secant approaches the root from one side; the
+    # halving of the end kept twice running brings it across, so the solve
+    # takes a third of bisection's steps or fewer
+    def f(x):
+        return np.log1p(9.0 * x) - 1.0
+
+    module = importlib.import_module("atomless_mdp.derandomize")
+    bracket = module._Illinois(0.0, f(0.0), 1.0, f(1.0))
+    for k in range(1, 200):
+        x = bracket.step()
+        if abs(f(x)) <= tol:
+            break
+        bracket.move(x, f(x))
+    assert 3 * k <= bisection_steps(f, tol, 0.0), k
+
+
+# ---------------------------------------------------------------------------
 # supporting directions
 # ---------------------------------------------------------------------------
 
@@ -828,6 +898,20 @@ def test_scalar_realization_evaluates_one_path_policy(monkeypatch):
         assert len(evals) == 1 and evals[0] is phi
 
 
+def test_scalar_root_solve_work_counts():
+    # the root solve's path solves on the models above, a count that does not
+    # depend on the host's speed: bisection took 21.2 on average here
+    rng = np.random.default_rng(17)
+    iters = []
+    for seed in range(6):
+        m = random_model(6, 3, 1 + seed % 2, seed=1500 + seed)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        _, cert = mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
+        iters += [e["iters"] for e in cert.trace if e["kind"] == "scalar"]
+        assert cert.summary()["path_solves"] == iters[-1]
+    assert len(iters) == 6 and np.mean(iters) <= 12 and max(iters) <= 40
+
+
 def test_mix_rejects_bad_lambda():
     m, phi0, phi1 = unit_interval_pair()
     with pytest.raises(ValueError):
@@ -913,6 +997,42 @@ def test_derandomize_random_three_criteria():
         v_phi = performance(m, phi, tol=1e-12)
         assert np.linalg.norm(v_phi - v_pi) <= 1e-5
         assert isinstance(phi, DeterministicPolicy)
+
+
+def test_derandomize_folds_checked_terms_once(monkeypatch):
+    # derandomize checks pi once, in caratheodory; its terms are support
+    # vertices and its folds' outputs, so no fold checks a policy again
+    module = importlib.import_module("atomless_mdp.derandomize")
+    calls = count_calls(monkeypatch, (module, "validate_policy"), (module, "_mix"))
+    rng = np.random.default_rng(23)
+    for seed in range(3):
+        m = random_model(6, 3, 2, seed=1900 + seed)
+        pi = random_stationary_policy(m, rng)
+        calls.clear()
+        _, cert = derandomize(m, pi, tol=1e-5)
+        assert calls["_mix"] == cert.trace[0]["terms"] - 1 >= 1, seed
+        assert calls["validate_policy"] == 1, seed
+
+
+def test_derandomize_summary_totals_the_work():
+    # the certificate summary totals alpha_hat's membership tests and
+    # support calls and the scalar path solves over every fold; the search
+    # is deterministic, so a repeated run repeats the totals
+    def run():
+        m = random_model(6, 3, 2, seed=1731)
+        pi = random_stationary_policy(m, np.random.default_rng(8))
+        _, cert = derandomize(m, pi, tol=1e-5)
+        return cert
+
+    cert = run()
+    summary = cert.summary()
+    reduce = [e for e in cert.trace if e["kind"] == "reduce"]
+    scalar = [e for e in cert.trace if e["kind"] == "scalar"]
+    assert cert.trace[0]["terms"] >= 3 and len(reduce) >= 2 and len(scalar) >= 2
+    assert summary["membership_tests"] == sum(e["membership_tests"] for e in reduce) > 0
+    assert summary["support_calls"] == sum(e["support_calls"] for e in reduce) > 0
+    assert summary["path_solves"] == sum(e["iters"] for e in scalar) > 0
+    assert run().summary() == summary
 
 
 @pytest.mark.parametrize("rng_seed, draws, model_args", [

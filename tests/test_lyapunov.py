@@ -251,7 +251,8 @@ def test_find_set_derandomizes_once(monkeypatch):
     lyapunov = importlib.import_module("atomless_mdp.lyapunov")
     module = importlib.import_module("atomless_mdp.derandomize")
     runs, mixes = [], []
-    original_derandomize, original_mix = lyapunov.derandomize, module.mix_pair
+    # derandomize folds through mix_pair's unchecked body, _mix
+    original_derandomize, original_mix = lyapunov.derandomize, module._mix
 
     def counting_derandomize(*args, **kwargs):
         runs.append(kwargs["tol"])
@@ -262,7 +263,7 @@ def test_find_set_derandomizes_once(monkeypatch):
         return original_mix(*args, **kwargs)
 
     monkeypatch.setattr(lyapunov, "derandomize", counting_derandomize)
-    monkeypatch.setattr(module, "mix_pair", counting_mix)
+    monkeypatch.setattr(module, "_mix", counting_mix)
     realizations = count_realizations(monkeypatch)
     cases = ([union_of_cells_target(seed) for seed in (0, 1, 2)]
              + [smooth_target(seed) for seed in (4, 23, 30)])

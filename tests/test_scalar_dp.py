@@ -1,10 +1,12 @@
 """Tests for scalarized dynamic programming, support functions and conserving submodels."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from atomless_mdp.errors import ToleranceError
-from atomless_mdp.measure import PieceMeasure
+from atomless_mdp.measure import PieceMeasure, StatePartition
 from atomless_mdp.model import (
     AtomlessMDP,
     DeterministicPolicy,
@@ -17,6 +19,7 @@ from atomless_mdp.model import (
 from atomless_mdp.occupancy import performance
 from atomless_mdp.scalar_dp import (
     SubmodelSpec,
+    _policy_iteration,
     conserving_submodel,
     support,
     value_iteration,
@@ -228,6 +231,51 @@ def test_support_vector_on_pair_and_frozen_submodels():
         for sub in (pair, frozen):
             for _ in range(5):
                 check_vertex_vector(sub, rng.normal(size=2))
+
+
+def dense_performances(sub, policies):
+    """Performance vectors of intervalwise-deterministic policies (rows of
+    action indices on sub's intervals), one dense cell-level solve each:
+    v = mu (I - P_w)^{-1} r_w for the policy's cell-action weights w."""
+    m = sub.model
+    w = np.zeros((len(policies), m.cell_count, m.action_count))
+    for k, actions in enumerate(policies):
+        np.add.at(w[k], (sub.owner, actions), sub.frac)
+    p_w = np.einsum("kia,iaj->kij", w, m.kernel)
+    r_w = np.einsum("kia,ian->kin", w, m.rewards)
+    mu = np.broadcast_to(m.initial.masses[:, None], (len(policies), m.cell_count, 1))
+    visits = np.linalg.solve(np.eye(m.cell_count) - np.swapaxes(p_w, 1, 2), mu)[..., 0]
+    return np.einsum("ki,kin->kn", visits, r_w)
+
+
+@pytest.mark.parametrize("cells, seed", [
+    (5, 2102), (5, 2116), (5, 2122), (4, 2133), (3, 2117), (5, 2213), (5, 2216), (5, 2226),
+])
+def test_support_is_optimal_over_every_policy(cells, seed):
+    # on submodels of 6 intervals with up to 3 actions each, every
+    # intervalwise-deterministic policy is enumerated and evaluated densely:
+    # h is within the certified gap of the best of them, and the returned
+    # vertex's v is its dense value within L times the solve's residual;
+    # slack covers the dense reference's own rounding.  The models (seeds
+    # 22xx discounted, L = 5) have two or three actions in most cells
+    rng = np.random.default_rng(seed)
+    m = seeded_discounted(seed) if seed >= 2200 else random_model(cells, 3, 2, seed=seed)
+    cuts = np.sort(rng.uniform(0.0, 1.0, size=6 - m.cell_count))
+    part = m.grid.refine(StatePartition(np.concatenate(([0.0], cuts, [1.0]))))
+    owner, _ = part.rebin_from(m.grid)
+    sub = SubmodelSpec(m, part, m.available_mask()[owner])
+    policies = np.array(list(itertools.product(*as_sets(sub.allowed))))
+    assert part.cell_count == 6 and len(policies) >= 54
+    dense = dense_performances(sub, policies)
+    L = m.certificate().L
+    for _ in range(6):
+        b = rng.normal(size=2)
+        _, _, err, residual = _policy_iteration(sub, b, 1e-10)
+        h, policy, v = support(sub, b)
+        slack = 8.0 * np.finfo(float).eps * L * (1.0 + abs(h))
+        assert h >= float((dense @ b).max()) - err - slack
+        k = int(np.flatnonzero((policies == policy.actions).all(axis=1))[0])
+        assert np.abs(v - dense[k]).max() <= L * residual + slack
 
 
 def test_support_reuses_submodel_setup(monkeypatch):
