@@ -114,7 +114,7 @@ class TwoPolicyContext:
     q: PieceMeasure                # state occupancy of the half/half average
 
     def threshold(self, alpha: float) -> float:
-        return self.q.quantile(alpha)[0]
+        return self.q.lower_quantile(alpha)
 
     def split(self, alpha: float) -> PathSplit:
         """The arrays split at the alpha-threshold, which is added as a
@@ -255,7 +255,7 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
     seen = set()
 
     def add_vertex(policy, v_active):
-        key = tuple(np.round(v_active / dedupe).astype(np.int64))
+        key = np.round(v_active / dedupe).astype(np.int64).tobytes()
         if key in seen:
             return False
         seen.add(key)

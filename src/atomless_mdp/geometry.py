@@ -10,6 +10,8 @@ points, never on a Gram matrix, which would square their condition number.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TOL = 1e-12  # relative accuracy of min-norm points; see min_norm_point
@@ -44,16 +46,17 @@ def min_norm_point(points):
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("need a nonempty 2-d point array")
     m = pts.shape[0]
-    scale = float((pts * pts).sum(axis=1).max()) + 1.0
+    sq = (pts * pts).sum(axis=1)
+    scale = float(sq.max()) + 1.0
     eps = TOL * np.sqrt(scale)
 
-    active = [int(np.argmin((pts * pts).sum(axis=1)))]
+    active = [int(np.argmin(sq))]
     lambdas = np.array([1.0])
     x = pts[active[0]]
 
     for _ in range(16 * m + 64):
         j = int(np.argmin(pts @ x))
-        norm = float(np.linalg.norm(x))
+        norm = math.sqrt(x @ x)
         if norm <= eps or float(pts[j] @ x) >= norm * norm - eps * norm or j in active:
             break
         active.append(j)
@@ -61,8 +64,8 @@ def min_norm_point(points):
         # minor cycles: pull the affine minimizer back into the simplex
         for _ in range(16 * m + 64):
             alphas, y = _affine_minimizer(pts[active])
-            if np.all(alphas >= -1e-12):
-                lambdas = np.clip(alphas, 0.0, None)
+            if alphas.min() >= -1e-12:
+                lambdas = np.maximum(alphas, 0.0)
                 x = y
                 break
             neg = alphas < lambdas

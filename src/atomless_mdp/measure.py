@@ -217,15 +217,16 @@ class PieceMeasure:
         strictly between them; b_min < b_max exactly when the CDF is flat at
         level alpha.
         """
+        return self.lower_quantile(alpha), self._solve_max(alpha * self.total)
+
+    def lower_quantile(self, alpha: float) -> float:
+        """``quantile(alpha)[0]``, the smallest b with F(b) = alpha."""
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"fraction {alpha} outside [0,1]")
         if self.total <= 0.0:
             raise DegenerateMeasureError("quantile of a zero-mass measure")
+        # smallest b with cum(b) >= target; exact within the linear piece
         target = alpha * self.total
-        return self._solve_min(target), self._solve_max(target)
-
-    def _solve_min(self, target: float) -> float:
-        # Smallest b with cum(b) >= target; exact within the linear piece.
         cum, pts = self._cum, self.partition.points
         k = int(np.searchsorted(cum, target, side="left"))
         if k == 0:

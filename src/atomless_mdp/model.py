@@ -285,7 +285,6 @@ def cell_action_weights(model: AtomlessMDP, policy) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AbsorptionCertificate:
     """Certified uniform-absorption data.
 
@@ -293,28 +292,56 @@ class AbsorptionCertificate:
     time of the sink.  ``survival[n]`` bounds the worst-case probability of
     still being alive after n steps from the model's initial distribution, and
     ``tail(n)`` bounds the worst-case expected remaining lifetime from step n.
+    ``L``, ``sigma`` and ``half_horizon`` need only the first half_horizon
+    steps of the survival recursion; ``survival`` continues it on first read.
+    The certificate holds the recursion's arrays, never the model, so a
+    model that caches it forms no reference cycle.
     """
 
-    L: float
-    survival: np.ndarray
-    sigma: float          # max over cells of the half-horizon survival bound
-    half_horizon: int
-    tol: float
+    __slots__ = ("L", "sigma", "half_horizon", "tol", "_profile", "_resume")
+
+    def __init__(self, L: float, sigma: float, half_horizon: int, tol: float,
+                 profile: list, resume: tuple):
+        self.L, self.tol = L, tol
+        self.sigma = sigma            # max over cells of the half-horizon survival bound
+        self.half_horizon = half_horizon
+        self._profile = profile       # survival[0..half_horizon], then all of it
+        self._resume = resume         # (kernel, neg, mu, s_vec, cap) at half_horizon, then None
+
+    @property
+    def survival(self) -> np.ndarray:
+        if self._resume is not None:
+            kernel, neg, mu, s_vec, cap = self._resume
+            profile, worst, n = self._profile, self.sigma, self.half_horizon
+            while not (profile[-1] <= self.tol * 1e-4 or worst == 0.0 or n >= cap):
+                s_vec = _survival_step(kernel, neg, s_vec)
+                n += 1
+                profile.append(float(min(profile[-1], mu @ s_vec)))
+                worst = float(s_vec.max(initial=0.0))
+            self._profile, self._resume = np.asarray(profile), None
+        return self._profile
 
     def tail(self, n: int) -> float:
         n = int(n)
         markov = self.L * self.L / (n + 1)
-        s = self.survival[min(n, self.survival.size - 1)]
+        survival = self.survival
+        s = survival[min(n, survival.size - 1)]
         return float(min(self.L, markov, self.L * s))
 
     def summary(self) -> dict:
+        horizon = int(self.survival.size - 1)
         return {
             "L": self.L,
             "half_horizon": self.half_horizon,
             "sigma": self.sigma,
-            "survival_horizon": int(self.survival.size - 1),
-            "tail_at_horizon": self.tail(self.survival.size - 1),
+            "survival_horizon": horizon,
+            "tail_at_horizon": self.tail(horizon),
         }
+
+
+def _survival_step(kernel, neg, s_vec):
+    """S_{n+1}(i) = max over available a of sum_j k[i,a,j] S_n(j)."""
+    return np.max(np.einsum("iaj,j->ia", kernel, s_vec) + neg, axis=1)
 
 
 def absorption_certificate(model: AtomlessMDP, tol: float = 1e-12,
@@ -326,47 +353,35 @@ def absorption_certificate(model: AtomlessMDP, tol: float = 1e-12,
     hitting time uses submultiplicativity of the survival profile: once the
     worst cell's survival drops to sigma <= 1/2 after H steps, the expected
     life is at most (sum of the first H survival vectors) / (1 - sigma).
+    The recursion stops at H; the survival profile continues it until the
+    profile falls below tol * 1e-4, the worst cell reaches 0 or ``cap``
+    steps have run.
     """
     if model.kind != ABSORBING:
         raise NotCertifiedError("certificate requires an absorbing model; transform first")
     m = model.cell_count
-    mask = model.available_mask()
-    neg = np.where(mask, 0.0, -np.inf)
+    neg = np.where(model.available_mask(), 0.0, -np.inf)
 
     s_vec = np.ones(m)                     # per-cell worst-case survival
     partial = np.zeros(m)                  # sum of survival vectors up to H
     mu = model.initial.masses
-    survival = [1.0]
-    half_horizon = None
-    sigma = None
+    profile = [1.0]
     n = 0
     while True:
-        partial_next = partial + s_vec
-        s_vec = np.max(np.einsum("iaj,j->ia", model.kernel, s_vec) + neg, axis=1)
+        partial = partial + s_vec
+        s_vec = _survival_step(model.kernel, neg, s_vec)
         n += 1
-        survival.append(float(min(survival[-1], mu @ s_vec)))
+        profile.append(float(min(profile[-1], mu @ s_vec)))
         worst = float(s_vec.max(initial=0.0))
-        if half_horizon is None:
-            partial = partial_next
-            if worst <= 0.5:
-                half_horizon, sigma = n, worst
-        if half_horizon is not None and (survival[-1] <= tol * 1e-4 or worst == 0.0):
+        if worst <= 0.5:
             break
         if n >= cap:
-            if half_horizon is None:
-                raise NotCertifiedError(
-                    f"worst-case survival still {worst:.3g} after {n} steps; "
-                    "the model is not certified uniformly absorbing"
-                )
-            break
-    L = float(partial.max() / (1.0 - sigma))
-    return AbsorptionCertificate(
-        L=L,
-        survival=np.asarray(survival),
-        sigma=sigma,
-        half_horizon=half_horizon,
-        tol=tol,
-    )
+            raise NotCertifiedError(
+                f"worst-case survival still {worst:.3g} after {n} steps; "
+                "the model is not certified uniformly absorbing"
+            )
+    L = float(partial.max() / (1.0 - worst))
+    return AbsorptionCertificate(L, worst, n, tol, profile, (model.kernel, neg, mu, s_vec, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,11 @@ class SubmodelSpec:
     each interval.  All four arrays are read-only.  Only the constructor
     checks: a child of a checked submodel (``_child``) reuses its ``owner``
     and ``frac``, and its mask is a nonempty subset of the parent's rows.
+    A submodel keeps the policy-iteration answer of every direction it has
+    solved, so a repeated query costs no solve.
     """
 
-    __slots__ = ("model", "partition", "allowed", "owner", "frac", "initial_masses")
+    __slots__ = ("model", "partition", "allowed", "owner", "frac", "initial_masses", "_solved")
 
     def __init__(self, model: AtomlessMDP, partition: StatePartition, allowed):
         allowed = np.array(allowed, dtype=bool)
@@ -61,6 +63,7 @@ class SubmodelSpec:
             arr.setflags(write=False)
         self.model, self.partition, self.allowed = model, partition, allowed
         self.owner, self.frac, self.initial_masses = owner, frac, mu
+        self._solved = {}     # direction's float64 bytes -> _solve's answer
 
     def _child(self, partition: StatePartition, owner, frac, allowed) -> "SubmodelSpec":
         """Unchecked submodel on a refinement of this one's partition; each
@@ -124,17 +127,38 @@ def _q_values(sub: SubmodelSpec, scalar_r, values):
 def _policy_iteration(sub: SubmodelSpec, direction, tol: float):
     """Optimal intervalwise actions for <direction, r>, certified within tol.
 
+    Returns (actions, x, err, residual): x[:, 0] is the optimal value,
+    x[:, 1:] the optimal policy's values of the reward vector, err the
+    certified optimality gap and residual the largest residual of the reward
+    columns in the final solve (zero on a one-step model, whose solution is
+    exact).  The answer does not depend on tol, so each submodel solves a
+    direction once and keeps the read-only arrays; tol is checked per call.
+    """
+    direction = np.asarray(direction, dtype=float)
+    key = direction.tobytes()
+    solved = sub._solved.get(key)
+    if solved is None:
+        solved = sub._solved[key] = _solve(sub, direction)
+        for arr in solved[:2]:
+            arr.setflags(write=False)
+    err = solved[2]
+    if err > tol:
+        raise ToleranceError(
+            f"certified optimality gap {err:.3e} exceeds requested tol {tol:.3e}"
+        )
+    return solved
+
+
+def _solve(sub: SubmodelSpec, direction: np.ndarray):
+    """Policy iteration: _policy_iteration's answer, without the tol check.
+
     Each evaluated policy costs one solve of I - P whose right-hand side
-    stacks the scalarized rewards and the N reward columns.  Returns
-    (actions, x, err, residual): x[:, 0] is the optimal value, x[:, 1:] the
-    optimal policy's values of the reward vector, err the certified
-    optimality gap and residual the largest residual of the reward columns
-    in the final solve (zero on a one-step model, whose solution is exact).
-    Ties in the greedy step break toward the lowest action index.
+    stacks the scalarized rewards and the N reward columns.  Ties in the
+    greedy step break toward the lowest action index.
     """
     model = sub.model
     cert = model.certificate()
-    scalar_r = model.rewards @ np.asarray(direction, dtype=float)      # (cells, actions)
+    scalar_r = model.rewards @ direction      # (cells, actions)
     owner, blocked = sub.owner, ~sub.allowed
     n = sub.partition.cell_count
     rows = np.arange(n)
@@ -180,10 +204,6 @@ def _policy_iteration(sub: SubmodelSpec, direction, tol: float):
         raise CertifiedFailure("policy iteration did not stabilize", residual=np.inf)
 
     err = cert.L * float(np.abs(top - x[:, 0]).max(initial=0.0))
-    if err > tol:
-        raise ToleranceError(
-            f"certified optimality gap {err:.3e} exceeds requested tol {tol:.3e}"
-        )
     residual = float(np.abs(system @ x[:, 1:] - rhs[:, 1:]).max(initial=0.0))
     return actions, x, err, residual
 

@@ -898,6 +898,34 @@ def test_scalar_realization_evaluates_one_path_policy(monkeypatch):
         assert len(evals) == 1 and evals[0] is phi
 
 
+def test_no_submodel_solves_a_direction_twice(monkeypatch):
+    # alpha_hat's membership tests query the direction its gap step just
+    # solved, and the reduce step's value_iteration the polish's best one:
+    # the submodel answers those from its kept solves
+    module = importlib.import_module("atomless_mdp.scalar_dp")
+    original_solve, original_query = module._solve, module._policy_iteration
+    solved, kept, queries = Counter(), [], [0]
+
+    def solve(sub, direction):
+        kept.append(sub)          # hold it, so that no id is reused
+        solved[id(sub), np.asarray(direction, dtype=float).tobytes()] += 1
+        return original_solve(sub, direction)
+
+    def query(*args):
+        queries[0] += 1
+        return original_query(*args)
+
+    monkeypatch.setattr(module, "_solve", solve)
+    monkeypatch.setattr(module, "_policy_iteration", query)
+    rng = np.random.default_rng(17)
+    for seed in range(6):
+        m = random_model(6, 3, 1 + seed % 2, seed=1500 + seed)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
+    assert max(solved.values()) == 1
+    assert queries[0] > sum(solved.values()) > 100
+
+
 def test_scalar_root_solve_work_counts():
     # the root solve's path solves on the models above, a count that does not
     # depend on the host's speed: bisection took 21.2 on average here

@@ -1,10 +1,15 @@
 """Tests for the MDP data model, transforms, certificates and builtins."""
 
+import gc
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atomless_mdp import derandomize
 from atomless_mdp.errors import ModelFormatError, NotCertifiedError, PartitionMismatchError
 from atomless_mdp.measure import PieceMeasure, StatePartition
 from atomless_mdp.model import (
@@ -22,6 +27,7 @@ from atomless_mdp.model import (
     model_to_doc,
     random_deterministic_policy,
     random_model,
+    random_stationary_policy,
     stop_policy,
     validate_policy,
     weighted_transform,
@@ -324,6 +330,113 @@ def test_certificate_tail_monotone():
     tails = [cert.tail(n) for n in range(0, 200, 5)]
     assert all(a >= b for a, b in zip(tails, tails[1:]))
     assert tails[-1] <= 1e-9
+
+
+def eager_certificate(model, tol=1e-12, cap=200_000):
+    """(L, survival, sigma, half_horizon) from one pass of the survival
+    recursion to its stop, the reference for the certificate's lazy profile."""
+    m = model.cell_count
+    neg = np.where(model.available_mask(), 0.0, -np.inf)
+    s_vec, partial, mu = np.ones(m), np.zeros(m), model.initial.masses
+    survival, half_horizon, sigma, n = [1.0], None, None, 0
+    while True:
+        partial_next = partial + s_vec
+        s_vec = np.max(np.einsum("iaj,j->ia", model.kernel, s_vec) + neg, axis=1)
+        n += 1
+        survival.append(float(min(survival[-1], mu @ s_vec)))
+        worst = float(s_vec.max(initial=0.0))
+        if half_horizon is None:
+            partial = partial_next
+            if worst <= 0.5:
+                half_horizon, sigma = n, worst
+        if half_horizon is not None and (survival[-1] <= tol * 1e-4 or worst == 0.0):
+            break
+        if n >= cap:
+            break
+    return float(partial.max() / (1.0 - sigma)), np.asarray(survival), sigma, half_horizon
+
+
+def certificate_cases():
+    """(model, cap) pairs: seeded absorbing models, discount transforms and caps."""
+    cases = [(random_model(6, 3, 2, seed=s), 200_000) for s in range(40, 44)]
+    cases += [(discounted_to_absorbing(one_cell_discounted(beta)), 200_000)
+              for beta in (0.0, 0.5, 0.9)]
+    for seed, beta in ((45, 0.9), (46, 0.99)):
+        r = random_model(5, 3, 2, seed=seed)
+        disc = AtomlessMDP(r.grid, r.action_count, r.available, r.kernel, r.absorb,
+                           r.rewards, r.initial, kind="discounted", beta=beta)
+        cases.append((discounted_to_absorbing(disc), 200_000))
+    r = random_model(6, 3, 2, seed=47)
+    half = eager_certificate(r)[3]
+    cases += [(r, half), (r, half + 3)]
+    return cases
+
+
+def test_lazy_survival_profile_equals_eager_reference():
+    for model, cap in certificate_cases():
+        L, survival, sigma, half = eager_certificate(model, cap=cap)
+        for read in ("survival", "tail", "summary"):
+            cert = absorption_certificate(model, cap=cap)
+            assert (cert.L, cert.sigma, cert.half_horizon) == (L, sigma, half)
+            if read == "tail":
+                tails = [cert.tail(n) for n in range(survival.size + 3)]
+                ref_tails = [float(min(L, L * L / (n + 1), L * survival[min(n, survival.size - 1)]))
+                             for n in range(survival.size + 3)]
+                assert tails == ref_tails
+            if read == "summary":
+                assert repr(cert.summary()) == repr({
+                    "L": L, "half_horizon": half, "sigma": sigma,
+                    "survival_horizon": survival.size - 1,
+                    "tail_at_horizon": float(min(L, L * L / survival.size, L * survival[-1])),
+                })
+            assert cert.survival.tobytes() == survival.tobytes()
+        if cap == half:
+            assert survival.size == half + 1
+        elif cap < 200_000:
+            assert survival.size == cap + 1
+
+
+def count_survival_steps(monkeypatch):
+    module = importlib.import_module("atomless_mdp.model")
+    original, steps = module._survival_step, [0]
+
+    def counting(*args):
+        steps[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, "_survival_step", counting)
+    return steps
+
+
+def test_derandomize_runs_survival_recursion_to_half_horizon(monkeypatch):
+    steps = count_survival_steps(monkeypatch)
+    rng = np.random.default_rng(48)
+    for seed in range(3):
+        m = random_model(6, 3, 2, seed=480 + seed)
+        pi = random_stationary_policy(m, rng)
+        steps[0] = 0
+        derandomize(m, pi, tol=1e-5)
+        cert = m.certificate()
+        assert steps[0] == cert.half_horizon
+        full = cert.survival.size - 1
+        assert full > cert.half_horizon and steps[0] == full
+
+
+def test_model_with_certificate_is_freed_without_the_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for read_survival in (False, True):
+            m = random_model(6, 3, 2, seed=49)
+            cert = m.certificate()
+            if read_survival:
+                cert.summary()
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_not_certified_for_unreachable_loop():

@@ -1,11 +1,12 @@
 """Tests for scalarized dynamic programming, support functions and conserving submodels."""
 
+import importlib
 import itertools
 
 import numpy as np
 import pytest
 
-from atomless_mdp.errors import ToleranceError
+from atomless_mdp.errors import CertifiedFailure, ToleranceError
 from atomless_mdp.measure import PieceMeasure, StatePartition
 from atomless_mdp.model import (
     AtomlessMDP,
@@ -281,7 +282,9 @@ def test_support_is_optimal_over_every_policy(cells, seed):
 def test_support_reuses_submodel_setup(monkeypatch):
     # a submodel computes its initial masses once, when built; support
     # reads v from the solve that evaluates the optimum, so it makes no more
-    # solves than value_iteration and returns the same policy and h
+    # solves than value_iteration on an equal submodel (a twin, since the
+    # same submodel answers a solved direction without a solve) and returns
+    # the same policy and h
     original_refined, original_solve = PieceMeasure.refined_to, np.linalg.solve
     counts = {"refined_to": 0, "solve": 0}
 
@@ -300,7 +303,9 @@ def test_support_reuses_submodel_setup(monkeypatch):
         m = random_model(6, 3, 2, seed=680 + seed)
         phi0 = random_deterministic_policy(m, rng)
         phi1 = random_deterministic_policy(m, rng)
-        sub = SubmodelSpec.from_pair(m, phi0, phi1).frozen_below(float(rng.uniform(0.1, 0.9)), phi1)
+        threshold = float(rng.uniform(0.1, 0.9))
+        sub, twin = (SubmodelSpec.from_pair(m, phi0, phi1).frozen_below(threshold, phi1)
+                     for _ in range(2))
         support(sub, rng.normal(size=2))
         assert not sub.initial_masses.flags.writeable
         for _ in range(4):
@@ -309,11 +314,103 @@ def test_support_reuses_submodel_setup(monkeypatch):
             h, policy, _ = support(sub, b)
             assert counts["refined_to"] == 0
             support_solves, counts["solve"] = counts["solve"], 0
-            _, vi_policy, vi_h = value_iteration(sub, b)
+            _, vi_policy, vi_h = value_iteration(twin, b)
             assert counts["refined_to"] == 0
             assert support_solves <= counts["solve"]
             assert h == vi_h and np.array_equal(policy.actions, vi_policy.actions)
             assert policy.partition == vi_policy.partition
+
+
+def test_solved_direction_is_answered_without_a_solve(monkeypatch):
+    # a submodel keeps each direction's policy-iteration answer: a repeated
+    # support, and value_iteration at a direction support solved, make no
+    # solve and return what a fresh solve on an equal submodel returns
+    original_solve = np.linalg.solve
+    solves = [0]
+
+    def counting_solve(a, b):
+        solves[0] += 1
+        return original_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    rng = np.random.default_rng(31)
+    for seed in range(3):
+        m = random_model(6, 3, 2, seed=690 + seed)
+        phi0 = random_deterministic_policy(m, rng)
+        phi1 = random_deterministic_policy(m, rng)
+        threshold = float(rng.uniform(0.1, 0.9))
+        sub, twin = (SubmodelSpec.from_pair(m, phi0, phi1).frozen_below(threshold, phi1)
+                     for _ in range(2))
+        for _ in range(3):
+            b = rng.normal(size=2)
+            solves[0] = 0
+            h, policy, v = support(sub, b)
+            assert solves[0] > 0
+            solves[0] = 0
+            again = support(sub, b.copy())
+            vf, vi_policy, vi_h = value_iteration(sub, list(b))
+            assert solves[0] == 0
+            fresh_h, fresh_policy, fresh_v = support(twin, b)
+            fresh_vf, _, fresh_vi_h = value_iteration(twin, b)
+            for h_, policy_, v_ in (again, (fresh_h, fresh_policy, fresh_v)):
+                assert h_ == h and np.array_equal(policy_.actions, policy.actions)
+                assert v_.tobytes() == v.tobytes()
+            assert vi_h == h == fresh_vi_h
+            assert np.array_equal(vi_policy.actions, policy.actions)
+            assert vf.values.tobytes() == fresh_vf.values.tobytes()
+            assert vf.error_bound == fresh_vf.error_bound
+
+
+def test_solved_direction_checks_tol_per_call():
+    # the stored answer does not depend on tol: a tighter tol on it raises
+    # ToleranceError from both readers, and a looser one still gets it
+    m = random_model(6, 3, 2, seed=693)
+    sub = SubmodelSpec.full(m)
+    L = m.certificate().L
+
+    def gaps(b):
+        _, _, err, residual = _policy_iteration(sub, b, 1.0)
+        return err, L * residual
+
+    rng = np.random.default_rng(32)
+    b = next(b for b in rng.normal(size=(20, 2)) if 0.0 < gaps(b)[0] < gaps(b)[1])
+    err, perf_err = gaps(b)
+    with pytest.raises(ToleranceError, match="optimality gap"):
+        support(sub, b, tol=0.5 * err)
+    with pytest.raises(ToleranceError, match="optimality gap"):
+        value_iteration(sub, b, tol=0.5 * err)
+    with pytest.raises(ToleranceError, match="performance error"):
+        support(sub, b, tol=0.5 * (err + perf_err))
+    actions, x, _, _ = _policy_iteration(sub, b, 1e-10)
+    h, policy, _ = support(sub, b)
+    assert np.array_equal(policy.actions, actions) and h == float(sub.initial_masses @ x[:, 0])
+
+
+def test_solved_answers_are_read_only_and_failures_are_not_kept(monkeypatch):
+    m = random_model(6, 3, 2, seed=694)
+    sub = SubmodelSpec.full(m)
+    b = np.array([0.6, -0.8])
+    actions, x, _, _ = _policy_iteration(sub, b, 1e-10)
+    vf, _, _ = value_iteration(sub, b)
+    for arr in (actions, x, vf.values):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # a CertifiedFailure is raised again by the next query, not stored
+    module = importlib.import_module("atomless_mdp.scalar_dp")
+
+    def failing(sub, direction):
+        raise CertifiedFailure("policy iteration did not stabilize", residual=np.inf)
+
+    c = np.array([-0.8, 0.6])
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_solve", failing)
+        with pytest.raises(CertifiedFailure):
+            support(sub, c)
+        with pytest.raises(CertifiedFailure):
+            support(sub, c)
+    h, _, _ = support(sub, c)
+    assert h == support(SubmodelSpec.full(m), c)[0]
 
 
 # ---------------------------------------------------------------------------
