@@ -396,7 +396,7 @@ def test_lazy_survival_profile_equals_eager_reference():
             assert survival.size == cap + 1
 
 
-def count_survival_steps(monkeypatch):
+def test_derandomize_runs_survival_recursion_to_half_horizon(monkeypatch):
     module = importlib.import_module("atomless_mdp.model")
     original, steps = module._survival_step, [0]
 
@@ -405,11 +405,6 @@ def count_survival_steps(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(module, "_survival_step", counting)
-    return steps
-
-
-def test_derandomize_runs_survival_recursion_to_half_horizon(monkeypatch):
-    steps = count_survival_steps(monkeypatch)
     rng = np.random.default_rng(48)
     for seed in range(3):
         m = random_model(6, 3, 2, seed=480 + seed)
