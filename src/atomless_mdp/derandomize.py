@@ -60,6 +60,7 @@ EVAL_TOL = 1e-12          # certified marginal error for performance evaluations
 DISTANCE_CAP = 200        # support calls per distance iteration
 POLISH_SUBSETS = 100_000  # N-point subsets one polish round may enumerate
 SCALAR_ITERS = 220        # threshold root-solve steps for one criterion
+FACE_ITERS = 40           # secant steps of one witness-face root solve
 
 
 def _perf(model: AtomlessMDP, policy) -> np.ndarray:
@@ -173,9 +174,17 @@ def path_value(ctx: TwoPolicyContext, alpha: float):
     """
     model = ctx.pair.model
     s = ctx.split(alpha)
-    w = _cell_weights(model, ctx.pair.owner[s.rows], s.frac, s.actions)
-    _, err, v = evaluate_weights(model, w, EVAL_TOL)
+    w, v, err = _spliced_value(ctx, s, s.actions)
     return w, v, err * float(np.abs(model.rewards).max(initial=0.0))
+
+
+def _spliced_value(ctx: TwoPolicyContext, s: PathSplit, actions):
+    """Cell weights, performance vector and marginal error of the policy with
+    ``actions`` on the intervals of ``s.partition``."""
+    model = ctx.pair.model
+    w = _cell_weights(model, ctx.pair.owner[s.rows], s.frac, actions)
+    _, err, v = evaluate_weights(model, w, EVAL_TOL)
+    return w, v, err
 
 
 def tv_modulus(ctx: TwoPolicyContext, delta: float) -> float:
@@ -362,35 +371,102 @@ class _Illinois:
             self.side = -1
 
 
+def _face_root(ctx: TwoPolicyContext, res: DistanceResult, lo: float, x: float,
+               t_active, active, tol: float, counts: dict):
+    """Root of the witness face's offset from the target, or None.
+
+    The N vertex policies of an "outside" answer at x are continued along
+    the threshold path: each acts as phi1 below the alpha-threshold and
+    keeps its action on every pair interval above it (on the interval
+    holding its own cut, the action above the cut), so each stays a policy
+    of V(alpha) for alpha <= x.  With n(alpha) the unit normal of their
+    affine hull, oriented like the answer's direction, the smooth scalar
+    F(alpha) = <n, target - v_0(alpha)> - tol/2 is solved by ``_Illinois``
+    on [max(lo, the alpha at which the threshold enters x's pair interval),
+    x], each F from exact evaluations (``_spliced_value``).  Returns
+    (alpha, n(alpha)) with |F| <= tol/4 there; None where the witness has
+    fewer than N affinely independent vertices, F keeps its sign, or the
+    solve finds no such alpha strictly inside the bracket in FACE_ITERS steps.
+    ``counts["face_steps"]`` counts the F evaluations.
+    """
+    dim, cols = len(active), list(active)
+    if len(res.witness) != dim:
+        return None
+    pts = ctx.pair.partition.points
+    # each vertex's action on the piece that ends at every pair breakpoint
+    above = [p.actions[np.searchsorted(p.partition.points, pts[1:]) - 1] for _, p in res.witness]
+
+    def face(alpha):
+        counts["face_steps"] += 1
+        s = ctx.split(alpha)
+        low = ctx.a1[s.rows]
+        verts = np.array([_spliced_value(ctx, s, np.where(s.below, low, acts[s.rows]))[1][cols]
+                          for acts in above])
+        q, r = np.linalg.qr((verts[1:] - verts[0]).T, mode="complete")
+        n = q[:, -1] if q[:, -1] @ res.direction >= 0.0 else -q[:, -1]
+        return float(n @ (t_active - verts[0])) - 0.5 * tol, n, np.abs(np.diag(r))
+
+    f_x, _, diag = face(x)
+    j = max(int(np.searchsorted(pts, ctx.threshold(x))) - 1, 0)
+    a = max(lo, ctx.q.cdf(float(pts[j])) / ctx.q.total)
+    # the witness spans a facet only if its N vertices are affinely independent
+    if diag.size and not diag.min() > 1e-8 * diag.max() or not a < x:
+        return None
+    f_a = face(a)[0]
+    if not f_a * f_x < 0.0:
+        return None
+    bracket = _Illinois(a, f_a, x, f_x)
+    for _ in range(FACE_ITERS):
+        alpha = bracket.secant()
+        if not bracket.a < alpha < bracket.b:
+            return None
+        f, n, _ = face(alpha)
+        if abs(f) <= 0.25 * tol:
+            return alpha, n
+        bracket.move(alpha, f)
+    return None
+
+
 def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
               certificate: dict | None = None) -> float:
     """Freeze fraction alpha at which the target is within tol of the
     boundary of V(alpha), certified by one support call.
 
-    V(alpha) shrinks as alpha grows, so g(alpha) = h_alpha(b) - <b, target>
-    is nonincreasing for the separating direction b of the last "outside"
-    answer, at hi, and the search is a safeguarded Illinois root solve of g
-    on [a, hi] (``_Illinois``), one support call per step: g < -tol
-    certifies "outside" and moves hi, g > 0 moves a, and g in [-tol, 0]
-    calls a membership test.  "Inside" stops with the certificate (inside,
-    and g <= 0); "outside" gives a new hi and b and restarts the bracket
-    from lo, the last "inside".  Where g(hi) = 0 (b does not separate) the
-    step is the midpoint, and g > 0 there calls a membership test too.  The
-    steps are ``_Illinois.secant``, without ``step``'s halving test, whose
-    forced midpoints only added support calls here.
+    Each "outside" answer, at hi, first tries its witness face
+    (``_face_root``): one support call in the face normal at the face's
+    root, and, where that gap lies in [-tol, 0], one membership test.
+    "Inside" there stops with the certificate; "outside" is the next
+    "outside" answer.  Otherwise V(alpha) shrinks as alpha grows, so
+    g(alpha) = h_alpha(b) - <b, target> is nonincreasing for the separating
+    direction b of the answer, and the search is a safeguarded Illinois
+    root solve of g on [a, hi] (``_Illinois``), one support call per step:
+    g < -tol certifies "outside" and moves hi, g > 0 moves a, and g in
+    [-tol, 0] calls a membership test.  "Inside" stops with the certificate
+    (inside, and g <= 0); "outside" gives a new hi and b and restarts the
+    bracket from lo, the last "inside".  Where g(hi) = 0 (b does not
+    separate) the step is the midpoint, and g > 0 there calls a membership
+    test too.  The steps are ``_Illinois.secant``, without ``step``'s
+    halving test, whose forced midpoints only added support calls here.
     Returns 1.0 when the target is within tol of V(1).  A ``certificate``
     dict receives b on the active coordinates (None at 1.0) as
-    ``direction`` and the search's ``membership_tests`` and ``support_calls``.
+    ``direction``, the search's ``membership_tests``, ``support_calls`` and
+    ``face_steps``, and ``collapsed``: True when the bracket shrank to
+    adjacent floats and lo is returned with g > 0, without the certificate.
     """
     target = np.asarray(target, dtype=float)
     active = tuple(range(ctx.pair.model.criteria)) if active is None else tuple(active)
     t_active = target[list(active)]
     pool: list = []
-    counts = {"membership_tests": 2, "support_calls": 0}
+    counts = {"membership_tests": 2, "support_calls": 0, "face_steps": 0}
+    collapsed = False
 
-    def gap(sub):
+    def gap(sub, direction):
         counts["support_calls"] += 1
-        return _support_gap(sub, b, active, t_active)[0]
+        return _support_gap(sub, direction, active, t_active)[0]
+
+    def member(sub, alpha):
+        counts["membership_tests"] += 1
+        return _membership(sub, target, tol, active, pool, alpha)
 
     ok0, res0 = _membership(ctx.submodel_at(0.0), target, tol, active, pool, 0.0)
     if not ok0:
@@ -399,26 +475,37 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     lo, x, b, g_lo = (1.0 if ok else 0.0), 1.0, None, 0.0
     while not ok or g_lo > 0.0:
         if not ok:
+            face = _face_root(ctx, res, lo, x, t_active, active, tol, counts)
+            if face is not None:
+                sub = ctx.submodel_at(face[0])
+                g_face = gap(sub, face[1])
+                if -tol <= g_face <= 0.0:
+                    ok, res = member(sub, face[0])
+                    if ok:
+                        lo, b, g_lo = face[0], face[1], g_face
+                    else:
+                        x = face[0]
+                    continue
             # "outside" at x: h_x(b) <= <b, target> - lower for its direction
             b, ok = res.direction, True
-            g_lo = gap(ctx.submodel_at(lo))
+            g_lo = gap(ctx.submodel_at(lo), b)
             bracket = _Illinois(lo, g_lo, x, -res.lower)
             continue
         x = bracket.secant()
         if not bracket.a < x < bracket.b:
+            collapsed = True
             break
         sub = ctx.submodel_at(x)
-        g_x = gap(sub)
+        g_x = gap(sub, b)
         if g_x < -tol or (g_x > 0.0 and bracket.f_b < 0.0):
             bracket.move(x, g_x)
         else:
-            counts["membership_tests"] += 1
-            ok, res = _membership(sub, target, tol, active, pool, x)
+            ok, res = member(sub, x)
             if ok:
                 lo, g_lo = x, g_x
                 bracket.move(x, g_x)
     if certificate is not None:
-        certificate.update(direction=b, **counts)
+        certificate.update(direction=b, collapsed=collapsed, **counts)
     return lo
 
 
@@ -522,7 +609,8 @@ class MixCertificate:
 
     def summary(self) -> dict:
         """The run's figures and its work: the trace's totals of alpha_hat's
-        membership tests and support calls and of scalar path solves."""
+        membership tests, support calls and face steps, of its returns
+        without the certificate, and of scalar path solves."""
         def total(kind, key):
             return sum(e[key] for e in self.trace if e["kind"] == kind)
 
@@ -535,6 +623,8 @@ class MixCertificate:
             "levels": len(self.trace),
             "membership_tests": total("reduce", "membership_tests"),
             "support_calls": total("reduce", "support_calls"),
+            "face_steps": total("reduce", "face_steps"),
+            "uncertified_alpha_hat": total("reduce", "collapsed"),
             "path_solves": total("scalar", "iters"),
         }
 
@@ -654,6 +744,8 @@ def _realize(pair, a0, a1, target, active, tol, trace, depth=0):
         "membership_gap": repair.g,
         "membership_tests": stop["membership_tests"],
         "support_calls": stop["support_calls"],
+        "face_steps": stop["face_steps"],
+        "collapsed": stop["collapsed"],
     })
     return _realize(*next_pair, new_target, new_active, tol, trace, depth + 1)
 

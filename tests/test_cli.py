@@ -495,8 +495,30 @@ def test_derandomize_certificate_totals_work(evaluate_inputs, tmp_path):
     for name in ("first", "second"):
         assert run("derandomize", model, policy, "--out", tmp_path / name, "--tol", 1e-6) == 0
         cert = json.loads((tmp_path / f"{name}.cert.json").read_text())
-        totals.append({k: cert[k] for k in ("membership_tests", "support_calls", "path_solves")})
-    assert totals[0] == totals[1] and all(v > 0 for v in totals[0].values())
+        totals.append({k: cert[k] for k in ("membership_tests", "support_calls", "face_steps",
+                                            "uncertified_alpha_hat", "path_solves")})
+    assert totals[0] == totals[1] and totals[0].pop("uncertified_alpha_hat") == 0
+    assert all(v > 0 for v in totals[0].values())
+
+
+def test_main_builds_its_parser_once(onestep_model, monkeypatch):
+    # the parser is built once per process, not on every call of main
+    import argparse
+
+    from atomless_mdp import cli
+
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
+    assert run("validate", onestep_model) == 0
+    assert run("validate", onestep_model) == 0
+    assert built.count("atomless-mdp") == 1
 
 
 def _raise(exc):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from atomless_mdp.derandomize import (
+    DistanceResult,
     _min_max_direction,
     alpha_hat,
     caratheodory,
@@ -295,7 +296,7 @@ def test_distance_direction_attains_lower(monkeypatch):
         return ok, res
 
     monkeypatch.setattr(module, "_membership", recording)
-    for s in range(2, 6):
+    for s in range(2, 7):
         rng = np.random.default_rng(200 + s)
         m = random_model(int(rng.integers(2, 9)), int(rng.integers(2, 4)), 3, seed=7000 + s)
         derandomize(m, random_stationary_policy(m, rng), tol=1e-6)
@@ -530,9 +531,11 @@ def test_alpha_hat_stop_is_certified(monkeypatch):
 
 
 def test_alpha_hat_membership_tests_per_call(monkeypatch):
-    # the root solve settles most steps by one support call, so on the
-    # contexts above it averages at most 10 membership tests per alpha_hat,
-    # the two endpoint tests included, and its certificate counts them
+    # the witness face's root ends most searches after a few "outside"
+    # answers, and the root solve settles most other steps by one support
+    # call, so on the contexts above alpha_hat averages at most 6 membership
+    # tests, the two endpoint tests included, and 25 support calls; its
+    # certificate counts both
     module = importlib.import_module("atomless_mdp.derandomize")
     original = module._membership
     tests = [0]
@@ -542,7 +545,7 @@ def test_alpha_hat_membership_tests_per_call(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, "_membership", counting)
-    per_call = []
+    per_call, support_calls, face_steps = [], [], []
     for seed in range(12):
         m = random_model(6, 3, 2, seed=460 + seed)
         rng = np.random.default_rng(seed)
@@ -555,8 +558,13 @@ def test_alpha_hat_membership_tests_per_call(monkeypatch):
         alpha_hat(ctx, v, tol=1e-7, certificate=stop)
         assert stop["membership_tests"] == tests[0], seed
         assert stop["support_calls"] >= tests[0] - 2, seed
+        assert not stop["collapsed"], seed
         per_call.append(tests[0])
-    assert np.mean(per_call) <= 10
+        support_calls.append(stop["support_calls"])
+        face_steps.append(stop["face_steps"])
+    assert np.mean(per_call) <= 6
+    assert np.mean(support_calls) <= 25
+    assert sum(face_steps) > 0
 
 
 def test_alpha_hat_falls_back_where_direction_does_not_separate(monkeypatch):
@@ -609,6 +617,37 @@ def test_alpha_hat_falls_back_where_direction_does_not_separate(monkeypatch):
             assert (k_next - k, x_next) == (3, 0.5 * (lo + alpha))
             fallbacks += 1
     assert fallbacks >= 1
+
+
+def test_alpha_hat_counts_a_collapsed_bracket(monkeypatch):
+    # above the fraction alpha_hat returns, every membership test is made to
+    # answer "outside" in a direction that does not separate, so the root
+    # solve falls back to midpoints until its bracket is two adjacent floats
+    # around that fraction; the search returns it without its certificate,
+    # and the reduce entry and the summary count that return
+    module = importlib.import_module("atomless_mdp.derandomize")
+    m = random_model(6, 3, 2, seed=1731)
+    rng = np.random.default_rng(5)
+    phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+    _, cert = mix_pair(m, phi0, phi1, 0.4, tol=1e-6)
+    (entry,) = [e for e in cert.trace if e["kind"] == "reduce"]
+    assert not entry["collapsed"] and cert.summary()["uncertified_alpha_hat"] == 0
+    cut, original, first = entry["alpha_hat"], module._membership, []
+
+    def forcing(sub, target, tol, active, pool, alpha):
+        ok, res = original(sub, target, tol, active, pool, alpha)
+        if alpha <= cut:
+            return ok, res
+        first.append(res.direction)
+        # -b is where the target lies inside: h(-b) - <-b, t> >= lower > 0
+        return False, DistanceResult(res.g, 0.0, [], -first[0], res.projection, res.vertices)
+
+    monkeypatch.setattr(module, "_membership", forcing)
+    _, cert = mix_pair(m, phi0, phi1, 0.4, tol=1e-6)
+    (entry,) = [e for e in cert.trace if e["kind"] == "reduce"]
+    assert entry["collapsed"] and entry["alpha_hat"] == cut
+    assert entry["membership_tests"] > 40 and entry["face_steps"] == 0
+    assert cert.summary()["uncertified_alpha_hat"] == 1
 
 
 def test_alpha_hat_work_counts_are_recorded():
@@ -1059,8 +1098,26 @@ def test_derandomize_summary_totals_the_work():
     assert cert.trace[0]["terms"] >= 3 and len(reduce) >= 2 and len(scalar) >= 2
     assert summary["membership_tests"] == sum(e["membership_tests"] for e in reduce) > 0
     assert summary["support_calls"] == sum(e["support_calls"] for e in reduce) > 0
+    assert summary["face_steps"] == sum(e["face_steps"] for e in reduce) > 0
+    assert summary["uncertified_alpha_hat"] == sum(e["collapsed"] for e in reduce) == 0
     assert summary["path_solves"] == sum(e["iters"] for e in scalar) > 0
     assert run().summary() == summary
+
+
+def test_derandomize_meets_tol_where_alpha_hat_collapsed():
+    # a discount-0.95 model on which the nearly cancelled direction of a
+    # distance iteration stopped the restarts of alpha_hat at 0.0 with a
+    # collapsed bracket, uncertified, and the mix missed by 0.32; the witness
+    # face's root is certified there
+    from tests.test_scalar_dp import seeded_discounted
+
+    m = seeded_discounted(2007, 0.95, criteria=2)
+    rng = np.random.default_rng(7)
+    random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+    pi = random_stationary_policy(m, rng)
+    _, cert = derandomize(m, pi, tol=1e-6)
+    assert cert.error <= 1e-6
+    assert cert.summary()["uncertified_alpha_hat"] == 0
 
 
 @pytest.mark.parametrize("rng_seed, draws, model_args", [
