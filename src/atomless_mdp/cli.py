@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import sys
 import time
@@ -109,37 +110,43 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _data_rows(path, min_cols, max_cols=None):
-    """(line number, values) of each row of a text file; ``#`` starts a comment.
+def _data_rows(path, data: bytes, min_cols, max_cols=None):
+    """(line number, values) of each row of ``data``, the content of the text
+    file ``path``; ``#`` starts a comment.
 
     Every row must hold the same number of finite numbers, between
     ``min_cols`` and ``max_cols``; anything else is a ``path:line`` error.
+    Lines end as in a file opened in text mode: at \\n, \\r\\n or \\r.
     """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ModelFormatError(path, "not a UTF-8 text file") from None
     rows = []
-    with open(path) as fh:
+    for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        where = f"{path}:{lineno}"
+        if rows and len(tokens) != len(rows[0][1]):
+            raise ModelFormatError(
+                where, f"{len(tokens)} columns, but line {rows[0][0]} has {len(rows[0][1])}")
+        if len(tokens) < min_cols or (max_cols is not None and len(tokens) > max_cols):
+            expected = f"at least {min_cols}" if max_cols is None else max_cols
+            raise ModelFormatError(where, f"expected {expected} columns, got {len(tokens)}")
         try:
-            lines = fh.readlines()
-        except UnicodeDecodeError:
-            raise ModelFormatError(path, "not a UTF-8 text file") from None
-        for lineno, line in enumerate(lines, 1):
-            tokens = line.split("#", 1)[0].split()
-            if not tokens:
-                continue
-            where = f"{path}:{lineno}"
-            if rows and len(tokens) != len(rows[0][1]):
-                raise ModelFormatError(
-                    where, f"{len(tokens)} columns, but line {rows[0][0]} has {len(rows[0][1])}")
-            if len(tokens) < min_cols or (max_cols is not None and len(tokens) > max_cols):
-                expected = f"at least {min_cols}" if max_cols is None else max_cols
-                raise ModelFormatError(where, f"expected {expected} columns, got {len(tokens)}")
-            try:
-                values = [float(t) for t in tokens]
-            except ValueError:
-                raise ModelFormatError(where, "non-numeric entry") from None
-            if not np.all(np.isfinite(values)):
-                raise ModelFormatError(where, "non-finite entry")
-            rows.append((lineno, values))
+            values = [float(t) for t in tokens]
+        except ValueError:
+            raise ModelFormatError(where, "non-numeric entry") from None
+        if not np.all(np.isfinite(values)):
+            raise ModelFormatError(where, "non-finite entry")
+        rows.append((lineno, values))
     return rows
+
+
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _check_tiling(entries, path):
@@ -154,9 +161,10 @@ def _check_tiling(entries, path):
         raise ModelFormatError(path, f"intervals tile only up to {cursor}, not 1")
 
 
-def load_policy_file(path, model: AtomlessMDP):
-    """Rows `t_lo t_hi action` (deterministic) or `t_lo t_hi p_0 .. p_{A-1}`."""
-    rows = _data_rows(path, 3)
+def load_policy_file(path, model: AtomlessMDP, data: bytes | None = None):
+    """Rows `t_lo t_hi action` (deterministic) or `t_lo t_hi p_0 .. p_{A-1}`,
+    parsed from ``data``, the file's content, or read from ``path``."""
+    rows = _data_rows(path, _read(path) if data is None else data, 3)
     if not rows:
         raise ModelFormatError(path, "empty policy file")
     ncols = len(rows[0][1])
@@ -190,9 +198,10 @@ def save_policy_file(policy, path) -> None:
                 fh.write(f"{fmt(pts[k])} {fmt(pts[k + 1])} {probs}\n")
 
 
-def load_densities_file(path) -> VectorMeasure:
-    """Rows `t_lo t_hi mu_mass d_1 .. d_N` tiling [0,1]."""
-    rows = _data_rows(path, 4)
+def load_densities_file(path, data: bytes | None = None) -> VectorMeasure:
+    """Rows `t_lo t_hi mu_mass d_1 .. d_N` tiling [0,1], parsed from
+    ``data``, the file's content, or read from ``path``."""
+    rows = _data_rows(path, _read(path) if data is None else data, 4)
     if not rows:
         raise ModelFormatError(path, "empty densities file")
     entries = [(lineno, v[0], v[1], v[2], v[3:]) for lineno, v in rows]
@@ -296,8 +305,7 @@ def cmd_certify(args, report):
 
 def cmd_evaluate(args, report):
     model = _load_interval_model(args.model, report)
-    policy = load_policy_file(args.policy, model)
-    report.add_input(args.policy)
+    policy = load_policy_file(args.policy, model, report.add_input(args.policy))
     work = discounted_to_absorbing(model) if model.kind == "discounted" else model
     marginal, err, v = evaluate_weights(work, cell_action_weights(work, policy), args.tol)
     report.tolerances["tol"] = args.tol
@@ -312,10 +320,8 @@ def cmd_evaluate(args, report):
 
 def cmd_path(args, report):
     model = _load_interval_model(args.model, report)
-    phi0 = load_policy_file(args.phi0, model)
-    phi1 = load_policy_file(args.phi1, model)
-    report.add_input(args.phi0)
-    report.add_input(args.phi1)
+    phi0 = load_policy_file(args.phi0, model, report.add_input(args.phi0))
+    phi1 = load_policy_file(args.phi1, model, report.add_input(args.phi1))
     if not isinstance(phi0, DeterministicPolicy) or not isinstance(phi1, DeterministicPolicy):
         raise ModelFormatError("policy", "path endpoints must be deterministic")
     work = discounted_to_absorbing(model) if model.kind == "discounted" else model
@@ -341,10 +347,8 @@ def cmd_path(args, report):
 
 def cmd_mix(args, report):
     model = _load_interval_model(args.model, report)
-    phi0 = load_policy_file(args.phi0, model)
-    phi1 = load_policy_file(args.phi1, model)
-    report.add_input(args.phi0)
-    report.add_input(args.phi1)
+    phi0 = load_policy_file(args.phi0, model, report.add_input(args.phi0))
+    phi1 = load_policy_file(args.phi1, model, report.add_input(args.phi1))
     work = discounted_to_absorbing(model) if model.kind == "discounted" else model
     phi, cert = mix_pair(work, phi0, phi1, args.lam, tol=args.tol)
     report.tolerances["tol"] = args.tol
@@ -359,8 +363,7 @@ def cmd_mix(args, report):
 
 def cmd_derandomize(args, report):
     model = _load_interval_model(args.model, report)
-    policy = load_policy_file(args.policy, model)
-    report.add_input(args.policy)
+    policy = load_policy_file(args.policy, model, report.add_input(args.policy))
     work = discounted_to_absorbing(model) if model.kind == "discounted" else model
     phi, cert = derandomize(work, policy, tol=args.tol)
     report.tolerances["tol"] = args.tol
@@ -374,8 +377,7 @@ def cmd_derandomize(args, report):
 
 
 def cmd_lyapunov(args, report):
-    vm = load_densities_file(args.densities)
-    report.add_input(args.densities)
+    vm = load_densities_file(args.densities, report.add_input(args.densities))
     if args.subcommand == "hull":
         hull = range_hull(vm, direction_count=args.grid)
         report.certificates["gap"] = hull.gap
@@ -409,8 +411,7 @@ def cmd_transform(args, report):
     if args.subcommand == "discount":
         out_model = discounted_to_absorbing(model)
     else:
-        weights_rows = _data_rows(args.weights, 3, 3)
-        report.add_input(args.weights)
+        weights_rows = _data_rows(args.weights, report.add_input(args.weights), 3, 3)
         entries = sorted((lo, hi, wv, lineno) for lineno, (lo, hi, wv) in weights_rows)
         _check_tiling([(lineno, lo, hi) for lo, hi, _, lineno in entries], args.weights)
         try:

@@ -452,11 +452,19 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     ``direction``, the search's ``membership_tests``, ``support_calls`` and
     ``face_steps``, and ``collapsed``: True when the bracket shrank to
     adjacent floats and lo is returned with g > 0, without the certificate.
+    For ``_realize`` it also receives the "inside" test at the returned
+    fraction: its witness's vectors on the active coordinates as
+    ``_witness`` and its submodel as ``_submodel``.
+
+    The path's two ends seed the alpha = 0 test: both are policies of V(0),
+    and where the target lies on their segment (the top level of a mix)
+    that test decides "inside" without a support call.
     """
     target = np.asarray(target, dtype=float)
     active = tuple(range(ctx.pair.model.criteria)) if active is None else tuple(active)
     t_active = target[list(active)]
-    pool: list = []
+    pool = [(0.0, path_policy(ctx, end), path_value(ctx, end)[1][list(active)])
+            for end in (0.0, 1.0)]
     counts = {"membership_tests": 2, "support_calls": 0, "face_steps": 0}
     collapsed = False
 
@@ -468,11 +476,16 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
         counts["membership_tests"] += 1
         return _membership(sub, target, tol, active, pool, alpha)
 
-    ok0, res0 = _membership(ctx.submodel_at(0.0), target, tol, active, pool, 0.0)
-    if not ok0:
-        raise CertifiedFailure("target is not in the two-policy performance set", residual=res0.g)
-    ok, res = _membership(ctx.submodel_at(1.0), target, tol, active, pool, 1.0)
+    sub = ctx.submodel_at(0.0)
+    ok, res = _membership(sub, target, tol, active, pool, 0.0)
+    if not ok:
+        raise CertifiedFailure("target is not in the two-policy performance set", residual=res.g)
+    inside = res, sub                 # the "inside" test at lo
+    sub = ctx.submodel_at(1.0)
+    ok, res = _membership(sub, target, tol, active, pool, 1.0)
     lo, x, b, g_lo = (1.0 if ok else 0.0), 1.0, None, 0.0
+    if ok:
+        inside = res, sub
     while not ok or g_lo > 0.0:
         if not ok:
             face = _face_root(ctx, res, lo, x, t_active, active, tol, counts)
@@ -482,7 +495,7 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
                 if -tol <= g_face <= 0.0:
                     ok, res = member(sub, face[0])
                     if ok:
-                        lo, b, g_lo = face[0], face[1], g_face
+                        lo, b, g_lo, inside = face[0], face[1], g_face, (res, sub)
                     else:
                         x = face[0]
                     continue
@@ -502,10 +515,13 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
         else:
             ok, res = member(sub, x)
             if ok:
-                lo, g_lo = x, g_x
+                lo, g_lo, inside = x, g_x, (res, sub)
                 bracket.move(x, g_x)
     if certificate is not None:
-        certificate.update(direction=b, collapsed=collapsed, **counts)
+        res, sub = inside
+        witness = {id(p) for _, p in res.witness}
+        certificate.update(direction=b, collapsed=collapsed, **counts, _submodel=sub,
+                           _witness=[v for p, v in res.vertices if id(p) in witness])
     return lo
 
 
@@ -542,21 +558,27 @@ def _min_max_direction(w_rows: np.ndarray) -> np.ndarray:
     return cands[int(np.argmin((cands @ w_rows.T).max(axis=1)))]
 
 
-def _polish_direction(sub: SubmodelSpec, target_active, active, init=None):
+def _polish_direction(sub: SubmodelSpec, target_active, active, init=None, seeds=()):
     """Minimize the support gap h(b) - <b, target> over unit directions.
 
     The gap is the maximum of <b, u - target> over the finitely many vertex
-    performances u, so a cutting-plane loop suffices: minimize the explicit
-    max over the vertices collected so far (cheap, no oracle), then query the
-    support oracle at the minimizer, which either certifies the model or
-    contributes a new vertex.  The minimum over the sphere equals the signed
-    distance from the target to the boundary, and the minimizer supports the
-    set there.  Rounds continue until the oracle certifies the model, or until
-    the next round's subset enumeration would exceed ``POLISH_SUBSETS``,
-    which bounds its memory at any N.
+    performances u, so a cutting-plane loop (Kelley, J. SIAM 8, 1960)
+    suffices: minimize the explicit max over the vertices collected so far
+    (cheap, no oracle), then query the support oracle at the minimizer, which
+    either certifies the model or contributes a new vertex.  The minimum over
+    the sphere equals the signed distance from the target to the boundary,
+    and the minimizer supports the set there.  The cloud starts from the
+    ``seeds`` (vectors of policies of the submodel, on the active
+    coordinates) and the vertex of ``init``; only where that leaves at most
+    N points (``_min_max_direction`` needs N, and N points span one
+    hyperplane at most) do the 2N axis directions add theirs.  Rounds
+    continue until the oracle certifies the model, or until the next round's
+    subset enumeration would exceed ``POLISH_SUBSETS``, which bounds its
+    memory at any N.  Returns the best direction, its gap and the number of
+    support calls made.
     """
     dim = len(active)
-    cloud: list = []
+    cloud = [v - target_active for v in seeds]
     best_b, best_f = None, np.inf
 
     def oracle(b):
@@ -574,11 +596,12 @@ def _polish_direction(sub: SubmodelSpec, target_active, active, init=None):
 
     if init is not None:
         oracle(init)
-    for axis in range(dim):
-        e = np.zeros(dim)
-        e[axis] = 1.0
-        oracle(e)
-        oracle(-e)
+    if len(cloud) <= dim:
+        for axis in range(dim):
+            e = np.zeros(dim)
+            e[axis] = 1.0
+            oracle(e)
+            oracle(-e)
 
     scale = 1.0 + float(np.abs(np.array(cloud)).max(initial=0.0))
     while comb(len(cloud), dim) <= POLISH_SUBSETS:
@@ -588,7 +611,7 @@ def _polish_direction(sub: SubmodelSpec, target_active, active, init=None):
         true_val = oracle(b)
         if true_val - model_val <= 1e-13 * scale:
             break
-    return best_b, best_f
+    return best_b, best_f, len(cloud) - len(seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +633,8 @@ class MixCertificate:
     def summary(self) -> dict:
         """The run's figures and its work: the trace's totals of alpha_hat's
         membership tests, support calls and face steps, of its returns
-        without the certificate, and of scalar path solves."""
+        without the certificate, of the direction polish's support calls and
+        of scalar path solves."""
         def total(kind, key):
             return sum(e[key] for e in self.trace if e["kind"] == kind)
 
@@ -625,6 +649,7 @@ class MixCertificate:
             "support_calls": total("reduce", "support_calls"),
             "face_steps": total("reduce", "face_steps"),
             "uncertified_alpha_hat": total("reduce", "collapsed"),
+            "polish_calls": total("reduce", "polish_calls"),
             "path_solves": total("scalar", "iters"),
         }
 
@@ -704,11 +729,14 @@ def _realize(pair, a0, a1, target, active, tol, trace, depth=0):
     if a_hat >= 1.0:
         trace.append({"kind": "endpoint", "alpha_hat": 1.0})
         return path_policy(ctx, 1.0)
-    frozen = ctx.submodel_at(a_hat)
+    # V(alpha_hat), as the stopping membership test built and queried it
+    frozen = stop["_submodel"]
 
     # the direction that certified alpha_hat already supports V(alpha_hat)
-    # within tol at the target; polishing sharpens it to the supporting normal
-    b_active, gap = _polish_direction(frozen, t_active, active, init=stop["direction"])
+    # within tol at the target; polishing sharpens it to the supporting
+    # normal, starting from the vertices whose hull holds the target
+    b_active, gap, polish_calls = _polish_direction(frozen, t_active, active,
+                                                    init=stop["direction"], seeds=stop["_witness"])
 
     b_full = _embed(b_active, active, pair.model.criteria)
     # the stop bounds |gap| by member_tol and no tighter, and a target that
@@ -746,6 +774,7 @@ def _realize(pair, a0, a1, target, active, tol, trace, depth=0):
         "support_calls": stop["support_calls"],
         "face_steps": stop["face_steps"],
         "collapsed": stop["collapsed"],
+        "polish_calls": polish_calls,
     })
     return _realize(*next_pair, new_target, new_active, tol, trace, depth + 1)
 

@@ -62,12 +62,25 @@ class StatePartition:
     def with_point(self, b: float) -> "StatePartition":
         """This partition with breakpoint b added, or itself when a breakpoint
         lies within MERGE_TOL of b.  Existing breakpoints are never merged, so
-        cells closer together than MERGE_TOL keep their identity."""
+        cells closer together than MERGE_TOL keep their identity.  The result
+        is built unchecked: b lies more than MERGE_TOL inside one cell of this
+        checked partition, so the breakpoints stay strictly increasing."""
         pts = self.points
         k = int(np.searchsorted(pts, b))
         if not 0 < k < pts.size or min(b - pts[k - 1], pts[k] - b) <= MERGE_TOL:
             return self
-        return StatePartition(np.concatenate((pts[:k], [b], pts[k:])))
+        return StatePartition._trusted(np.concatenate((pts[:k], [b], pts[k:])))
+
+    @classmethod
+    def _trusted(cls, pts: np.ndarray) -> "StatePartition":
+        """The partition of breakpoints known to pass ``__init__``'s checks
+        with ends exactly 0 and 1; ``pts`` becomes its read-only array."""
+        part = cls.__new__(cls)
+        widths = np.diff(pts)
+        pts.setflags(write=False)
+        widths.setflags(write=False)
+        part.points, part.widths = pts, widths
+        return part
 
     def refines(self, coarser: "StatePartition") -> bool:
         """True if every breakpoint of ``coarser`` appears here (within MERGE_TOL)."""

@@ -499,6 +499,76 @@ def test_derandomize_certificate_totals_work(evaluate_inputs, tmp_path):
                                             "uncertified_alpha_hat", "path_solves")})
     assert totals[0] == totals[1] and totals[0].pop("uncertified_alpha_hat") == 0
     assert all(v > 0 for v in totals[0].values())
+    reduce = [e for e in cert["trace"] if e["kind"] == "reduce"]
+    assert cert["polish_calls"] == sum(e["polish_calls"] for e in reduce)
+
+
+def test_input_files_are_read_once_and_hashed_as_parsed(evaluate_inputs, tmp_path,
+                                                        monkeypatch, capsys):
+    # each input file is opened once per call of main, and the report's
+    # digest of it is the SHA-256 of that content, the bytes that were parsed
+    import builtins
+    import hashlib
+    from collections import Counter
+
+    from atomless_mdp.cli import save_policy_file
+    from atomless_mdp.model import load_model_file, random_deterministic_policy
+
+    model_path, policy = evaluate_inputs
+    model = load_model_file(model_path)
+    rng = np.random.default_rng(4)
+    phi0, phi1 = tmp_path / "phi0.txt", tmp_path / "phi1.txt"
+    for path in (phi0, phi1):
+        save_policy_file(random_deterministic_policy(model, rng), path)
+    dens = tmp_path / "dens.txt"
+    dens.write_text("0.0 0.5 0.5 1.0 0.2\n0.5 1.0 0.5 0.3 1.4\n")
+    weights = tmp_path / "w.txt"
+    weights.write_text("0.0 1.0 2.0  # one weight for every cell\n")
+    commands = [            # (argv, its input files)
+        (["evaluate", model_path, policy], [model_path, policy]),
+        (["path", model_path, phi0, phi1, "--grid", 3], [model_path, phi0, phi1]),
+        (["mix", model_path, phi0, phi1, 0.5, "--out", tmp_path / "mix"], [model_path, phi0, phi1]),
+        (["derandomize", model_path, policy, "--out", tmp_path / "der"], [model_path, policy]),
+        (["lyapunov", "hull", dens, "--grid", 8], [dens]),
+        (["lyapunov", "find", dens, 0.5, 0.4], [dens]),
+        (["transform", "weight", model_path, weights, "--out", tmp_path / "weighted.json"],
+         [model_path, weights]),
+    ]
+    opened = Counter()
+    original = builtins.open
+
+    def counting(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return original(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    for argv, inputs in commands:
+        opened.clear()
+        capsys.readouterr()
+        assert run(*argv) == 0, argv
+        digests = dict(line.split()[1:] for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("input: "))
+        assert sorted(digests) == sorted(map(str, inputs)), argv
+        for path in map(str, inputs):
+            with original(path, "rb") as fh:
+                content = fh.read()
+            assert opened[path] == 1, (argv, path)
+            assert digests[path] == "sha256:" + hashlib.sha256(content).hexdigest()[:16]
+
+
+def test_text_files_parse_from_their_bytes_with_any_line_ending(onestep_model, tmp_path, capsys):
+    # rows end at \n, \r\n or \r as in text mode, errors name the file's
+    # line, and bytes that are not UTF-8 are bad input
+    policy = tmp_path / "phi.txt"
+    for end in ("\n", "\r\n", "\r"):
+        policy.write_bytes(f"# header{end}0 0.5 0{end}{end}0.5 1 1{end}".encode())
+        assert run("evaluate", onestep_model, policy) == 0, repr(end)
+        policy.write_bytes(f"0 0.5 0{end}# note{end}0.5 1 x{end}".encode())
+        assert run("evaluate", onestep_model, policy) == 2
+        assert f"{policy}:3: non-numeric entry" in capsys.readouterr().err
+    policy.write_bytes(b"0 1 \xff\n")
+    assert run("evaluate", onestep_model, policy) == 2
+    assert f"{policy}: not a UTF-8 text file" in capsys.readouterr().err
 
 
 def test_main_builds_its_parser_once(onestep_model, monkeypatch):

@@ -666,6 +666,84 @@ def test_alpha_hat_work_counts_are_recorded():
     assert counts() == first
 
 
+def test_alpha_hat_decides_alpha_zero_from_the_path_ends(monkeypatch):
+    # the path's two ends are policies of V(0), and at the top level of a
+    # two-criterion mix the target lies on their segment, so the alpha = 0
+    # membership test says "inside" without a support call
+    module = importlib.import_module("atomless_mdp.derandomize")
+    member, oracle = module._membership, module.support
+    at_zero, answers, calls = [False], [], [0]
+
+    def recording(sub, target, tol, active, pool, alpha):
+        at_zero[0] = alpha == 0.0
+        ok, res = member(sub, target, tol, active, pool, alpha)
+        at_zero[0] = False
+        if alpha == 0.0:
+            answers.append(ok)
+        return ok, res
+
+    def counting(*args, **kwargs):
+        calls[0] += at_zero[0]
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_membership", recording)
+    monkeypatch.setattr(module, "support", counting)
+    rng = np.random.default_rng(23)
+    for seed in range(6):
+        m = random_model(6, 3, 2, seed=1900 + seed)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
+    assert len(answers) >= 5 and all(answers)
+    assert calls[0] == 0
+
+
+def test_realize_keeps_the_stopping_submodel(monkeypatch):
+    # the reduce step polishes, solves and prunes on the submodel of
+    # alpha_hat's stopping "inside" test; it builds no second submodel at
+    # the returned fraction
+    module = importlib.import_module("atomless_mdp.derandomize")
+    member, search, solve = module._membership, module.alpha_hat, module.value_iteration
+    frozen_at = module.TwoPolicyContext.submodel_at
+    events = []
+
+    def recording(sub, target, tol, active, pool, alpha):
+        ok, res = member(sub, target, tol, active, pool, alpha)
+        events.append(("inside" if ok else "outside", sub, alpha))
+        return ok, res
+
+    def stopping(ctx, target, tol=1e-7, active=None, *, certificate=None):
+        a = search(ctx, target, tol=tol, active=active, certificate=certificate)
+        events.append(("stop", ctx, a))
+        return a
+
+    def submodel_at(ctx, alpha):
+        events.append(("submodel_at", ctx, alpha))
+        return frozen_at(ctx, alpha)
+
+    def value_iteration(sub, *args, **kwargs):
+        events.append(("value_iteration", sub, None))
+        return solve(sub, *args, **kwargs)
+
+    monkeypatch.setattr(module, "_membership", recording)
+    monkeypatch.setattr(module, "alpha_hat", stopping)
+    monkeypatch.setattr(module.TwoPolicyContext, "submodel_at", submodel_at)
+    monkeypatch.setattr(module, "value_iteration", value_iteration)
+    rng = np.random.default_rng(29)
+    for seed in range(4):
+        m = random_model(6, 3, 2 + seed % 2, seed=1950 + seed)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
+    stops = [k for k, (kind, _, a) in enumerate(events) if kind == "stop" and a < 1.0]
+    assert len(stops) >= 5
+    for k in stops:
+        _, ctx, a = events[k]
+        inside = [sub for kind, sub, alpha in events[:k] if kind == "inside" and alpha == a]
+        after = events[k + 1:]
+        solved = next(sub for kind, sub, _ in after if kind == "value_iteration")
+        assert solved is inside[-1]
+        assert ("submodel_at", ctx, a) not in after
+
+
 def test_membership_decision_matches_full_iteration(monkeypatch):
     # with a decision level the iteration stops at the first bound that
     # settles d <= tol; without seeds it is a prefix of the full iteration,
@@ -827,6 +905,42 @@ def test_min_max_direction_is_exact(dim):
         assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12), name
         assert value == pytest.approx(expected, abs=1e-9), name
         assert value <= float((dirs @ w.T).max(axis=1).min()) + 1e-12, name
+
+
+def test_polish_starts_from_the_stopping_witness(monkeypatch):
+    # the polish's cloud starts from the witness of alpha_hat's stopping
+    # test and the vertex of its certified direction, which hold the
+    # target's face; the 2N axis directions' vertices join only where that
+    # leaves at most N points.  On these mixes the polish makes 1.5 policy-
+    # iteration solves per reduce level; querying the axes always made 7.3
+    module = importlib.import_module("atomless_mdp.derandomize")
+    dp = importlib.import_module("atomless_mdp.scalar_dp")
+    polish, original_solve = module._polish_direction, dp._solve
+    inside, solves = [False], []
+
+    def solve(*args):
+        if inside[0]:
+            solves[-1] += 1
+        return original_solve(*args)
+
+    def polishing(*args, **kwargs):
+        solves.append(0)
+        inside[0] = True
+        try:
+            return polish(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(dp, "_solve", solve)
+    monkeypatch.setattr(module, "_polish_direction", polishing)
+    rng = np.random.default_rng(31)
+    for seed in range(8):
+        m = random_model(6, 3, 2 + seed % 2, seed=2100 + seed)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        _, cert = mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
+        assert cert.error <= 1e-6
+    assert len(solves) >= 8
+    assert np.mean(solves) <= 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -1083,8 +1197,9 @@ def test_derandomize_folds_checked_terms_once(monkeypatch):
 
 def test_derandomize_summary_totals_the_work():
     # the certificate summary totals alpha_hat's membership tests and
-    # support calls and the scalar path solves over every fold; the search
-    # is deterministic, so a repeated run repeats the totals
+    # support calls, the polish's support calls and the scalar path solves
+    # over every fold; the search is deterministic, so a repeated run
+    # repeats the totals
     def run():
         m = random_model(6, 3, 2, seed=1731)
         pi = random_stationary_policy(m, np.random.default_rng(8))
@@ -1100,6 +1215,7 @@ def test_derandomize_summary_totals_the_work():
     assert summary["support_calls"] == sum(e["support_calls"] for e in reduce) > 0
     assert summary["face_steps"] == sum(e["face_steps"] for e in reduce) > 0
     assert summary["uncertified_alpha_hat"] == sum(e["collapsed"] for e in reduce) == 0
+    assert summary["polish_calls"] == sum(e["polish_calls"] for e in reduce) > 0
     assert summary["path_solves"] == sum(e["iters"] for e in scalar) > 0
     assert run().summary() == summary
 

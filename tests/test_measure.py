@@ -72,6 +72,37 @@ def test_partition_widths_are_stored_read_only():
         StatePartition([0.0, 1.0, 1.0 + 5e-13])
 
 
+def test_with_point_builds_what_the_checked_constructor_builds():
+    # the added point lies more than MERGE_TOL inside one cell, so the
+    # unchecked result is bitwise the checked constructor's, and read-only
+    rng = np.random.default_rng(71)
+    added = 0
+    for _ in range(40):
+        cuts = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(0, 8))))
+        part = StatePartition(np.concatenate(([0.0], cuts, [1.0])))
+        for b in rng.uniform(0.0, 1.0, 5):
+            out = part.with_point(float(b))
+            if out is part:
+                continue
+            added += 1
+            checked = StatePartition(np.insert(part.points, np.searchsorted(part.points, b), b))
+            assert out.points.tobytes() == checked.points.tobytes()
+            assert out.widths.tobytes() == checked.widths.tobytes()
+            for arr in (out.points, out.widths):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.5
+    assert added >= 150
+
+
+def test_with_point_leaves_the_partition_for_points_it_cannot_add():
+    part = StatePartition([0.0, 0.25, np.nextafter(0.25, 1), 0.7, 1.0])
+    near = [0.0, 1.0, 0.25, 0.7 - 0.5 * MERGE_TOL, 0.7 + 0.9 * MERGE_TOL, 0.5 * MERGE_TOL,
+            1.0 - 0.9 * MERGE_TOL, np.nextafter(0.25, 0)]
+    outside = [np.nan, np.inf, -np.inf, -0.5, -1e-300, 1.0 + 1e-9, 2.0]
+    for b in near + outside:
+        assert part.with_point(b) is part, b
+
+
 def test_refines_and_index_map():
     coarse = StatePartition([0.0, 0.5, 1.0])
     fine = StatePartition([0.0, 0.25, 0.5, 0.75, 1.0])
