@@ -144,11 +144,6 @@ def _data_rows(path, data: bytes, min_cols, max_cols=None):
     return rows
 
 
-def _read(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
 def _check_tiling(entries, path):
     cursor = 0.0
     for lineno, lo, hi in entries:
@@ -161,10 +156,10 @@ def _check_tiling(entries, path):
         raise ModelFormatError(path, f"intervals tile only up to {cursor}, not 1")
 
 
-def load_policy_file(path, model: AtomlessMDP, data: bytes | None = None):
+def load_policy_file(path, model: AtomlessMDP, data: bytes):
     """Rows `t_lo t_hi action` (deterministic) or `t_lo t_hi p_0 .. p_{A-1}`,
-    parsed from ``data``, the file's content, or read from ``path``."""
-    rows = _data_rows(path, _read(path) if data is None else data, 3)
+    parsed from ``data``, the content of the file at ``path``."""
+    rows = _data_rows(path, data, 3)
     if not rows:
         raise ModelFormatError(path, "empty policy file")
     ncols = len(rows[0][1])
@@ -198,10 +193,10 @@ def save_policy_file(policy, path) -> None:
                 fh.write(f"{fmt(pts[k])} {fmt(pts[k + 1])} {probs}\n")
 
 
-def load_densities_file(path, data: bytes | None = None) -> VectorMeasure:
+def load_densities_file(path, data: bytes) -> VectorMeasure:
     """Rows `t_lo t_hi mu_mass d_1 .. d_N` tiling [0,1], parsed from
-    ``data``, the file's content, or read from ``path``."""
-    rows = _data_rows(path, _read(path) if data is None else data, 4)
+    ``data``, the content of the file at ``path``."""
+    rows = _data_rows(path, data, 4)
     if not rows:
         raise ModelFormatError(path, "empty densities file")
     entries = [(lineno, v[0], v[1], v[2], v[3:]) for lineno, v in rows]

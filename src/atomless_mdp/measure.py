@@ -69,16 +69,11 @@ class StatePartition:
         k = int(np.searchsorted(pts, b))
         if not 0 < k < pts.size or min(b - pts[k - 1], pts[k] - b) <= MERGE_TOL:
             return self
-        return StatePartition._trusted(np.concatenate((pts[:k], [b], pts[k:])))
-
-    @classmethod
-    def _trusted(cls, pts: np.ndarray) -> "StatePartition":
-        """The partition of breakpoints known to pass ``__init__``'s checks
-        with ends exactly 0 and 1; ``pts`` becomes its read-only array."""
-        part = cls.__new__(cls)
+        pts = np.concatenate((pts[:k], [b], pts[k:]))
         widths = np.diff(pts)
         pts.setflags(write=False)
         widths.setflags(write=False)
+        part = StatePartition.__new__(StatePartition)
         part.points, part.widths = pts, widths
         return part
 

@@ -385,7 +385,7 @@ def test_policy_file_rejects_non_finite_probability(onestep_model, tmp_path):
 
     policy = write_policy(tmp_path, "pi.txt", [(0.0, 0.5, "0.5 0.5"), (0.5, 1.0, "nan 1.0")])
     with pytest.raises(ModelFormatError, match=r"pi.txt:2: non-finite entry"):
-        load_policy_file(policy, load_model_file(onestep_model))
+        load_policy_file(policy, load_model_file(onestep_model), policy.read_bytes())
     assert run("evaluate", onestep_model, policy) == 2
 
 
@@ -401,7 +401,7 @@ def test_evaluate_reports_performance_bitwise(tmp_path, capsys):
     save_policy_file(random_stationary_policy(model, np.random.default_rng(4)), policy_path)
     out = tmp_path / "perf.csv"
     assert run("evaluate", model_path, policy_path, "--out", out) == 0
-    expected = performance(model, load_policy_file(policy_path, model))
+    expected = performance(model, load_policy_file(policy_path, model, policy_path.read_bytes()))
     assert [float(x) for x in out.read_text().splitlines()[1].split(",")] == expected.tolist()
     note = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("note: v = "))
     assert [float(x) for x in note.split("=")[1].split()] == expected.tolist()
