@@ -29,7 +29,7 @@ from .errors import (
     ModelFormatError,
     NotCertifiedError,
 )
-from .measure import PieceMeasure, StatePartition, locate_breakpoints, merge_breakpoints
+from .measure import MERGE_TOL, PieceMeasure, StatePartition, locate_breakpoints
 from .model import (
     AtomlessMDP,
     DeterministicPolicy,
@@ -110,27 +110,32 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _data_rows(path, data: bytes, min_cols, max_cols=None):
-    """(line number, values) of each row of ``data``, the content of the text
-    file ``path``; ``#`` starts a comment.
+def _tiling(path, data: bytes, min_cols, max_cols=None):
+    """The rows ``lo hi v_1 .. v_k`` of ``data``, the content of the text file
+    ``path``, sorted by start: their partition of [0, 1], their (rows x k)
+    values and their line numbers.
 
-    Every row must hold the same number of finite numbers, between
-    ``min_cols`` and ``max_cols``; anything else is a ``path:line`` error.
-    Lines end as in a file opened in text mode: at \\n, \\r\\n or \\r.
+    ``#`` starts a comment, and lines end as in a file opened in text mode:
+    at \\n, \\r\\n or \\r.  Every row holds the same number of finite
+    numbers, between ``min_cols`` and ``max_cols``.  Sorted by start, each
+    row starts within 1e-9 of where the row before ends (the first at 0),
+    and the last ends within 1e-9 of 1.  The breakpoints are 0, the starts
+    of rows 2 to n, and 1; a row, or a cell between two breakpoints,
+    narrower than MERGE_TOL is an error.  Errors name ``path:line``.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise ModelFormatError(path, "not a UTF-8 text file") from None
-    rows = []
+    lines, rows = [], []
     for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
         tokens = line.split("#", 1)[0].split()
         if not tokens:
             continue
         where = f"{path}:{lineno}"
-        if rows and len(tokens) != len(rows[0][1]):
+        if rows and len(tokens) != len(rows[0]):
             raise ModelFormatError(
-                where, f"{len(tokens)} columns, but line {rows[0][0]} has {len(rows[0][1])}")
+                where, f"{len(tokens)} columns, but line {lines[0]} has {len(rows[0])}")
         if len(tokens) < min_cols or (max_cols is not None and len(tokens) > max_cols):
             expected = f"at least {min_cols}" if max_cols is None else max_cols
             raise ModelFormatError(where, f"expected {expected} columns, got {len(tokens)}")
@@ -140,44 +145,42 @@ def _data_rows(path, data: bytes, min_cols, max_cols=None):
             raise ModelFormatError(where, "non-numeric entry") from None
         if not np.all(np.isfinite(values)):
             raise ModelFormatError(where, "non-finite entry")
-        rows.append((lineno, values))
-    return rows
-
-
-def _check_tiling(entries, path):
-    cursor = 0.0
-    for lineno, lo, hi in entries:
-        if abs(lo - cursor) > 1e-9:
-            raise ModelFormatError(f"{path}:{lineno}", f"interval starts at {lo}, expected {cursor}")
-        if hi <= lo:
-            raise ModelFormatError(f"{path}:{lineno}", "empty interval")
-        cursor = hi
-    if abs(cursor - 1.0) > 1e-9:
-        raise ModelFormatError(path, f"intervals tile only up to {cursor}, not 1")
+        lines.append(lineno)
+        rows.append(values)
+    if not rows:
+        raise ModelFormatError(path, "empty file")
+    order = np.argsort([r[0] for r in rows], kind="stable")
+    lines, table = [lines[r] for r in order], np.array(rows)[order]
+    lo, hi = table[:, 0], table[:, 1]
+    ends = np.concatenate(([0.0], hi))          # where each row should start, then 1
+    off = np.abs(np.append(lo, 1.0) - ends) > 1e-9
+    if off.any():
+        k = int(np.argmax(off))
+        if k == lo.size:
+            raise ModelFormatError(path, f"intervals tile only up to {ends[k]}, not 1")
+        raise ModelFormatError(f"{path}:{lines[k]}",
+                               f"interval starts at {lo[k]}, expected {ends[k]}")
+    points = np.concatenate(([0.0], lo[1:], [1.0]))
+    narrow = np.minimum(hi - lo, np.diff(points)) <= MERGE_TOL
+    if narrow.any():
+        raise ModelFormatError(f"{path}:{lines[int(np.argmax(narrow))]}",
+                               f"interval narrower than {MERGE_TOL}")
+    return StatePartition(points), table[:, 2:], lines
 
 
 def load_policy_file(path, model: AtomlessMDP, data: bytes):
     """Rows `t_lo t_hi action` (deterministic) or `t_lo t_hi p_0 .. p_{A-1}`,
     parsed from ``data``, the content of the file at ``path``."""
-    rows = _data_rows(path, data, 3)
-    if not rows:
-        raise ModelFormatError(path, "empty policy file")
-    ncols = len(rows[0][1])
-    entries = [(lineno, v[0], v[1], v[2:]) for lineno, v in rows]
-    entries.sort(key=lambda e: e[1])
-    _check_tiling([(ln, lo, hi) for ln, lo, hi, _ in entries], path)
-    deterministic = ncols == 3 and all(
-        float(v[0]).is_integer() and 0 <= v[0] < model.action_count for _, _, _, v in entries
-    )
-    if not deterministic and ncols - 2 != model.action_count:
+    part, values, _ = _tiling(path, data, 3)
+    acts = values[:, 0]
+    deterministic = values.shape[1] == 1 and bool(
+        np.all((acts % 1 == 0) & (0 <= acts) & (acts < model.action_count)))
+    if not deterministic and values.shape[1] != model.action_count:
         raise ModelFormatError(path, f"expected {model.action_count} probabilities per row")
     try:
-        points = StatePartition(
-            merge_breakpoints(np.array([0.0, 1.0]), np.array([e[1] for e in entries] + [1.0]))
-        )
         if deterministic:
-            return DeterministicPolicy(points, [int(v[0]) for _, _, _, v in entries])
-        return StationaryPolicy(points, [v for _, _, _, v in entries])
+            return DeterministicPolicy(part, acts)
+        return StationaryPolicy(part, values)
     except ValueError as exc:
         raise ModelFormatError(path, str(exc)) from None
 
@@ -196,20 +199,12 @@ def save_policy_file(policy, path) -> None:
 def load_densities_file(path, data: bytes) -> VectorMeasure:
     """Rows `t_lo t_hi mu_mass d_1 .. d_N` tiling [0,1], parsed from
     ``data``, the content of the file at ``path``."""
-    rows = _data_rows(path, data, 4)
-    if not rows:
-        raise ModelFormatError(path, "empty densities file")
-    entries = [(lineno, v[0], v[1], v[2], v[3:]) for lineno, v in rows]
-    entries.sort(key=lambda e: e[1])
-    _check_tiling([(ln, lo, hi) for ln, lo, hi, _, _ in entries], path)
-    points = [entries[0][1]] + [e[2] for e in entries]
+    part, values, _ = _tiling(path, data, 4)
     try:
-        part = StatePartition(points)
-        base = PieceMeasure(part, [e[3] for e in entries])
-        total = base.total
-        if abs(total - 1.0) > 1e-9:
-            base = PieceMeasure(part, base.masses / total)
-        return VectorMeasure(base, [e[4] for e in entries])
+        base = PieceMeasure(part, values[:, 0])
+        if abs(base.total - 1.0) > 1e-9:
+            base = PieceMeasure(part, base.masses / base.total)
+        return VectorMeasure(base, values[:, 1:])
     except ValueError as exc:
         raise ModelFormatError(path, str(exc)) from None
 
@@ -406,22 +401,16 @@ def cmd_transform(args, report):
     if args.subcommand == "discount":
         out_model = discounted_to_absorbing(model)
     else:
-        weights_rows = _data_rows(args.weights, report.add_input(args.weights), 3, 3)
-        entries = sorted((lo, hi, wv, lineno) for lineno, (lo, hi, wv) in weights_rows)
-        _check_tiling([(lineno, lo, hi) for lo, hi, _, lineno in entries], args.weights)
-        try:
-            rows = StatePartition([0.0] + [lo for lo, _, _, _ in entries[1:]] + [1.0])
-        except ValueError as exc:
-            raise ModelFormatError(args.weights, str(exc)) from None
+        rows, weights, lines = _tiling(args.weights, report.add_input(args.weights), 3, 3)
         # the weight must be constant on each grid cell: no row starts inside one
         _, on_grid = locate_breakpoints(model.grid.points, rows.points)
         if not on_grid.all():
             k = int(np.argmin(on_grid))
             x = float(rows.points[k])
             i = int(np.searchsorted(model.grid.points, x)) - 1
-            raise ModelFormatError(f"{args.weights}:{entries[k][3]}",
+            raise ModelFormatError(f"{args.weights}:{lines[k]}",
                                    f"row starts at {x!r}, inside grid cell {i}")
-        w = np.array([wv for _, _, wv, _ in entries])[model.grid.index_map_from(rows)]
+        w = weights[model.grid.index_map_from(rows), 0]
         out_model = weighted_transform(model, w)
     save_model_file(out_model, args.out)
     report.outputs.append(args.out)

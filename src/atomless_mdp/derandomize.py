@@ -218,7 +218,7 @@ def tv_modulus(ctx: TwoPolicyContext, delta: float) -> float:
 class DistanceResult:
     g: float                                   # certified upper bound on the distance
     lower: float                               # certified lower bound
-    witness: list                              # [(weight, DeterministicPolicy)]
+    weights: np.ndarray                        # min-norm lambda, aligned with ``vertices``
     direction: np.ndarray | None               # the direction that attained ``lower``
     projection: np.ndarray                     # nearest achieved point
     vertices: list = field(default_factory=list)   # [(policy, vector)] hull generators
@@ -287,8 +287,7 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
         mat = np.array([v for _, v in verts])
         d, proj, lam = distance_to_hull(mat, t_active)
         if d <= max(tol, 1e-14) or (decide is not None and d <= decide):
-            witness = [(float(l), p) for l, (p, _) in zip(lam, verts) if l > 1e-14]
-            return DistanceResult(d, max(lower, 0.0), witness, None, proj, verts)
+            return DistanceResult(d, max(lower, 0.0), lam, None, proj, verts)
         b = (t_active - proj) / d
         h, policy, v = support(sub, _embed(b, active, n))
         sep = float(b @ t_active) - h
@@ -298,8 +297,7 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
             lower = d          # rounding guard; bounds must nest
         if (d - lower <= tol or (decide is not None and lower > decide)
                 or not add_vertex(policy, v[list(active)])):
-            witness = [(float(l), p) for l, (p, _) in zip(lam, verts) if l > 1e-14]
-            return DistanceResult(d, lower, witness, b_low, proj, verts)
+            return DistanceResult(d, lower, lam, b_low, proj, verts)
     raise CertifiedFailure("distance iteration exceeded its cap", residual=d)
 
 
@@ -390,11 +388,12 @@ def _face_root(ctx: TwoPolicyContext, res: DistanceResult, lo: float, x: float,
     ``counts["face_steps"]`` counts the F evaluations.
     """
     dim, cols = len(active), list(active)
-    if len(res.witness) != dim:
+    witness = [p for w, (p, _) in zip(res.weights, res.vertices) if w > 1e-14]
+    if len(witness) != dim:
         return None
     pts = ctx.pair.partition.points
     # each vertex's action on the piece that ends at every pair breakpoint
-    above = [p.actions[np.searchsorted(p.partition.points, pts[1:]) - 1] for _, p in res.witness]
+    above = [p.actions[np.searchsorted(p.partition.points, pts[1:]) - 1] for p in witness]
 
     def face(alpha):
         counts["face_steps"] += 1
@@ -519,9 +518,9 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
                 bracket.move(x, g_x)
     if certificate is not None:
         res, sub = inside
-        witness = {id(p) for _, p in res.witness}
         certificate.update(direction=b, collapsed=collapsed, **counts, _submodel=sub,
-                           _witness=[v for p, v in res.vertices if id(p) in witness])
+                           _witness=[v for w, (_, v) in zip(res.weights, res.vertices)
+                                     if w > 1e-14])
     return lo
 
 
@@ -836,14 +835,8 @@ def caratheodory(model: AtomlessMDP, pi: StationaryPolicy, tol: float = 1e-7):
                                residual=res.g)
     policies = [p for p, _ in res.vertices]
     vectors = np.array([v for _, v in res.vertices])
-    lam = np.zeros(len(policies))
-    for weight, policy in res.witness:
-        for i, p in enumerate(policies):
-            if p is policy:
-                lam[i] = weight
-                break
-    lam = lam / lam.sum()
-    lam = caratheodory_prune(vectors, lam, model.criteria + 1)
+    lam = np.where(res.weights > 1e-14, res.weights, 0.0)
+    lam = caratheodory_prune(vectors, lam / lam.sum(), model.criteria + 1)
     terms = [(float(l), policies[i].canonical()) for i, l in enumerate(lam) if l > 1e-13]
     total = sum(l for l, _ in terms)
     return [(l / total, p) for l, p in terms]

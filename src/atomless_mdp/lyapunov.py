@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CertifiedFailure, ModelFormatError
 from .geometry import distance_to_hull
 from .measure import PieceMeasure
-from .model import AtomlessMDP, DeterministicPolicy, StationaryPolicy, weighted_transform
+from .model import AtomlessMDP, DeterministicPolicy, StationaryPolicy, _onestep, weighted_transform
 from .derandomize import derandomize, distance_to_performance_set
 from .scalar_dp import SubmodelSpec, support
 
@@ -120,20 +120,7 @@ def as_onestep_mdp(vm: VectorMeasure) -> AtomlessMDP:
     measure.  Large densities are tamed by the weight 1 + sum of densities,
     which preserves performance vectors policy by policy.
     """
-    grid = vm.base.partition
-    m = grid.cell_count
-    rewards = np.zeros((m, 2, vm.criteria))
-    rewards[:, 1, :] = vm.densities
-    model = AtomlessMDP(
-        grid=grid,
-        action_count=2,
-        available=[(0, 1)] * m,
-        kernel=np.zeros((m, 2, m)),
-        absorb=np.ones((m, 2)),
-        rewards=rewards,
-        initial=vm.base,
-        kind="absorbing",
-    )
+    model = _onestep(vm.base.partition, vm.densities, vm.base)
     if float(vm.densities.sum(axis=1).max(initial=0.0)) > 100.0:
         model = weighted_transform(model, 1.0 + vm.densities.sum(axis=1))
     return model
@@ -251,11 +238,10 @@ def find_set(vm: VectorMeasure, target, tol: float = 1e-8) -> IntervalSet:
         )
 
     # stationary mixture of the witness vertex policies
-    weights = [(w, p) for w, p in res.witness if w > 0]
-    parts = [p.partition for _, p in weights]
-    part = parts[0]
-    for extra in parts[1:]:
-        part = part.refine(extra)
+    weights = [(w, p) for w, (p, _) in zip(res.weights, res.vertices) if w > 1e-14]
+    part = weights[0][1].partition
+    for _, p in weights[1:]:
+        part = part.refine(p.partition)
     probs = np.zeros((part.cell_count, model.action_count))
     for w, p in weights:
         acts = p.refined_to(part).actions

@@ -79,10 +79,7 @@ class StatePartition:
 
     def refines(self, coarser: "StatePartition") -> bool:
         """True if every breakpoint of ``coarser`` appears here (within MERGE_TOL)."""
-        idx = np.minimum(np.searchsorted(self.points, coarser.points), self.points.size - 1)
-        left = np.abs(self.points[np.maximum(idx - 1, 0)] - coarser.points)
-        right = np.abs(self.points[idx] - coarser.points)
-        return bool(np.all(np.minimum(left, right) <= MERGE_TOL))
+        return bool(locate_breakpoints(self.points, coarser.points)[1].all())
 
     def index_map_from(self, coarser: "StatePartition") -> np.ndarray:
         """For each of this partition's cells, the index of the covering cell of ``coarser``."""
@@ -147,6 +144,26 @@ def breakpoint_indices(points: np.ndarray, x) -> np.ndarray:
     return idx
 
 
+def _spread_rows(widths, start, end, mass, slot, slots: int) -> np.ndarray:
+    """(slots, cells) masses from rows covering cells start..end-1 of a grid.
+
+    A one-cell row adds its mass to that cell; a longer row spreads it in
+    proportion to cell width.  Every cell receives its additions in row order,
+    so the sums are bitwise those of adding the rows one at a time.
+    """
+    span = end - start
+    first = np.cumsum(span) - span           # position of each row's first share
+    row = np.repeat(np.arange(span.size), span)
+    cell = start[row] + np.arange(row.size) - first[row]
+    share = mass[row]
+    for r in np.flatnonzero(span > 1):
+        w = widths[start[r]:end[r]]
+        share[first[r]:first[r] + span[r]] = mass[r] * w / w.sum()
+    cells = widths.size
+    out = np.bincount(slot[row] * cells + cell, weights=share, minlength=slots * cells)
+    return out.reshape(slots, cells)
+
+
 class PieceMeasure:
     """Finite nonnegative measure with piecewise-uniform density.
 
@@ -179,23 +196,14 @@ class PieceMeasure:
     @classmethod
     def from_intervals(cls, rows) -> "PieceMeasure":
         """Build from (lo, hi, mass) rows; the rows need not tile [0,1]."""
-        rows = list(rows)
-        pts = merge_breakpoints(
-            np.array([0.0, 1.0]), np.array([r[0] for r in rows] + [r[1] for r in rows])
-        )
-        part = StatePartition(pts)
-        for lo, hi, mass in rows:
-            if hi <= lo:
-                raise ValueError(f"empty interval ({lo}, {hi})")
-            if mass < 0:
-                raise ValueError("interval mass must be nonnegative")
-        starts = breakpoint_indices(part.points, [r[0] for r in rows])
-        ends = breakpoint_indices(part.points, [r[1] for r in rows])
-        masses = np.zeros(part.cell_count)
-        for (_, _, mass), a, b in zip(rows, starts, ends):
-            widths = part.widths[a:b]
-            masses[a:b] += mass * widths / widths.sum()
-        return cls(part, masses)
+        lo, hi, mass = np.array(rows, dtype=float).reshape(-1, 3).T
+        if np.any(hi <= lo) or np.any(mass < 0):
+            raise ValueError("intervals must be nonempty and masses nonnegative")
+        part = StatePartition(merge_breakpoints([0.0, 1.0], lo, hi))
+        start = breakpoint_indices(part.points, lo)
+        end = breakpoint_indices(part.points, hi)
+        slot = np.zeros(mass.size, dtype=int)
+        return cls(part, _spread_rows(part.widths, start, end, mass, slot, 1)[0])
 
     @property
     def total(self) -> float:

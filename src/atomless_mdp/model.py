@@ -23,6 +23,7 @@ from .measure import (
     PieceMeasure,
     StatePartition,
     MERGE_TOL,
+    _spread_rows,
     locate_breakpoints,
     merge_breakpoints,
 )
@@ -492,26 +493,6 @@ def _action_entries(entries, count: int, path: str) -> list:
     if not isinstance(entries, list) or len(entries) != count:
         raise ModelFormatError(path, f"expected {count} action entries")
     return entries
-
-
-def _spread_rows(widths, start, end, mass, slot, slots: int) -> np.ndarray:
-    """(slots, cells) masses from rows covering cells start..end-1 of a grid.
-
-    A one-cell row adds its mass to that cell; a longer row spreads it in
-    proportion to cell width.  Every cell receives its additions in row order,
-    so the sums are bitwise those of adding the rows one at a time.
-    """
-    span = end - start
-    first = np.cumsum(span) - span           # position of each row's first share
-    row = np.repeat(np.arange(span.size), span)
-    cell = start[row] + np.arange(row.size) - first[row]
-    share = mass[row]
-    for r in np.flatnonzero(span > 1):
-        w = widths[start[r]:end[r]]
-        share[first[r]:first[r] + span[r]] = mass[r] * w / w.sum()
-    cells = widths.size
-    out = np.bincount(slot[row] * cells + cell, weights=share, minlength=slots * cells)
-    return out.reshape(slots, cells)
 
 
 def load_model(doc: dict) -> AtomlessMDP:
