@@ -202,8 +202,9 @@ def load_densities_file(path, data: bytes) -> VectorMeasure:
     part, values, _ = _tiling(path, data, 4)
     try:
         base = PieceMeasure(part, values[:, 0])
-        if abs(base.total - 1.0) > 1e-9:
-            base = PieceMeasure(part, base.masses / base.total)
+        total = base.total
+        if abs(total - 1.0) > 1e-9:
+            base = PieceMeasure(part, base.masses / total)
         return VectorMeasure(base, values[:, 1:])
     except ValueError as exc:
         raise ModelFormatError(path, str(exc)) from None

@@ -224,6 +224,15 @@ class DistanceResult:
     vertices: list = field(default_factory=list)   # [(policy, vector)] hull generators
 
 
+def _complement(points: np.ndarray):
+    """Orthonormal columns orthogonal to the differences of the rows from the
+    first row, and the differences' singular values, from their full SVD:
+    whatever their rank, U's columns past the first len(points) - 1 are
+    orthogonal to them."""
+    u, s, _ = np.linalg.svd((points[1:] - points[0]).T)
+    return u[:, points.shape[0] - 1:], s
+
+
 def _embed(b_active: np.ndarray, active, n: int) -> np.ndarray:
     full = np.zeros(n)
     full[list(active)] = b_active
@@ -288,7 +297,14 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
         d, proj, lam = distance_to_hull(mat, t_active)
         if d <= max(tol, 1e-14) or (decide is not None and d <= decide):
             return DistanceResult(d, max(lower, 0.0), lam, None, proj, verts)
-        b = (t_active - proj) / d
+        # the component of t - p0 orthogonal to the corral's affine hull (p0 a
+        # corral point) is t - proj in exact arithmetic, but formed from O(1)
+        # vectors, not by cancelling them down to d, so it separates where d ~ tol
+        corral = mat[lam > 0.0]
+        perp = _complement(corral)[0]
+        b = perp @ (perp.T @ (t_active - corral[0]))
+        norm = float(np.linalg.norm(b))
+        b = b / norm if norm > 0.0 else (t_active - proj) / d
         h, policy, v = support(sub, _embed(b, active, n))
         sep = float(b @ t_active) - h
         if sep > lower or b_low is None:
@@ -401,15 +417,15 @@ def _face_root(ctx: TwoPolicyContext, res: DistanceResult, lo: float, x: float,
         low = ctx.a1[s.rows]
         verts = np.array([_spliced_value(ctx, s, np.where(s.below, low, acts[s.rows]))[1][cols]
                           for acts in above])
-        q, r = np.linalg.qr((verts[1:] - verts[0]).T, mode="complete")
-        n = q[:, -1] if q[:, -1] @ res.direction >= 0.0 else -q[:, -1]
-        return float(n @ (t_active - verts[0])) - 0.5 * tol, n, np.abs(np.diag(r))
+        perp, sv = _complement(verts)
+        n = perp[:, 0] if perp[:, 0] @ res.direction >= 0.0 else -perp[:, 0]
+        return float(n @ (t_active - verts[0])) - 0.5 * tol, n, sv
 
-    f_x, _, diag = face(x)
+    f_x, _, sv = face(x)
     j = max(int(np.searchsorted(pts, ctx.threshold(x))) - 1, 0)
     a = max(lo, ctx.q.cdf(float(pts[j])) / ctx.q.total)
     # the witness spans a facet only if its N vertices are affinely independent
-    if diag.size and not diag.min() > 1e-8 * diag.max() or not a < x:
+    if sv.size and not sv.min() > 1e-8 * sv.max() or not a < x:
         return None
     f_a = face(a)[0]
     if not f_a * f_x < 0.0:
@@ -836,7 +852,8 @@ def caratheodory(model: AtomlessMDP, pi: StationaryPolicy, tol: float = 1e-7):
     policies = [p for p, _ in res.vertices]
     vectors = np.array([v for _, v in res.vertices])
     lam = np.where(res.weights > 1e-14, res.weights, 0.0)
-    lam = caratheodory_prune(vectors, lam / lam.sum(), model.criteria + 1)
+    lam = lam / lam.sum()
+    lam = caratheodory_prune(vectors, lam, model.criteria + 1)
     terms = [(float(l), policies[i].canonical()) for i, l in enumerate(lam) if l > 1e-13]
     total = sum(l for l, _ in terms)
     return [(l / total, p) for l, p in terms]

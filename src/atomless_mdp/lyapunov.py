@@ -178,31 +178,33 @@ def range_hull(vm: VectorMeasure, direction_count: int = 64) -> RangeHull:
 
 
 def _hausdorff_gap(dirs, values, verts, dim) -> float:
-    """Largest distance from an outer-polytope vertex to the inner hull."""
+    """Largest distance from an outer-polytope vertex to the inner hull; inf
+    where the outer polytope is too thin for its vertices to be computed."""
     if dim == 1:
         hi_out, lo_out = values[0], -values[1]
         return float(max(hi_out - verts.max(), verts.min() - lo_out, 0.0))
-    try:
-        from scipy.optimize import linprog
-        from scipy.spatial import HalfspaceIntersection
+    from scipy.optimize import linprog
+    from scipy.spatial import HalfspaceIntersection, QhullError
 
-        # Chebyshev center of the outer polytope as a feasible interior point
-        norms = np.linalg.norm(dirs, axis=1)
-        res = linprog(
-            c=np.concatenate([np.zeros(dim), [-1.0]]),
-            A_ub=np.column_stack([dirs, norms]),
-            b_ub=values,
-            bounds=[(None, None)] * dim + [(0, None)],
-            method="highs",
-        )
-        if not res.success or res.x[-1] <= 1e-12:
-            raise ValueError("outer polytope has no interior")
-        center = res.x[:dim]
+    # Chebyshev center of the outer polytope as a feasible interior point
+    norms = np.linalg.norm(dirs, axis=1)
+    res = linprog(
+        c=np.concatenate([np.zeros(dim), [-1.0]]),
+        A_ub=np.column_stack([dirs, norms]),
+        b_ub=values,
+        bounds=[(None, None)] * dim + [(0, None)],
+        method="highs",
+    )
+    # a flat outer polytope, or one too thin for qhull, has no computed
+    # vertices; the polytope can reach past the inner hull between two
+    # directions, so no finite bound is certified
+    if not res.success or res.x[-1] <= 1e-12:
+        return float("inf")
+    try:
         half = np.column_stack([dirs, -values])
-        outer_pts = HalfspaceIntersection(half, center).intersections
-    except Exception:
-        # degenerate (flat) outer set: fall back to the directional mismatch
-        return float(np.max(values - (verts @ dirs.T).max(axis=0)))
+        outer_pts = HalfspaceIntersection(half, res.x[:dim]).intersections
+    except QhullError:
+        return float("inf")
     gap = 0.0
     for p in outer_pts:
         d, _, _ = distance_to_hull(verts, p)
@@ -239,9 +241,10 @@ def find_set(vm: VectorMeasure, target, tol: float = 1e-8) -> IntervalSet:
 
     # stationary mixture of the witness vertex policies
     weights = [(w, p) for w, (p, _) in zip(res.weights, res.vertices) if w > 1e-14]
-    part = weights[0][1].partition
-    for _, p in weights[1:]:
-        part = part.refine(p.partition)
+    parts = [p.partition for _, p in weights]
+    part = parts[0]
+    for extra in parts[1:]:
+        part = part.refine(extra)
     probs = np.zeros((part.cell_count, model.action_count))
     for w, p in weights:
         acts = p.refined_to(part).actions

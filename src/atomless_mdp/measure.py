@@ -134,16 +134,6 @@ def locate_breakpoints(points: np.ndarray, x):
     return np.where(use_below, below, above), found
 
 
-def breakpoint_indices(points: np.ndarray, x) -> np.ndarray:
-    """locate_breakpoints' indices; raises ValueError naming the first x that
-    matches no breakpoint."""
-    x = np.asarray(x, dtype=float)
-    idx, found = locate_breakpoints(points, x)
-    if not found.all():
-        raise ValueError(f"{x[np.argmin(found)]} is not a breakpoint of the partition")
-    return idx
-
-
 def _spread_rows(widths, start, end, mass, slot, slots: int) -> np.ndarray:
     """(slots, cells) masses from rows covering cells start..end-1 of a grid.
 
@@ -197,11 +187,17 @@ class PieceMeasure:
     def from_intervals(cls, rows) -> "PieceMeasure":
         """Build from (lo, hi, mass) rows; the rows need not tile [0,1]."""
         lo, hi, mass = np.array(rows, dtype=float).reshape(-1, 3).T
-        if np.any(hi <= lo) or np.any(mass < 0):
-            raise ValueError("intervals must be nonempty and masses nonnegative")
+        if np.any(hi <= lo):
+            k = int(np.argmax(hi <= lo))
+            raise ValueError(f"empty interval ({lo[k]}, {hi[k]})")
+        if np.any(mass < 0):
+            raise ValueError("interval mass must be nonnegative")
         part = StatePartition(merge_breakpoints([0.0, 1.0], lo, hi))
-        start = breakpoint_indices(part.points, lo)
-        end = breakpoint_indices(part.points, hi)
+        ends = np.concatenate((lo, hi))
+        idx, found = locate_breakpoints(part.points, ends)
+        if not found.all():
+            raise ValueError(f"{ends[np.argmin(found)]} is not a breakpoint of the partition")
+        start, end = np.split(idx, 2)
         slot = np.zeros(mass.size, dtype=int)
         return cls(part, _spread_rows(part.widths, start, end, mass, slot, 1)[0])
 

@@ -273,6 +273,43 @@ def test_transform_weight_malformed_row_exits_2(tmp_path, capsys, rows, where):
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["policy", "densities", "weights"])
+def test_tiling_files_share_one_rule(tmp_path, capsys, kind):
+    # policy, densities and weights files: the breakpoints are 0, the starts
+    # of the second to last rows, and 1, so a first row that starts within
+    # the 1e-9 tiling allowance of 0 starts at 0; a row narrower than
+    # MERGE_TOL is an error at its line
+    from atomless_mdp.cli import load_densities_file, load_policy_file
+    from atomless_mdp.model import load_model_file, weighted_transform
+
+    src, out = tmp_path / "m.json", tmp_path / "o.json"
+    save_model_file(builtin("lyapunov-onestep"), src)
+    model = load_model_file(src)
+    path = tmp_path / f"{kind}.txt"
+    values = {"policy": "1", "densities": "0.5 1.0 2.0", "weights": "2.0"}[kind]
+    argv = {"policy": ("evaluate", src, path),
+            "densities": ("lyapunov", "find", path, 0.5, 1.0),
+            "weights": ("transform", "weight", src, path, "--out", out)}[kind]
+
+    def write(*starts):
+        ends = [*starts[1:], 1.0]
+        path.write_text("".join(f"{lo!r} {hi!r} {values}\n" for lo, hi in zip(starts, ends)))
+        capsys.readouterr()
+        return run(*argv)
+
+    assert write(5e-10, 0.5) == 0
+    if kind == "weights":
+        expected = model_to_doc(weighted_transform(model, np.full(model.cell_count, 2.0)))
+        assert json.loads(out.read_text()) == expected
+    else:
+        data = path.read_bytes()
+        part = (load_policy_file(path, model, data).partition if kind == "policy"
+                else load_densities_file(path, data).base.partition)
+        assert part.points.tolist() == [0.0, 0.5, 1.0]
+    assert write(0.0, 0.5, 0.5 + 5e-13) == 2
+    assert f"{kind}.txt:2: interval narrower than 1e-12" in capsys.readouterr().err
+
+
 def test_lyapunov_ragged_densities_row_exits_2(tmp_path, capsys):
     dens = tmp_path / "dens.txt"
     dens.write_text("0.0 0.5 0.5 1.0 0.2\n0.5 1.0 0.5 0.3\n")

@@ -274,6 +274,10 @@ def test_distance_matches_dense_hull_oracle():
     for _ in range(8):
         target = verts.mean(axis=0) + rng.normal(size=2) * 3.0
         res = distance_to_performance_set(SubmodelSpec.full(m), target, tol=1e-8)
+        # the weights are the min-norm combination of the vertices
+        weights, vectors = res.weights, np.array([v for _, v in res.vertices])
+        assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-12
+        assert np.allclose(weights @ vectors, res.projection, rtol=0.0, atol=1e-12)
         oracle = dist_to_polygon(target)
         if oracle == 0.0:
             continue
@@ -568,17 +572,23 @@ def test_alpha_hat_membership_tests_per_call(monkeypatch):
 
 
 def test_alpha_hat_falls_back_where_direction_does_not_separate(monkeypatch):
-    # an "outside" answer whose direction does not separate (a duplicate-
-    # vertex exit, lower bound 0) gives no bracket for the root solve, so the
-    # next step, after the support call that restarts from lo, is the
-    # midpoint of [lo, hi] with a membership test; every alpha_hat of the mix
-    # still stops with the certificate
+    # an "outside" answer whose direction does not separate (lower bound 0)
+    # gives no bracket for the root solve, so the next step, after the
+    # support call that restarts from lo, is the midpoint of [lo, hi] with a
+    # membership test; every alpha_hat of the mix still stops with the
+    # certificate.  The corral direction separates on this model, so the
+    # first "outside" answer of each search is made non-separating: -b has
+    # the target strictly inside, h(-b) - <-b, t> >= lower > 0, and without
+    # weights the answer has no witness face
     module = importlib.import_module("atomless_mdp.derandomize")
     member, gap, search = module._membership, module._support_gap, module.alpha_hat
-    events, stops = [], []
+    events, stops, forced = [], [], [False]
 
     def recording(sub, target, tol, active, pool, alpha):
         ok, res = member(sub, target, tol, active, pool, alpha)
+        if not ok and not forced[0]:
+            forced[0] = True
+            res = DistanceResult(res.g, 0.0, [], -res.direction, res.projection, res.vertices)
         events.append((alpha, ok, res, sub, np.asarray(target)[list(active)], active))
         return ok, res
 
@@ -588,6 +598,7 @@ def test_alpha_hat_falls_back_where_direction_does_not_separate(monkeypatch):
 
     def stopping(ctx, target, tol=1e-7, active=None, *, certificate=None):
         start, stop = len(events), {} if certificate is None else certificate
+        forced[0] = False
         a = search(ctx, target, tol=tol, active=active, certificate=stop)
         stops.append((ctx, np.asarray(target), active, a, stop, events[start:]))
         return a
@@ -1234,6 +1245,23 @@ def test_derandomize_meets_tol_where_alpha_hat_collapsed():
     _, cert = derandomize(m, pi, tol=1e-6)
     assert cert.error <= 1e-6
     assert cert.summary()["uncertified_alpha_hat"] == 0
+
+
+@pytest.mark.parametrize("seed, beta", [(29, 0.98), (21, 0.99)])
+def test_derandomize_meets_tol_at_long_lifetimes(seed, beta):
+    # expected lifetimes 50 and 100: the membership tests' distance loop
+    # queried the support oracle in (t - proj) / d, a direction formed by
+    # cancellation down to d ~ tol, and the scalarized DP could not certify
+    # its optimality gap there (ToleranceError); the corral's direction
+    # comes from O(1) vectors
+    from tests.test_scalar_dp import seeded_discounted
+
+    m = seeded_discounted(2000 + seed, beta)
+    pi = random_stationary_policy(m, np.random.default_rng(seed))
+    phi, cert = derandomize(m, pi, tol=1e-6)
+    assert cert.error <= 1e-6
+    miss = performance(m, phi, tol=1e-12) - performance(m, pi, tol=1e-12)
+    assert np.linalg.norm(miss) <= 1e-6
 
 
 @pytest.mark.parametrize("rng_seed, draws, model_args", [

@@ -153,6 +153,22 @@ def test_hull_contains_linear_second_vertex():
     assert d <= hull.gap + 1e-9
 
 
+@pytest.mark.parametrize("directions", [8, 64])
+def test_hull_gap_bounds_a_thin_range(directions):
+    # densities (1, 1 + 1e-7 x): the range is a sliver about 1e-8 wide, too
+    # thin for qhull to find the outer polytope's vertices; the directions'
+    # mismatch reads 0 there, though range points lie off the inner hull
+    from atomless_mdp.geometry import distance_to_hull
+
+    base = lebesgue(12)
+    pts = base.partition.points
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    vm = VectorMeasure(base, np.column_stack([np.ones(12), 1.0 + 1e-7 * mids]))
+    hull = range_hull(vm, direction_count=directions)
+    far = max(distance_to_hull(hull.vertices, p)[0] for p in brute_force_range(vm))
+    assert far > 1e-9 and hull.gap >= far
+
+
 def test_hull_gap_shrinks_with_directions():
     vm = random_vm(8, 2, seed=11)
     gap_coarse = range_hull(vm, direction_count=24).gap
