@@ -254,15 +254,17 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
     The upper bound never increases, so the answer ``g <= decide`` equals
     the full iteration's from the same seeds.
 
-    Vertices are deduplicated at a fraction of ``tol``: seed policies from
-    nearby submodels differ by far less than the decision tolerance, and a
-    support vertex that is already in the hull means the oracle added
-    nothing, so the loop stops there instead of repeating the same call.
+    Each step certifies, adds a vertex or raises ``CertifiedFailure``: the
+    query direction is never zero, and a support vertex that is already in
+    the hull (deduplicated at a fraction of ``tol``, since seed policies
+    from nearby submodels differ by far less than the decision tolerance)
+    means the oracle can add nothing, so the bounds cannot close.  Every
+    return therefore has ``g`` at most ``tol`` (or 1e-14, whichever is
+    larger), ``g - lower`` at most ``tol``, or ``lower`` above ``decide``.
     ``seeds`` are (policy, vector) pairs with the vector on the active
     coordinates, like ``DistanceResult.vertices``.  ``direction`` is the
-    queried b whose support call attained ``lower``, so that h(b) <=
-    <b, target> - lower, or the first one queried while no lower bound is
-    positive.
+    queried b whose support call attained ``lower`` > 0, so that h(b) <=
+    <b, target> - lower; None while no lower bound is positive.
     """
     n = sub.model.criteria
     active = tuple(range(n)) if active is None else tuple(active)
@@ -296,24 +298,31 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
         mat = np.array([v for _, v in verts])
         d, proj, lam = distance_to_hull(mat, t_active)
         if d <= max(tol, 1e-14) or (decide is not None and d <= decide):
-            return DistanceResult(d, max(lower, 0.0), lam, None, proj, verts)
+            return DistanceResult(d, lower, lam, b_low, proj, verts)
         # the component of t - p0 orthogonal to the corral's affine hull (p0 a
         # corral point) is t - proj in exact arithmetic, but formed from O(1)
         # vectors, not by cancelling them down to d, so it separates where d ~ tol
         corral = mat[lam > 0.0]
-        perp = _complement(corral)[0]
-        b = perp @ (perp.T @ (t_active - corral[0]))
+        b = t_active - corral[0]
+        if corral.shape[0] > 1:
+            perp = _complement(corral)[0]
+            b = perp @ (perp.T @ b)
         norm = float(np.linalg.norm(b))
-        b = b / norm if norm > 0.0 else (t_active - proj) / d
+        if not norm > 0.0:
+            raise CertifiedFailure("distance iteration found no direction off the hull",
+                                   residual=d)
+        b = b / norm
         h, policy, v = support(sub, _embed(b, active, n))
         sep = float(b @ t_active) - h
-        if sep > lower or b_low is None:
-            lower, b_low = max(lower, sep), b
+        if sep > lower:
+            lower, b_low = sep, b
         if lower > d:
             lower = d          # rounding guard; bounds must nest
-        if (d - lower <= tol or (decide is not None and lower > decide)
-                or not add_vertex(policy, v[list(active)])):
+        if d - lower <= tol or (decide is not None and lower > decide):
             return DistanceResult(d, lower, lam, b_low, proj, verts)
+        if not add_vertex(policy, v[list(active)]):
+            raise CertifiedFailure("distance iteration met a vertex already in its hull",
+                                   residual=d)
     raise CertifiedFailure("distance iteration exceeded its cap", residual=d)
 
 
@@ -328,12 +337,17 @@ def _membership(sub, target, tol, active, pool, alpha):
     Policies found feasible at a larger freeze fraction remain feasible at a
     smaller one (thresholds nest), so the pool carries hull generators across
     the membership tests of one root solve.  Pool entries are (alpha, policy,
-    active-coordinate vector).  An "outside" answer's ``res.direction`` b
-    has h(b) <= <b, target> - ``res.lower`` on the active coordinates.
+    active-coordinate vector).  An "outside" answer has ``res.lower`` > 0
+    and its ``res.direction`` b has h(b) <= <b, target> - ``res.lower`` on
+    the active coordinates; an answer that is neither raises
+    ``CertifiedFailure``.
     """
     seeds = [(p, v) for a0, p, v in pool if a0 >= alpha - 1e-15]
     res = distance_to_performance_set(sub, target, tol=0.25 * tol, active=active, seeds=seeds,
                                       decide=tol)
+    if res.g > tol and not res.lower > 0.0:
+        raise CertifiedFailure("membership test reached no separating direction",
+                               residual=res.g)
     pool.extend((alpha, p, v) for p, v in res.vertices)
     if len(pool) > 120:
         del pool[: len(pool) - 120]
@@ -458,18 +472,16 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     g < -tol certifies "outside" and moves hi, g > 0 moves a, and g in
     [-tol, 0] calls a membership test.  "Inside" stops with the certificate
     (inside, and g <= 0); "outside" gives a new hi and b and restarts the
-    bracket from lo, the last "inside".  Where g(hi) = 0 (b does not
-    separate) the step is the midpoint, and g > 0 there calls a membership
-    test too.  The steps are ``_Illinois.secant``, without ``step``'s
-    halving test, whose forced midpoints only added support calls here.
+    bracket from lo, the last "inside".  The steps are ``_Illinois.secant``,
+    without ``step``'s halving test, whose forced midpoints only added
+    support calls here.  A bracket that shrinks to adjacent floats before
+    the certificate holds raises ``CertifiedFailure`` with the gap at lo.
     Returns 1.0 when the target is within tol of V(1).  A ``certificate``
     dict receives b on the active coordinates (None at 1.0) as
-    ``direction``, the search's ``membership_tests``, ``support_calls`` and
-    ``face_steps``, and ``collapsed``: True when the bracket shrank to
-    adjacent floats and lo is returned with g > 0, without the certificate.
-    For ``_realize`` it also receives the "inside" test at the returned
-    fraction: its witness's vectors on the active coordinates as
-    ``_witness`` and its submodel as ``_submodel``.
+    ``direction``, and the search's ``membership_tests``, ``support_calls``
+    and ``face_steps``.  For ``_realize`` it also receives the "inside" test
+    at the returned fraction: its witness's vectors on the active
+    coordinates as ``_witness`` and its submodel as ``_submodel``.
 
     The path's two ends seed the alpha = 0 test: both are policies of V(0),
     and where the target lies on their segment (the top level of a mix)
@@ -481,7 +493,6 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     pool = [(0.0, path_policy(ctx, end), path_value(ctx, end)[1][list(active)])
             for end in (0.0, 1.0)]
     counts = {"membership_tests": 2, "support_calls": 0, "face_steps": 0}
-    collapsed = False
 
     def gap(sub, direction):
         counts["support_calls"] += 1
@@ -521,11 +532,11 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
             continue
         x = bracket.secant()
         if not bracket.a < x < bracket.b:
-            collapsed = True
-            break
+            raise CertifiedFailure("alpha_hat's bracket collapsed before its certificate",
+                                   residual=g_lo)
         sub = ctx.submodel_at(x)
         g_x = gap(sub, b)
-        if g_x < -tol or (g_x > 0.0 and bracket.f_b < 0.0):
+        if g_x < -tol or g_x > 0.0:
             bracket.move(x, g_x)
         else:
             ok, res = member(sub, x)
@@ -534,7 +545,7 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
                 bracket.move(x, g_x)
     if certificate is not None:
         res, sub = inside
-        certificate.update(direction=b, collapsed=collapsed, **counts, _submodel=sub,
+        certificate.update(direction=b, **counts, _submodel=sub,
                            _witness=[v for w, (_, v) in zip(res.weights, res.vertices)
                                      if w > 1e-14])
     return lo
@@ -647,9 +658,8 @@ class MixCertificate:
 
     def summary(self) -> dict:
         """The run's figures and its work: the trace's totals of alpha_hat's
-        membership tests, support calls and face steps, of its returns
-        without the certificate, of the direction polish's support calls and
-        of scalar path solves."""
+        membership tests, support calls and face steps, of the direction
+        polish's support calls and of scalar path solves."""
         def total(kind, key):
             return sum(e[key] for e in self.trace if e["kind"] == kind)
 
@@ -663,7 +673,6 @@ class MixCertificate:
             "membership_tests": total("reduce", "membership_tests"),
             "support_calls": total("reduce", "support_calls"),
             "face_steps": total("reduce", "face_steps"),
-            "uncertified_alpha_hat": total("reduce", "collapsed"),
             "polish_calls": total("reduce", "polish_calls"),
             "path_solves": total("scalar", "iters"),
         }
@@ -788,7 +797,6 @@ def _realize(pair, a0, a1, target, active, tol, trace, depth=0):
         "membership_tests": stop["membership_tests"],
         "support_calls": stop["support_calls"],
         "face_steps": stop["face_steps"],
-        "collapsed": stop["collapsed"],
         "polish_calls": polish_calls,
     })
     return _realize(*next_pair, new_target, new_active, tol, trace, depth + 1)

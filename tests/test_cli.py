@@ -146,6 +146,48 @@ def test_mix_impossible_tolerance_exits_3(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_mix_undecided_membership_answer_exits_3(tmp_path, capsys, monkeypatch):
+    # a membership answer whose distance bound exceeds its tolerance while no
+    # queried direction separates (lower bound 0) is neither "inside" nor
+    # "outside": the mix raises CertifiedFailure instead of searching on
+    # with a direction that certifies nothing, and the command exits 3
+    import importlib
+
+    from atomless_mdp.cli import save_policy_file
+    from atomless_mdp.derandomize import DistanceResult, mix_pair
+    from atomless_mdp.errors import CertifiedFailure
+    from atomless_mdp.model import load_model_file, random_deterministic_policy
+
+    module = importlib.import_module("atomless_mdp.derandomize")
+    original, forced = module.distance_to_performance_set, []
+
+    def undecided(*args, decide=None, **kwargs):
+        res = original(*args, decide=decide, **kwargs)
+        if decide is None or res.g <= decide or forced:
+            return res
+        forced.append(res.g)
+        return DistanceResult(res.g, 0.0, res.weights, res.direction, res.projection,
+                              res.vertices)
+
+    monkeypatch.setattr(module, "distance_to_performance_set", undecided)
+    model_path = tmp_path / "m.json"
+    save_model_file(random_model(5, 3, 2, seed=3), model_path)
+    model = load_model_file(model_path)
+    rng = np.random.default_rng(0)
+    phi0, phi1 = random_deterministic_policy(model, rng), random_deterministic_policy(model, rng)
+    with pytest.raises(CertifiedFailure, match="no separating direction"):
+        mix_pair(model, phi0, phi1, 0.5)
+    assert len(forced) == 1
+
+    p0, p1 = tmp_path / "p0.txt", tmp_path / "p1.txt"
+    save_policy_file(phi0, p0)
+    save_policy_file(phi1, p1)
+    forced.clear()
+    assert run("mix", model_path, p0, p1, 0.5, "--out", tmp_path / "x") == 3
+    assert "certified failure" in capsys.readouterr().out
+    assert len(forced) == 1
+
+
 def test_path_endpoints_match(onestep_model, tmp_path):
     phi0 = write_policy(tmp_path, "phi0.txt", [(0.0, 1.0, "0")])
     phi1 = write_policy(tmp_path, "phi1.txt", [(0.0, 1.0, "1")])
@@ -533,8 +575,8 @@ def test_derandomize_certificate_totals_work(evaluate_inputs, tmp_path):
         assert run("derandomize", model, policy, "--out", tmp_path / name, "--tol", 1e-6) == 0
         cert = json.loads((tmp_path / f"{name}.cert.json").read_text())
         totals.append({k: cert[k] for k in ("membership_tests", "support_calls", "face_steps",
-                                            "uncertified_alpha_hat", "path_solves")})
-    assert totals[0] == totals[1] and totals[0].pop("uncertified_alpha_hat") == 0
+                                            "path_solves")})
+    assert totals[0] == totals[1]
     assert all(v > 0 for v in totals[0].values())
     reduce = [e for e in cert["trace"] if e["kind"] == "reduce"]
     assert cert["polish_calls"] == sum(e["polish_calls"] for e in reduce)

@@ -562,7 +562,6 @@ def test_alpha_hat_membership_tests_per_call(monkeypatch):
         alpha_hat(ctx, v, tol=1e-7, certificate=stop)
         assert stop["membership_tests"] == tests[0], seed
         assert stop["support_calls"] >= tests[0] - 2, seed
-        assert not stop["collapsed"], seed
         per_call.append(tests[0])
         support_calls.append(stop["support_calls"])
         face_steps.append(stop["face_steps"])
@@ -571,94 +570,39 @@ def test_alpha_hat_membership_tests_per_call(monkeypatch):
     assert sum(face_steps) > 0
 
 
-def test_alpha_hat_falls_back_where_direction_does_not_separate(monkeypatch):
-    # an "outside" answer whose direction does not separate (lower bound 0)
-    # gives no bracket for the root solve, so the next step, after the
-    # support call that restarts from lo, is the midpoint of [lo, hi] with a
-    # membership test; every alpha_hat of the mix still stops with the
-    # certificate.  The corral direction separates on this model, so the
-    # first "outside" answer of each search is made non-separating: -b has
-    # the target strictly inside, h(-b) - <-b, t> >= lower > 0, and without
-    # weights the answer has no witness face
-    module = importlib.import_module("atomless_mdp.derandomize")
-    member, gap, search = module._membership, module._support_gap, module.alpha_hat
-    events, stops, forced = [], [], [False]
-
-    def recording(sub, target, tol, active, pool, alpha):
-        ok, res = member(sub, target, tol, active, pool, alpha)
-        if not ok and not forced[0]:
-            forced[0] = True
-            res = DistanceResult(res.g, 0.0, [], -res.direction, res.projection, res.vertices)
-        events.append((alpha, ok, res, sub, np.asarray(target)[list(active)], active))
-        return ok, res
-
-    def counting(*args):
-        events.append(None)
-        return gap(*args)
-
-    def stopping(ctx, target, tol=1e-7, active=None, *, certificate=None):
-        start, stop = len(events), {} if certificate is None else certificate
-        forced[0] = False
-        a = search(ctx, target, tol=tol, active=active, certificate=stop)
-        stops.append((ctx, np.asarray(target), active, a, stop, events[start:]))
-        return a
-
-    monkeypatch.setattr(module, "_membership", recording)
-    monkeypatch.setattr(module, "_support_gap", counting)
-    monkeypatch.setattr(module, "alpha_hat", stopping)
-    m = random_model(3, 3, 3, seed=103)
-    rng = np.random.default_rng(103)
-    phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
-    _, cert = mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
-    assert cert.error <= 1e-6
-    fallbacks = 0
-    for ctx, target, active, a, stop, seen in stops:
-        tests = [(k, e) for k, e in enumerate(seen) if e is not None]
-        assert (a, True) in [(alpha, ok) for _, (alpha, ok, *_) in tests]
-        if a < 1.0:
-            t_active = target[list(active)]
-            g, _ = gap(ctx.submodel_at(a), stop["direction"], active, t_active)
-            assert g <= 1e-15 * (1.0 + float(np.abs(t_active).max()))
-        for n, (k, (alpha, ok, res, sub, t_active, act)) in enumerate(tests[:-1]):
-            if ok or res.lower > 0.0:
-                continue
-            assert gap(sub, res.direction, act, t_active)[0] >= 0.0
-            lo = max(x for _, (x, inside, *_) in tests[:n] if inside)
-            k_next, (x_next, *_) = tests[n + 1]
-            assert (k_next - k, x_next) == (3, 0.5 * (lo + alpha))
-            fallbacks += 1
-    assert fallbacks >= 1
-
-
-def test_alpha_hat_counts_a_collapsed_bracket(monkeypatch):
+def test_alpha_hat_raises_on_a_collapsed_bracket(monkeypatch):
     # above the fraction alpha_hat returns, every membership test is made to
-    # answer "outside" in a direction that does not separate, so the root
-    # solve falls back to midpoints until its bracket is two adjacent floats
-    # around that fraction; the search returns it without its certificate,
-    # and the reduce entry and the summary count that return
+    # answer "outside" with a positive lower bound in a direction that does
+    # not separate, so every root-solve step moves the bracket's low end
+    # without a membership test until the bracket is two adjacent floats;
+    # the search raises there and never returns its last "inside" fraction
     module = importlib.import_module("atomless_mdp.derandomize")
     m = random_model(6, 3, 2, seed=1731)
     rng = np.random.default_rng(5)
     phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
     _, cert = mix_pair(m, phi0, phi1, 0.4, tol=1e-6)
     (entry,) = [e for e in cert.trace if e["kind"] == "reduce"]
-    assert not entry["collapsed"] and cert.summary()["uncertified_alpha_hat"] == 0
-    cut, original, first = entry["alpha_hat"], module._membership, []
+    cut, original, search = entry["alpha_hat"], module._membership, module.alpha_hat
+    first, returned = [], []
 
     def forcing(sub, target, tol, active, pool, alpha):
         ok, res = original(sub, target, tol, active, pool, alpha)
         if alpha <= cut:
             return ok, res
         first.append(res.direction)
-        # -b is where the target lies inside: h(-b) - <-b, t> >= lower > 0
-        return False, DistanceResult(res.g, 0.0, [], -first[0], res.projection, res.vertices)
+        # -b is where the target lies inside: h(-b) - <-b, t> > 0
+        return False, DistanceResult(res.g, tol, [], -first[0], res.projection, res.vertices)
+
+    def recording(*args, **kwargs):
+        returned.append(search(*args, **kwargs))
+        return returned[-1]
 
     monkeypatch.setattr(module, "_membership", forcing)
-    _, cert = mix_pair(m, phi0, phi1, 0.4, tol=1e-6)
-    (entry,) = [e for e in cert.trace if e["kind"] == "reduce"]
-    assert entry["collapsed"] and entry["alpha_hat"] == cut
-    assert entry["membership_tests"] > 40 and entry["face_steps"] == 0
-    assert cert.summary()["uncertified_alpha_hat"] == 1
+    monkeypatch.setattr(module, "alpha_hat", recording)
+    with pytest.raises(CertifiedFailure, match="collapsed") as failure:
+        mix_pair(m, phi0, phi1, 0.4, tol=1e-6)
+    assert failure.value.residual > 0.0
+    assert len(first) == 1 and returned == []
 
 
 def test_alpha_hat_work_counts_are_recorded():
@@ -1225,7 +1169,6 @@ def test_derandomize_summary_totals_the_work():
     assert summary["membership_tests"] == sum(e["membership_tests"] for e in reduce) > 0
     assert summary["support_calls"] == sum(e["support_calls"] for e in reduce) > 0
     assert summary["face_steps"] == sum(e["face_steps"] for e in reduce) > 0
-    assert summary["uncertified_alpha_hat"] == sum(e["collapsed"] for e in reduce) == 0
     assert summary["polish_calls"] == sum(e["polish_calls"] for e in reduce) > 0
     assert summary["path_solves"] == sum(e["iters"] for e in scalar) > 0
     assert run().summary() == summary
@@ -1244,7 +1187,6 @@ def test_derandomize_meets_tol_where_alpha_hat_collapsed():
     pi = random_stationary_policy(m, rng)
     _, cert = derandomize(m, pi, tol=1e-6)
     assert cert.error <= 1e-6
-    assert cert.summary()["uncertified_alpha_hat"] == 0
 
 
 @pytest.mark.parametrize("seed, beta", [(29, 0.98), (21, 0.99)])
