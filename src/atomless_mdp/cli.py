@@ -58,6 +58,23 @@ def _positive(text: str) -> float:
     return x
 
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return x
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text}")
+        return n
+    return count
+
+
 def _fraction(text: str) -> float:
     x = float(text)
     if not 0.0 <= x <= 1.0:
@@ -245,10 +262,21 @@ def _load_interval_model(path, report) -> AtomlessMDP:
     return model
 
 
-def _save_certificate(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+def _absorbing(model: AtomlessMDP) -> AtomlessMDP:
+    """The model, or its discount-to-absorbing transform if it is discounted."""
+    return discounted_to_absorbing(model) if model.kind == "discounted" else model
+
+
+def _save_certified_policy(prefix, phi, cert, report):
+    """Write ``<prefix>.policy.txt`` and ``<prefix>.cert.json`` (the summary
+    and the trace), and report them with the certified error."""
+    report.certificates["error"] = cert.error
+    out_policy, out_cert = f"{prefix}.policy.txt", f"{prefix}.cert.json"
+    save_policy_file(phi, out_policy)
+    with open(out_cert, "w") as fh:
+        json.dump(cert.summary() | {"trace": cert.trace}, fh, indent=1)
         fh.write("\n")
+    report.outputs.extend([out_policy, out_cert])
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +302,7 @@ def cmd_validate(args, report):
 def cmd_certify(args, report):
     model = _load_any_model(args.model, report)
     if isinstance(model, AtomlessMDP):
-        work = discounted_to_absorbing(model) if model.kind == "discounted" else model
-        cert = work.certificate(args.tol)
+        cert = _absorbing(model).certificate(args.tol)
         report.certificates.update(cert.summary())
         if model.kind == "discounted":
             report.notes.append("certified after the discount-to-absorbing transform")
@@ -297,7 +324,7 @@ def cmd_certify(args, report):
 def cmd_evaluate(args, report):
     model = _load_interval_model(args.model, report)
     policy = load_policy_file(args.policy, model, report.add_input(args.policy))
-    work = discounted_to_absorbing(model) if model.kind == "discounted" else model
+    work = _absorbing(model)
     marginal, err, v = evaluate_weights(work, cell_action_weights(work, policy), args.tol)
     report.tolerances["tol"] = args.tol
     report.certificates["total_mass"] = float(marginal.sum())
@@ -315,10 +342,9 @@ def cmd_path(args, report):
     phi1 = load_policy_file(args.phi1, model, report.add_input(args.phi1))
     if not isinstance(phi0, DeterministicPolicy) or not isinstance(phi1, DeterministicPolicy):
         raise ModelFormatError("policy", "path endpoints must be deterministic")
-    work = discounted_to_absorbing(model) if model.kind == "discounted" else model
+    work = _absorbing(model)
     ctx = make_context(work, phi0, phi1)
-    grid = max(2, args.grid)
-    alphas = np.linspace(0.0, 1.0, grid)
+    alphas = np.linspace(0.0, 1.0, args.grid)
     rows, previous = [], None
     for alpha in alphas:
         phi = path_policy(ctx, float(alpha))
@@ -329,7 +355,7 @@ def cmd_path(args, report):
         previous = q
     header = ["alpha"] + [f"v_{i + 1}" for i in range(work.criteria)] + ["d_tv_prev"]
     report.tolerances["tol"] = args.tol
-    report.certificates["tv_modulus_step"] = tv_modulus(ctx, 1.0 / (grid - 1))
+    report.certificates["tv_modulus_step"] = tv_modulus(ctx, 1.0 / (args.grid - 1))
     if args.out:
         _write_csv(args.out, header, rows)
         report.outputs.append(args.out)
@@ -340,30 +366,18 @@ def cmd_mix(args, report):
     model = _load_interval_model(args.model, report)
     phi0 = load_policy_file(args.phi0, model, report.add_input(args.phi0))
     phi1 = load_policy_file(args.phi1, model, report.add_input(args.phi1))
-    work = discounted_to_absorbing(model) if model.kind == "discounted" else model
-    phi, cert = mix_pair(work, phi0, phi1, args.lam, tol=args.tol)
+    phi, cert = mix_pair(_absorbing(model), phi0, phi1, args.lam, tol=args.tol)
     report.tolerances["tol"] = args.tol
-    report.certificates["error"] = cert.error
-    out_policy = f"{args.out}.policy.txt"
-    out_cert = f"{args.out}.cert.json"
-    save_policy_file(phi, out_policy)
-    _save_certificate(out_cert, cert.summary() | {"trace": cert.trace})
-    report.outputs.extend([out_policy, out_cert])
+    _save_certified_policy(args.out, phi, cert, report)
     return 0
 
 
 def cmd_derandomize(args, report):
     model = _load_interval_model(args.model, report)
     policy = load_policy_file(args.policy, model, report.add_input(args.policy))
-    work = discounted_to_absorbing(model) if model.kind == "discounted" else model
-    phi, cert = derandomize(work, policy, tol=args.tol)
+    phi, cert = derandomize(_absorbing(model), policy, tol=args.tol)
     report.tolerances["tol"] = args.tol
-    report.certificates["error"] = cert.error
-    out_policy = f"{args.out}.policy.txt"
-    out_cert = f"{args.out}.cert.json"
-    save_policy_file(phi.canonical(), out_policy)
-    _save_certificate(out_cert, cert.summary() | {"trace": cert.trace})
-    report.outputs.extend([out_policy, out_cert])
+    _save_certified_policy(args.out, phi.canonical(), cert, report)
     return 0
 
 
@@ -467,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("phi0")
     p.add_argument("phi1")
-    p.add_argument("--grid", type=int, default=11)
+    p.add_argument("--grid", type=_at_least(2), default=11,
+                   help="points on the path, both ends included")
     p.add_argument("--tol", type=_positive, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_path)
@@ -492,12 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
     lsub = p.add_subparsers(dest="subcommand", required=True)
     ph = lsub.add_parser("hull", help="inner/outer range sandwich")
     ph.add_argument("densities")
-    ph.add_argument("--grid", type=int, default=64)
+    ph.add_argument("--grid", type=_at_least(1), default=64,
+                    help="at most this many support queries")
     ph.add_argument("--out")
     ph.set_defaults(fn=cmd_lyapunov)
     pf = lsub.add_parser("find", help="interval set hitting a target integral")
     pf.add_argument("densities")
-    pf.add_argument("target", nargs="+", type=float)
+    pf.add_argument("target", nargs="+", type=_finite)
     pf.add_argument("--tol", type=_positive, default=1e-6)
     pf.add_argument("--out")
     pf.set_defaults(fn=cmd_lyapunov)

@@ -6,6 +6,8 @@ two-action one-step decision problem (take the density's reward or zero,
 then stop) makes W the performance set of an MDP whose policies are interval
 partitions, so the range is convex and every point of it is attained by a
 finite union of intervals, found constructively by the derandomizer.
+``range_hull`` sandwiches the range, at any number of criteria, between the
+hull of support-oracle vertices and their supporting half-spaces.
 """
 
 from __future__ import annotations
@@ -126,22 +128,6 @@ def as_onestep_mdp(vm: VectorMeasure) -> AtomlessMDP:
     return model
 
 
-def _directions(count: int, dim: int) -> np.ndarray:
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        thetas = np.linspace(0.0, 2 * np.pi, max(count, 3), endpoint=False)
-        return np.column_stack([np.cos(thetas), np.sin(thetas)])
-    if dim == 3:
-        i = np.arange(max(count, 4)) + 0.5
-        phi = np.arccos(1 - 2 * i / max(count, 4))
-        theta = np.pi * (1 + 5**0.5) * i
-        return np.column_stack(
-            [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)]
-        )
-    raise ModelFormatError("densities", f"range_hull supports at most 3 criteria, got {dim}")
-
-
 @dataclass
 class RangeHull:
     """Inner and outer approximations of a vector-measure range."""
@@ -159,57 +145,68 @@ class RangeHull:
 
 def range_hull(vm: VectorMeasure, direction_count: int = 64) -> RangeHull:
     """Sandwich the range: hull of attained vertices inside, supporting
-    half-spaces outside, plus the Hausdorff gap between the two."""
+    half-spaces outside, plus the Hausdorff gap between the two.
+
+    At most ``direction_count`` support queries: the 2N axes, then, round by
+    round, the outward normals of inner-hull facets not yet queried (facet
+    refinement, Rote 1992, on Quickhull).  Where none is left before the
+    budget is spent, a full-dimensional range equals its inner hull.
+    """
     sub = SubmodelSpec.full(as_onestep_mdp(vm))
-    dirs = _directions(direction_count, vm.criteria)
-    values, verts, policies = [], [], []
-    for b in dirs:
-        h, policy, v = support(sub, b)
-        values.append(h)
-        verts.append(v)
-        policies.append(policy)
-    values = np.asarray(values)
-    verts_arr = np.asarray(verts)
-    _, idx = np.unique(np.round(verts_arr, 12), axis=0, return_index=True)
-    keep = np.sort(idx)
-    gap = _hausdorff_gap(dirs, values, verts_arr[keep], vm.criteria)
-    return RangeHull(dirs, values, verts_arr, verts_arr[keep],
-                     [policies[i] for i in keep], gap)
+    n = vm.criteria
+    dirs, answers = np.empty((0, n)), []
+    candidates = np.vstack([np.eye(n), -np.eye(n)])
+    while len(dirs) < direction_count:
+        asked = len(dirs)
+        for b in candidates:
+            fresh = np.linalg.norm(dirs - b, axis=1).min(initial=1.0) > 1e-9
+            if fresh and len(dirs) < direction_count:
+                dirs = np.vstack([dirs, b])
+                answers.append(support(sub, b))
+        if len(dirs) == asked:
+            break
+        candidates = _outward_normals(np.array([v for _, _, v in answers]))
+    values = np.array([h for h, _, _ in answers])
+    verts = np.array([v for _, _, v in answers])
+    keep = np.sort(np.unique(np.round(verts, 12), axis=0, return_index=True)[1])
+    gap = _hausdorff_gap(dirs, values, verts[keep])
+    return RangeHull(dirs, values, verts, verts[keep], [answers[i][1] for i in keep], gap)
 
 
-def _hausdorff_gap(dirs, values, verts, dim) -> float:
+def _outward_normals(points) -> np.ndarray:
+    """Outward unit normals of the points' hull facets; where qhull refuses the
+    points, plus and minus the normals of their affine hull (none if full)."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    if points.shape[1] > 1:
+        try:
+            return ConvexHull(points).equations[:, :-1]
+        except QhullError:
+            pass
+    u, s, _ = np.linalg.svd((points[1:] - points[0]).T)
+    perp = u[:, int(np.sum(s > 1e-10 * s.max(initial=0.0))):].T
+    return np.vstack([perp, -perp])
+
+
+def _hausdorff_gap(dirs, values, verts) -> float:
     """Largest distance from an outer-polytope vertex to the inner hull; inf
-    where the outer polytope is too thin for its vertices to be computed."""
+    where not all 2N axes were queried (the outer set may be unbounded), the
+    inner vertices' centroid is not clearly interior, or qhull refuses."""
+    dim = dirs.shape[1]
+    if len(dirs) < 2 * dim:
+        return float("inf")
     if dim == 1:
-        hi_out, lo_out = values[0], -values[1]
-        return float(max(hi_out - verts.max(), verts.min() - lo_out, 0.0))
-    from scipy.optimize import linprog
+        return float(max(values[0] - verts.max(), verts.min() + values[1], 0.0))
     from scipy.spatial import HalfspaceIntersection, QhullError
 
-    # Chebyshev center of the outer polytope as a feasible interior point
-    norms = np.linalg.norm(dirs, axis=1)
-    res = linprog(
-        c=np.concatenate([np.zeros(dim), [-1.0]]),
-        A_ub=np.column_stack([dirs, norms]),
-        b_ub=values,
-        bounds=[(None, None)] * dim + [(0, None)],
-        method="highs",
-    )
-    # a flat outer polytope, or one too thin for qhull, has no computed
-    # vertices; the polytope can reach past the inner hull between two
-    # directions, so no finite bound is certified
-    if not res.success or res.x[-1] <= 1e-12:
+    centre = verts.mean(axis=0)
+    if not (values - dirs @ centre).min() > 1e-12:
         return float("inf")
     try:
-        half = np.column_stack([dirs, -values])
-        outer_pts = HalfspaceIntersection(half, res.x[:dim]).intersections
+        outer = HalfspaceIntersection(np.column_stack([dirs, -values]), centre).intersections
     except QhullError:
         return float("inf")
-    gap = 0.0
-    for p in outer_pts:
-        d, _, _ = distance_to_hull(verts, p)
-        gap = max(gap, d)
-    return float(gap)
+    return float(max(distance_to_hull(verts, p)[0] for p in outer))
 
 
 def find_set(vm: VectorMeasure, target, tol: float = 1e-8) -> IntervalSet:
@@ -225,6 +222,8 @@ def find_set(vm: VectorMeasure, target, tol: float = 1e-8) -> IntervalSet:
     target = np.asarray(target, dtype=float)
     if target.shape != (vm.criteria,):
         raise ValueError("target dimension mismatch")
+    if not np.all(np.isfinite(target)):
+        raise ModelFormatError("target", "non-finite entry")
     model = as_onestep_mdp(vm)
     res = distance_to_performance_set(SubmodelSpec.full(model), target,
                                       tol=min(1e-9, 0.1 * tol))

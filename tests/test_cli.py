@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from atomless_mdp.cli import main
+from atomless_mdp.cli import load_densities_file, main
+from atomless_mdp.lyapunov import range_hull
 from atomless_mdp.model import builtin, model_to_doc, random_model, save_model_file
 
 
@@ -257,7 +258,25 @@ def test_lyapunov_hull_csv(tmp_path):
     assert run("lyapunov", "hull", dens, "--grid", 32, "--out", out) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "b_1,b_2,support,vertex_1,vertex_2"
-    assert len(lines) == 33
+    hull = range_hull(load_densities_file(dens, dens.read_bytes()), direction_count=32)
+    assert len(lines) == len(hull.directions) + 1 <= 33
+
+
+@pytest.mark.parametrize("grid", [4, 10, 360])
+def test_lyapunov_hull_is_exact_on_two_cells(tmp_path, capsys, grid):
+    # the range of two cells is a parallelogram: 4 axis queries, 2 normals of
+    # the diagonal they find, then its 4 edges, each confirmed by the oracle
+    dens = tmp_path / "dens.txt"
+    dens.write_text("0.0 0.5 0.5 1.0 0.2\n0.5 1.0 0.5 0.3 1.4\n")
+    out = tmp_path / "hull.csv"
+    assert run("lyapunov", "hull", dens, "--grid", grid, "--out", out) == 0
+    report = capsys.readouterr().out
+    gap = float(report.split("gap: ")[1].split()[0])
+    rows = out.read_text().strip().splitlines()[1:]
+    hull = range_hull(load_densities_file(dens, dens.read_bytes()), direction_count=grid)
+    assert len(rows) == len(hull.directions) == min(grid, 10)
+    if grid >= 10:
+        assert gap <= 1e-12
 
 
 def test_transform_discount(tmp_path, capsys):
@@ -722,7 +741,14 @@ def test_exit_code_matches_cause(evaluate_inputs, tmp_path, capsys, monkeypatch,
     ["mix", "{m}", "{p}", "{p}", "1.5", "--out", "{o}"],
     ["evaluate", "{m}", "{p}", "--tol", "0"],
     ["lyapunov", "find", "{d}", "0.5", "x"],
-], ids=["lambda", "tol", "target"])
+    ["lyapunov", "find", "{d}", "nan", "0.4"],
+    ["lyapunov", "find", "{d}", "inf", "0.4"],
+    ["lyapunov", "hull", "{d}", "--grid", "0"],
+    ["lyapunov", "hull", "{d}", "--grid", "-3"],
+    ["path", "{m}", "{p}", "{p}", "--grid", "-4"],
+    ["path", "{m}", "{p}", "{p}", "--grid", "1"],
+], ids=["lambda", "tol", "target", "target-nan", "target-inf", "hull-grid-0",
+        "hull-grid-negative", "path-grid-negative", "path-grid-1"])
 def test_bad_arguments_exit_2(evaluate_inputs, tmp_path, argv):
     model_path, policy = evaluate_inputs
     names = {"m": model_path, "p": policy, "o": tmp_path / "o", "d": tmp_path / "d.txt"}

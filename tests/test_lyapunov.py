@@ -155,9 +155,9 @@ def test_hull_contains_linear_second_vertex():
 
 @pytest.mark.parametrize("directions", [8, 64])
 def test_hull_gap_bounds_a_thin_range(directions):
-    # densities (1, 1 + 1e-7 x): the range is a sliver about 1e-8 wide, too
-    # thin for qhull to find the outer polytope's vertices; the directions'
-    # mismatch reads 0 there, though range points lie off the inner hull
+    # densities (1, 1 + 1e-7 x): the range is a sliver about 1e-8 wide; the
+    # gap is finite and bounds every range point's distance to the inner
+    # hull, which at 64 directions is the range itself
     from atomless_mdp.geometry import distance_to_hull
 
     base = lebesgue(12)
@@ -166,7 +166,9 @@ def test_hull_gap_bounds_a_thin_range(directions):
     vm = VectorMeasure(base, np.column_stack([np.ones(12), 1.0 + 1e-7 * mids]))
     hull = range_hull(vm, direction_count=directions)
     far = max(distance_to_hull(hull.vertices, p)[0] for p in brute_force_range(vm))
-    assert far > 1e-9 and hull.gap >= far
+    assert np.isfinite(hull.gap) and hull.gap >= far
+    if directions == 8:
+        assert far > 1e-9
 
 
 def test_hull_gap_shrinks_with_directions():
@@ -184,9 +186,6 @@ def test_hull_builds_one_submodel(monkeypatch):
 
     vm = vm_linear_second(16)
     model = as_onestep_mdp(vm)
-    thetas = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
-    dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    expected = [scalar_dp.support(model, b) for b in dirs]
     original = scalar_dp.SubmodelSpec.__init__
     built = []
 
@@ -197,14 +196,22 @@ def test_hull_builds_one_submodel(monkeypatch):
     monkeypatch.setattr(scalar_dp.SubmodelSpec, "__init__", counting)
     hull = range_hull(vm, direction_count=360)
     assert len(built) == 1
-    assert np.array_equal(hull.directions, dirs)
+    monkeypatch.undo()
+    expected = [scalar_dp.support(model, b) for b in hull.directions]
     assert np.array_equal(hull.support_values, [h for h, _, _ in expected])
     assert np.array_equal(hull.direction_vertices, [v for _, _, v in expected])
 
 
-def test_hull_rejects_four_criteria():
-    with pytest.raises(ModelFormatError, match="at most 3 criteria"):
-        range_hull(random_vm(4, 4, seed=3))
+@pytest.mark.parametrize("criteria", [4, 5])
+def test_hull_contains_brute_force_range_beyond_three_criteria(criteria):
+    from atomless_mdp.geometry import distance_to_hull
+
+    vm = random_vm(8, criteria, seed=criteria)
+    hull = range_hull(vm, direction_count=64)
+    assert len(hull.directions) == 64 and np.isfinite(hull.gap)
+    for p in brute_force_range(vm):
+        assert hull.contains_in_outer(p, tol=1e-9)
+        assert distance_to_hull(hull.vertices, p)[0] <= hull.gap
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +254,13 @@ def test_find_set_infeasible_target():
     vm = random_vm(4, 2, seed=2)
     with pytest.raises(ModelFormatError, match="outside"):
         find_set(vm, vm.total() + 1.0, tol=1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_find_set_rejects_non_finite_target(bad):
+    vm = random_vm(4, 2, seed=2)
+    with pytest.raises(ModelFormatError, match="target: non-finite entry"):
+        find_set(vm, [bad, 0.4], tol=1e-8)
 
 
 def test_find_set_convex_combination_of_returned_sets():
