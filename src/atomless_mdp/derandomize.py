@@ -23,14 +23,12 @@ own output; failures carry the best achieved residual, never silence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CertifiedFailure
-from .geometry import caratheodory_prune, distance_to_hull, min_norm_point
+from .geometry import affine_complement, caratheodory_prune, distance_to_hull
 from .measure import PieceMeasure, StatePartition
 from .model import (
     AtomlessMDP,
@@ -58,7 +56,6 @@ __all__ = [
 
 EVAL_TOL = 1e-12          # certified marginal error for performance evaluations
 DISTANCE_CAP = 200        # support calls per distance iteration
-POLISH_SUBSETS = 100_000  # N-point subsets one polish round may enumerate
 SCALAR_ITERS = 220        # threshold root-solve steps for one criterion
 FACE_ITERS = 40           # secant steps of one witness-face root solve
 
@@ -222,15 +219,7 @@ class DistanceResult:
     direction: np.ndarray | None               # the direction that attained ``lower``
     projection: np.ndarray                     # nearest achieved point
     vertices: list = field(default_factory=list)   # [(policy, vector)] hull generators
-
-
-def _complement(points: np.ndarray):
-    """Orthonormal columns orthogonal to the differences of the rows from the
-    first row, and the differences' singular values, from their full SVD:
-    whatever their rank, U's columns past the first len(points) - 1 are
-    orthogonal to them."""
-    u, s, _ = np.linalg.svd((points[1:] - points[0]).T)
-    return u[:, points.shape[0] - 1:], s
+    support_calls: int = 0                     # support-oracle calls made
 
 
 def _embed(b_active: np.ndarray, active, n: int) -> np.ndarray:
@@ -265,6 +254,7 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
     coordinates, like ``DistanceResult.vertices``.  ``direction`` is the
     queried b whose support call attained ``lower`` > 0, so that h(b) <=
     <b, target> - lower; None while no lower bound is positive.
+    ``support_calls`` counts the oracle calls the iteration made.
     """
     n = sub.model.criteria
     active = tuple(range(n)) if active is None else tuple(active)
@@ -289,7 +279,9 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
         seeds = [seeds[i] for i in np.argsort(dist, kind="stable")[:32]]
     for policy, v_active in seeds:
         add_vertex(policy, v_active)
+    calls = 0
     if not verts:
+        calls += 1
         _, policy, v = support(sub, _embed(np.ones(len(active)) / np.sqrt(len(active)), active, n))
         add_vertex(policy, v[list(active)])
 
@@ -298,20 +290,21 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
         mat = np.array([v for _, v in verts])
         d, proj, lam = distance_to_hull(mat, t_active)
         if d <= max(tol, 1e-14) or (decide is not None and d <= decide):
-            return DistanceResult(d, lower, lam, b_low, proj, verts)
+            return DistanceResult(d, lower, lam, b_low, proj, verts, calls)
         # the component of t - p0 orthogonal to the corral's affine hull (p0 a
         # corral point) is t - proj in exact arithmetic, but formed from O(1)
         # vectors, not by cancelling them down to d, so it separates where d ~ tol
         corral = mat[lam > 0.0]
         b = t_active - corral[0]
         if corral.shape[0] > 1:
-            perp = _complement(corral)[0]
+            perp = affine_complement(corral)[0]
             b = perp @ (perp.T @ b)
         norm = float(np.linalg.norm(b))
         if not norm > 0.0:
             raise CertifiedFailure("distance iteration found no direction off the hull",
                                    residual=d)
         b = b / norm
+        calls += 1
         h, policy, v = support(sub, _embed(b, active, n))
         sep = float(b @ t_active) - h
         if sep > lower:
@@ -319,7 +312,7 @@ def distance_to_performance_set(sub: SubmodelSpec, target, tol: float = 1e-8,
         if lower > d:
             lower = d          # rounding guard; bounds must nest
         if d - lower <= tol or (decide is not None and lower > decide):
-            return DistanceResult(d, lower, lam, b_low, proj, verts)
+            return DistanceResult(d, lower, lam, b_low, proj, verts, calls)
         if not add_vertex(policy, v[list(active)]):
             raise CertifiedFailure("distance iteration met a vertex already in its hull",
                                    residual=d)
@@ -431,7 +424,7 @@ def _face_root(ctx: TwoPolicyContext, res: DistanceResult, lo: float, x: float,
         low = ctx.a1[s.rows]
         verts = np.array([_spliced_value(ctx, s, np.where(s.below, low, acts[s.rows]))[1][cols]
                           for acts in above])
-        perp, sv = _complement(verts)
+        perp, sv = affine_complement(verts)
         n = perp[:, 0] if perp[:, 0] @ res.direction >= 0.0 else -perp[:, 0]
         return float(n @ (t_active - verts[0])) - 0.5 * tol, n, sv
 
@@ -480,8 +473,8 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     dict receives b on the active coordinates (None at 1.0) as
     ``direction``, and the search's ``membership_tests``, ``support_calls``
     and ``face_steps``.  For ``_realize`` it also receives the "inside" test
-    at the returned fraction: its witness's vectors on the active
-    coordinates as ``_witness`` and its submodel as ``_submodel``.
+    at the returned fraction: its witness as (policy, vector on the active
+    coordinates) pairs as ``_witness`` and its submodel as ``_submodel``.
 
     The path's two ends seed the alpha = 0 test: both are policies of V(0),
     and where the target lies on their segment (the top level of a mix)
@@ -495,8 +488,10 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     counts = {"membership_tests": 2, "support_calls": 0, "face_steps": 0}
 
     def gap(sub, direction):
+        """h(b) - <b, target> on the active coordinates."""
         counts["support_calls"] += 1
-        return _support_gap(sub, direction, active, t_active)[0]
+        h = support(sub, _embed(direction, active, ctx.pair.model.criteria))[0]
+        return h - float(direction @ t_active)
 
     def member(sub, alpha):
         counts["membership_tests"] += 1
@@ -546,98 +541,8 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     if certificate is not None:
         res, sub = inside
         certificate.update(direction=b, **counts, _submodel=sub,
-                           _witness=[v for w, (_, v) in zip(res.weights, res.vertices)
-                                     if w > 1e-14])
+                           _witness=[pv for w, pv in zip(res.weights, res.vertices) if w > 1e-14])
     return lo
-
-
-# ---------------------------------------------------------------------------
-# supporting directions
-# ---------------------------------------------------------------------------
-
-
-def _support_gap(sub: SubmodelSpec, b_active, active, target_active):
-    """h(b) - <b, target> and the argmax vertex's vector, on the active coordinates."""
-    b_active = np.asarray(b_active, dtype=float)
-    h, _, v = support(sub, _embed(b_active, active, sub.model.criteria))
-    return h - float(b_active @ target_active), v[list(active)]
-
-
-def _min_max_direction(w_rows: np.ndarray) -> np.ndarray:
-    """argmin over unit b of max_k <b, w_k> for an explicit point cloud.
-
-    Outside conv W the minimizer is -p/|p| for the min-norm point p.  Otherwise
-    it is a facet normal, and every facet passes through N of the points, so
-    the normals of all hyperplanes through N points contain it; for a flat
-    cloud such a normal is orthogonal to the cloud's affine hull.  The cost
-    grows as C(len(w_rows), N).
-    """
-    count, dim = w_rows.shape
-    subsets = np.array(list(combinations(range(count), dim)))
-    # the last column of a complete QR of the N-1 spanning differences is
-    # orthogonal to them, whatever their rank
-    spans = w_rows[subsets[:, 1:]] - w_rows[subsets[:, :1]]
-    normals = np.linalg.qr(np.swapaxes(spans, 1, 2), mode="complete")[0][:, :, -1]
-    p, _ = min_norm_point(w_rows)
-    norm = float(np.linalg.norm(p))
-    cands = np.vstack([normals, -normals] + ([-p / norm] if norm > 0.0 else []))
-    return cands[int(np.argmin((cands @ w_rows.T).max(axis=1)))]
-
-
-def _polish_direction(sub: SubmodelSpec, target_active, active, init=None, seeds=()):
-    """Minimize the support gap h(b) - <b, target> over unit directions.
-
-    The gap is the maximum of <b, u - target> over the finitely many vertex
-    performances u, so a cutting-plane loop (Kelley, J. SIAM 8, 1960)
-    suffices: minimize the explicit max over the vertices collected so far
-    (cheap, no oracle), then query the support oracle at the minimizer, which
-    either certifies the model or contributes a new vertex.  The minimum over
-    the sphere equals the signed distance from the target to the boundary,
-    and the minimizer supports the set there.  The cloud starts from the
-    ``seeds`` (vectors of policies of the submodel, on the active
-    coordinates) and the vertex of ``init``; only where that leaves at most
-    N points (``_min_max_direction`` needs N, and N points span one
-    hyperplane at most) do the 2N axis directions add theirs.  Rounds
-    continue until the oracle certifies the model, or until the next round's
-    subset enumeration would exceed ``POLISH_SUBSETS``, which bounds its
-    memory at any N.  Returns the best direction, its gap and the number of
-    support calls made.
-    """
-    dim = len(active)
-    cloud = [v - target_active for v in seeds]
-    best_b, best_f = None, np.inf
-
-    def oracle(b):
-        nonlocal best_b, best_f
-        b = np.asarray(b, dtype=float)
-        norm = float(np.linalg.norm(b))
-        if norm < 1e-12:
-            return np.inf
-        b = b / norm
-        f, v_active = _support_gap(sub, b, active, target_active)
-        cloud.append(v_active - target_active)
-        if f < best_f:
-            best_b, best_f = b, f
-        return f
-
-    if init is not None:
-        oracle(init)
-    if len(cloud) <= dim:
-        for axis in range(dim):
-            e = np.zeros(dim)
-            e[axis] = 1.0
-            oracle(e)
-            oracle(-e)
-
-    scale = 1.0 + float(np.abs(np.array(cloud)).max(initial=0.0))
-    while comb(len(cloud), dim) <= POLISH_SUBSETS:
-        w_rows = np.array(cloud)
-        b = _min_max_direction(w_rows)
-        model_val = float((w_rows @ b).max())
-        true_val = oracle(b)
-        if true_val - model_val <= 1e-13 * scale:
-            break
-    return best_b, best_f, len(cloud) - len(seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +563,9 @@ class MixCertificate:
 
     def summary(self) -> dict:
         """The run's figures and its work: the trace's totals of alpha_hat's
-        membership tests, support calls and face steps, of the direction
-        polish's support calls and of scalar path solves."""
+        membership tests, support calls and face steps, of the support calls
+        of the distance iterations that found the reduce directions
+        (``polish_calls``) and of scalar path solves."""
         def total(kind, key):
             return sum(e[key] for e in self.trace if e["kind"] == kind)
 
@@ -746,7 +652,6 @@ def _realize(pair, a0, a1, target, active, tol, trace, depth=0):
 
     member_tol = 0.25 * tol
     ctx = _context(pair, a0, a1)
-    t_active = np.asarray(target, dtype=float)[list(active)]
 
     stop: dict = {}
     a_hat = alpha_hat(ctx, target, tol=member_tol, active=active, certificate=stop)
@@ -756,11 +661,18 @@ def _realize(pair, a0, a1, target, active, tol, trace, depth=0):
     # V(alpha_hat), as the stopping membership test built and queried it
     frozen = stop["_submodel"]
 
-    # the direction that certified alpha_hat already supports V(alpha_hat)
-    # within tol at the target; polishing sharpens it to the supporting
-    # normal, starting from the vertices whose hull holds the target
-    b_active, gap, polish_calls = _polish_direction(frozen, t_active, active,
-                                                    init=stop["direction"], seeds=stop["_witness"])
+    # alpha_hat's stop puts V(alpha_hat) on or below <b, x> = <b, t> for its
+    # direction b, with t within member_tol of it; pushed out by member_tol
+    # along b, the target lies member_tol to 2 member_tol from V(alpha_hat),
+    # and the distance iteration separates it there by the normal at its
+    # nearest point, starting from the witness whose hull holds t
+    pushed = np.asarray(target, dtype=float).copy()
+    pushed[list(active)] += member_tol * stop["direction"]
+    sep = distance_to_performance_set(frozen, pushed, tol=0.25 * member_tol, active=active,
+                                      seeds=stop["_witness"])
+    b_active = sep.direction
+    # h(b) - <b, t>, from the iteration's bound h(b) = <b, pushed> - lower
+    gap = member_tol * float(b_active @ stop["direction"]) - sep.lower
 
     b_full = _embed(b_active, active, pair.model.criteria)
     # the stop bounds |gap| by member_tol and no tighter, and a target that
@@ -797,7 +709,7 @@ def _realize(pair, a0, a1, target, active, tol, trace, depth=0):
         "membership_tests": stop["membership_tests"],
         "support_calls": stop["support_calls"],
         "face_steps": stop["face_steps"],
-        "polish_calls": polish_calls,
+        "polish_calls": sep.support_calls,
     })
     return _realize(*next_pair, new_target, new_active, tol, trace, depth + 1)
 
@@ -817,6 +729,8 @@ def mix_pair(model: AtomlessMDP, phi0: DeterministicPolicy, phi1: DeterministicP
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must be in [0,1]")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     model.certificate()
     validate_policy(model, phi0)
     validate_policy(model, phi1)
@@ -846,10 +760,12 @@ def _mix(model, phi0, phi1, lam, tol):
 
 def caratheodory(model: AtomlessMDP, pi: StationaryPolicy, tol: float = 1e-7):
     """Express v(pi) as a convex combination of at most N+1 deterministic policies."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     model.certificate()
+    validate_policy(model, pi)
     if isinstance(pi, DeterministicPolicy):
         return [(1.0, pi.canonical())]
-    validate_policy(model, pi)
     if pi.is_deterministic(1e-12):
         return [(1.0, pi.to_deterministic().canonical())]
     target = _perf(model, pi)
@@ -873,6 +789,8 @@ def derandomize(model: AtomlessMDP, pi: StationaryPolicy, tol: float = 1e-6):
     Decomposes v(pi) over vertex policies, then folds the terms through
     the mixer left to right with the per-stage budget tol / (2 * #terms).
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     model.certificate()
     if isinstance(pi, DeterministicPolicy) or pi.is_deterministic(1e-12):
         phi = pi if isinstance(pi, DeterministicPolicy) else pi.to_deterministic()

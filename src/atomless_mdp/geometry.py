@@ -1,5 +1,5 @@
-"""Small-dimension convex geometry: min-norm points over hulls and
-Caratheodory pruning of convex combinations.
+"""Small-dimension convex geometry: min-norm points over hulls, normals of
+affine hulls and Caratheodory pruning of convex combinations.
 
 The min-norm-point routine is Wolfe's algorithm: it terminates after finitely
 many affine-minimization steps on point sets and is exact up to linear-algebra
@@ -38,9 +38,13 @@ def min_norm_point(points):
     certifies ||x|| within eps of the true minimum norm, or once ||x|| <= eps.
     The slack scales with ||x|| because a fixed slack in ||x||^2 bounds the
     error in ||x|| only by slack / ||x||, which exceeds ||x|| itself at the
-    small distances that membership decisions turn on.  Each affine step works
-    on the differences from one corral point: the bordered Gram system squares
-    their conditioning, and with generators 1e-5 apart it missed by 2.5e-9.
+    small distances that membership decisions turn on.  The test looks past
+    the corral: its own values equal ||x||^2 only up to rounding, which at
+    ||x|| ~ 1e-8 can hide a point beyond the corral's face.  A major cycle
+    that does not shrink ||x|| ends the search at the point before it, which
+    rounding alone can cause.  Each affine step works on the differences from
+    one corral point: the bordered Gram system squares their conditioning,
+    and with generators 1e-5 apart it missed by 2.5e-9.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -55,11 +59,14 @@ def min_norm_point(points):
     x = pts[active[0]]
 
     for _ in range(16 * m + 64):
-        j = int(np.argmin(pts @ x))
+        vals = pts @ x
+        vals[active] = np.inf
+        j = int(np.argmin(vals))
         norm = math.sqrt(x @ x)
-        if norm <= eps or float(pts[j] @ x) >= norm * norm - eps * norm or j in active:
+        if norm <= eps or vals[j] >= norm * norm - eps * norm:
             break
-        active.append(j)
+        saved = active, lambdas, x
+        active = active + [j]
         lambdas = np.append(lambdas, 0.0)
         # minor cycles: pull the affine minimizer back into the simplex
         for _ in range(16 * m + 64):
@@ -83,6 +90,9 @@ def min_norm_point(points):
             x = lambdas @ pts[active]
         else:
             break
+        if not x @ x < norm * norm:
+            active, lambdas, x = saved
+            break
 
     full = np.zeros(m)
     total = lambdas.sum()
@@ -96,6 +106,18 @@ def distance_to_hull(points, target):
     t = np.asarray(target, dtype=float)
     x, lambdas = min_norm_point(pts - t)
     return float(np.linalg.norm(x)), t + x, lambdas
+
+
+def affine_complement(points):
+    """Orthonormal columns orthogonal to the rows' numerical affine hull, and
+    the singular values of the rows' differences from the first row.
+
+    The hull's rank counts the singular values above 1e-10 times the largest,
+    so N + 1 points on one hyperplane of R^N, off it by rounding only, give
+    that hyperplane's normal; a full-dimensional set of rows gives no column.
+    """
+    u, s, _ = np.linalg.svd((points[1:] - points[0]).T)
+    return u[:, int(np.sum(s > 1e-10 * s.max(initial=0.0))):], s
 
 
 def caratheodory_prune(points, lambdas, max_terms: int):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertifiedFailure, ModelFormatError
-from .geometry import distance_to_hull
+from .geometry import affine_complement, distance_to_hull
 from .measure import PieceMeasure
 from .model import AtomlessMDP, DeterministicPolicy, StationaryPolicy, _onestep, weighted_transform
 from .derandomize import derandomize, distance_to_performance_set
@@ -183,8 +183,7 @@ def _outward_normals(points) -> np.ndarray:
             return ConvexHull(points).equations[:, :-1]
         except QhullError:
             pass
-    u, s, _ = np.linalg.svd((points[1:] - points[0]).T)
-    perp = u[:, int(np.sum(s > 1e-10 * s.max(initial=0.0))):].T
+    perp = affine_complement(points)[0].T
     return np.vstack([perp, -perp])
 
 
@@ -219,6 +218,8 @@ def find_set(vm: VectorMeasure, target, tol: float = 1e-8) -> IntervalSet:
     ``CertifiedFailure`` when it misses by more than tol; there is no
     fallback.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     target = np.asarray(target, dtype=float)
     if target.shape != (vm.criteria,):
         raise ValueError("target dimension mismatch")

@@ -8,7 +8,6 @@ import pytest
 
 from atomless_mdp.derandomize import (
     DistanceResult,
-    _min_max_direction,
     alpha_hat,
     caratheodory,
     derandomize,
@@ -35,7 +34,6 @@ from atomless_mdp.model import (
 )
 from atomless_mdp.occupancy import occupancy, occupancy_total_variation, performance
 from atomless_mdp.scalar_dp import SubmodelSpec, conserving_submodel, support, value_iteration
-from tests.test_geometry import nnls_projection
 from tests.test_model import one_cell_discounted
 
 
@@ -653,8 +651,8 @@ def test_alpha_hat_decides_alpha_zero_from_the_path_ends(monkeypatch):
 
 
 def test_realize_keeps_the_stopping_submodel(monkeypatch):
-    # the reduce step polishes, solves and prunes on the submodel of
-    # alpha_hat's stopping "inside" test; it builds no second submodel at
+    # the reduce step finds its direction, solves and prunes on the submodel
+    # of alpha_hat's stopping "inside" test; it builds no second submodel at
     # the returned fraction
     module = importlib.import_module("atomless_mdp.derandomize")
     member, search, solve = module._membership, module.alpha_hat, module.value_iteration
@@ -815,87 +813,38 @@ def test_illinois_beats_bisection_on_a_smooth_function(tol):
 # supporting directions
 # ---------------------------------------------------------------------------
 
-def direction_clouds(dim, rng):
-    """(name, cloud, exact min over unit b of max_k <b, w_k>) for seeded clouds.
-
-    Unless the origin is interior to a full-dimensional hull the minimum is
-    minus the distance from the origin to the hull (zero when the origin lies
-    in a flat hull or on its boundary); in the interior it is the distance to
-    the nearest facet.
-    """
-    from scipy.spatial import ConvexHull
-
-    k = 2 * dim + 5
-    shift = np.zeros(dim)
-    shift[0] = 3.0
-    outside = rng.normal(size=(k, dim)) + shift
-    unit = rng.normal(size=dim)
-    unit /= np.linalg.norm(unit)
-    clouds = {
-        "outside": outside,
-        "duplicate rows": np.repeat(outside[: dim + 2], 2, axis=0),
-        "collinear": rng.normal(size=dim) + rng.uniform(-1.0, 1.0, size=(k, 1)) * unit,
-        "collinear through origin": rng.uniform(-1.0, 1.0, size=(k, 1)) * unit,
-        "flat in the last coordinate": np.column_stack(
-            [rng.normal(size=(k, dim - 1)), np.zeros(k)]),
-        "origin on a vertex": np.vstack(
-            [np.zeros(dim), np.abs(rng.normal(size=(k - 1, dim))) + 0.1]),
-    }
-    for name, w in clouds.items():
-        yield name, w, -float(np.linalg.norm(nnls_projection(w, np.zeros(dim))))
-    inside = rng.normal(size=(k, dim))
-    offsets = ConvexHull(inside).equations[:, -1]     # unit normals, <n, x> + offset <= 0
-    assert np.all(offsets < 0.0)
-    yield "interior origin", inside, float(np.min(-offsets))
-
-
-@pytest.mark.parametrize("dim", [2, 3, 4, 5])
-def test_min_max_direction_is_exact(dim):
-    rng = np.random.default_rng(60 + dim)
-    dirs = rng.normal(size=(20000, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    for name, w, expected in direction_clouds(dim, rng):
-        b = _min_max_direction(w)
-        value = float((w @ b).max())
-        assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12), name
-        assert value == pytest.approx(expected, abs=1e-9), name
-        assert value <= float((dirs @ w.T).max(axis=1).min()) + 1e-12, name
-
-
-def test_polish_starts_from_the_stopping_witness(monkeypatch):
-    # the polish's cloud starts from the witness of alpha_hat's stopping
-    # test and the vertex of its certified direction, which hold the
-    # target's face; the 2N axis directions' vertices join only where that
-    # leaves at most N points.  On these mixes the polish makes 1.5 policy-
-    # iteration solves per reduce level; querying the axes always made 7.3
-    module = importlib.import_module("atomless_mdp.derandomize")
-    dp = importlib.import_module("atomless_mdp.scalar_dp")
-    polish, original_solve = module._polish_direction, dp._solve
-    inside, solves = [False], []
-
-    def solve(*args):
-        if inside[0]:
-            solves[-1] += 1
-        return original_solve(*args)
-
-    def polishing(*args, **kwargs):
-        solves.append(0)
-        inside[0] = True
-        try:
-            return polish(*args, **kwargs)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(dp, "_solve", solve)
-    monkeypatch.setattr(module, "_polish_direction", polishing)
+def test_polish_starts_from_the_stopping_witness():
+    # the reduce direction comes from one distance iteration, seeded with
+    # the witness of alpha_hat's stopping test, from the target pushed out
+    # of V(alpha_hat) along alpha_hat's direction; on these mixes it
+    # certifies the normal after one support call per reduce level
     rng = np.random.default_rng(31)
+    calls = []
     for seed in range(8):
         m = random_model(6, 3, 2 + seed % 2, seed=2100 + seed)
         phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
         _, cert = mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
         assert cert.error <= 1e-6
-    assert len(solves) >= 8
-    assert np.mean(solves) <= 2.5
+        calls += [e["polish_calls"] for e in cert.trace if e["kind"] == "reduce"]
+    assert len(calls) >= 8
+    assert np.mean(calls) <= 1.5
+
+
+@pytest.mark.parametrize("criteria", [2, 3, 4, 5])
+def test_reduce_direction_supports_the_frozen_set(criteria):
+    # every reduce level's direction b has h(b) - <b, target> in
+    # [-member_tol, 0] up to rounding, on V(alpha_hat): the target lies on
+    # the supporting hyperplane's side within the tolerance the conserving
+    # actions' Q-gap eta = 4 member_tol allows
+    rng = np.random.default_rng(40 + criteria)
+    ratios = []
+    for seed in range(3):
+        m = random_model(6, 3, criteria, seed=2300 + 10 * criteria + seed)
+        _, cert = derandomize(m, random_stationary_policy(m, rng), tol=1e-6)
+        ratios += [4.0 * e["support_gap"] / e["eta"] for e in cert.trace
+                   if e["kind"] == "reduce"]
+    assert len(ratios) >= 3 * (criteria - 1)
+    assert min(ratios) >= -1.0 and max(ratios) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -1008,8 +957,9 @@ def test_scalar_realization_evaluates_one_path_policy(monkeypatch):
 
 def test_no_submodel_solves_a_direction_twice(monkeypatch):
     # alpha_hat's membership tests query the direction its gap step just
-    # solved, and the reduce step's value_iteration the polish's best one:
-    # the submodel answers those from its kept solves
+    # solved, and the reduce step's value_iteration the separating direction
+    # of its distance iteration: the submodel answers those from its kept
+    # solves
     module = importlib.import_module("atomless_mdp.scalar_dp")
     original_solve, original_query = module._solve, module._policy_iteration
     solved, kept, queries = Counter(), [], [0]
@@ -1054,6 +1004,29 @@ def test_mix_rejects_bad_lambda():
         mix_pair(m, phi0, phi1, 1.5)
 
 
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("entry", ["mix_pair", "caratheodory", "derandomize", "find_set"])
+def test_entries_reject_bad_tolerances(entry, tol):
+    # bad input, not a certified miss, and before any work: the entries on
+    # a model compute no absorption certificate first
+    from atomless_mdp.lyapunov import as_onestep_mdp, find_set
+    from tests.test_lyapunov import random_vm
+
+    vm = random_vm(4, 2, seed=2)
+    m = as_onestep_mdp(vm)
+    phi0, phi1 = DeterministicPolicy(m.grid, [0] * 4), DeterministicPolicy(m.grid, [1] * 4)
+    pi = StationaryPolicy(m.grid, np.full((4, 2), 0.5))
+    calls = {
+        "mix_pair": lambda: mix_pair(m, phi0, phi1, 0.5, tol=tol),
+        "caratheodory": lambda: caratheodory(m, pi, tol=tol),
+        "derandomize": lambda: derandomize(m, pi, tol=tol),
+        "find_set": lambda: find_set(vm, 0.5 * vm.total(), tol=tol),
+    }
+    with pytest.raises(ValueError, match="tol must be positive"):
+        calls[entry]()
+    assert m._certificate is None
+
+
 # ---------------------------------------------------------------------------
 # caratheodory
 # ---------------------------------------------------------------------------
@@ -1066,6 +1039,18 @@ def test_caratheodory_deterministic_single_term():
     assert len(terms) == 1
     assert terms[0][0] == 1.0
     assert terms[0][1] == phi
+
+
+def test_caratheodory_rejects_invalid_deterministic_policies():
+    m = random_model(6, 3, 2, seed=1)
+    cell, action = np.argwhere(~m.available_mask())[0]
+    unavailable = np.argmax(m.available_mask(), axis=1)
+    unavailable[cell] = action
+    for acts in ([7] * 6, unavailable):
+        phi = DeterministicPolicy(m.grid, acts)
+        for call in (caratheodory, derandomize):
+            with pytest.raises(ModelFormatError, match="unavailable action"):
+                call(m, phi)
 
 
 def test_caratheodory_orthogonal_one_step():
@@ -1152,7 +1137,8 @@ def test_derandomize_folds_checked_terms_once(monkeypatch):
 
 def test_derandomize_summary_totals_the_work():
     # the certificate summary totals alpha_hat's membership tests and
-    # support calls, the polish's support calls and the scalar path solves
+    # support calls, the reduce directions' support calls and the scalar
+    # path solves
     # over every fold; the search is deterministic, so a repeated run
     # repeats the totals
     def run():
@@ -1200,6 +1186,32 @@ def test_derandomize_meets_tol_at_long_lifetimes(seed, beta):
 
     m = seeded_discounted(2000 + seed, beta)
     pi = random_stationary_policy(m, np.random.default_rng(seed))
+    phi, cert = derandomize(m, pi, tol=1e-6)
+    assert cert.error <= 1e-6
+    miss = performance(m, phi, tol=1e-12) - performance(m, pi, tol=1e-12)
+    assert np.linalg.norm(miss) <= 1e-6
+
+
+@pytest.mark.parametrize("rng_seed, draws, model_args", [
+    (8, [(4, 9), (2, 4)], (7, 2, 3, 7008)),
+    (0, [(4, 9), (2, 4)], (8, 3, 4, 8000)),
+    (5, [(4, 9), (2, 4)], (7, 3, 4, 8005)),
+    (0, [], (16, 3, 5, 500)),
+    (43, [], (6, 3, 3, 2330)),
+], ids=["N3-seed7008", "N4-seed8000", "N4-seed8005", "N5-seed500", "N3-seed2330"])
+def test_derandomize_where_a_corral_lies_on_one_facet(rng_seed, draws, model_args):
+    # on N3-seed2330 the distance iteration of a reduce step holds a corral
+    # of N + 1 vertices of one facet, affinely independent only by rounding
+    # (smallest singular value 7e-17 of the largest); without the affine
+    # hull's numerical rank it found no direction off the hull.  The other
+    # four are draws of the N = 3 to 5 sweeps, kept as regression cases for
+    # the reduce step; the rng first makes the draws that chose their size
+    rng = np.random.default_rng(rng_seed)
+    for lo, hi in draws:
+        rng.integers(lo, hi)
+    cells, actions, criteria, seed = model_args
+    m = random_model(cells, actions, criteria, seed=seed)
+    pi = random_stationary_policy(m, rng)
     phi, cert = derandomize(m, pi, tol=1e-6)
     assert cert.error <= 1e-6
     miss = performance(m, phi, tol=1e-12) - performance(m, pi, tol=1e-12)

@@ -7,6 +7,7 @@ from scipy.spatial import ConvexHull
 
 from atomless_mdp.geometry import (
     _affine_minimizer,
+    affine_complement,
     caratheodory_prune,
     distance_to_hull,
     min_norm_point,
@@ -96,6 +97,27 @@ def test_distance_near_hull_with_near_duplicate_points():
     assert np.linalg.norm(min_norm_point(pts)[0]) <= 1e-10
 
 
+def test_min_norm_point_looks_past_the_corral():
+    # the corral (0, 1, 2) ends 5.0100e-9 from the origin, where the values
+    # <x, p> of its own points scatter by 1e-16 around ||x||^2 = 2.5e-17; one
+    # of them fell below row 3's, 1.7e-8 from row 0, and the search stopped
+    # there.  The minimum, 4.8170064925e-9 in 50-digit arithmetic, has the
+    # corral (1, 2, 3)
+    pts = np.array([
+        [-0.05885241933303256, -0.012093176273600958, -0.19008158348577336,
+         -0.032013501336571326, 0.12746283339985387],
+        [-0.650570323467161, 0.027041582043404233, -0.03060173968213724,
+         -0.22495703106797243, 0.20592652291077218],
+        [0.15963750202058147, -0.006394042394079036, 0.01061964417618659,
+         0.05539383578673565, -0.052337754392564384],
+        [-0.05885241104719477, -0.012093173998730555, -0.19008157175116186,
+         -0.032013508816240765, 0.1274628374913777],
+    ])
+    x, lam = min_norm_point(pts)
+    assert float(np.linalg.norm(x)) == pytest.approx(4.8170064925e-9, abs=1e-12)
+    assert np.flatnonzero(lam).tolist() == [1, 2, 3]
+
+
 def test_affine_minimizer_on_affinely_dependent_rows():
     # three collinear rows 1e-17 apart: the differences have rank 1, and the
     # weights must still sum to 1 and reproduce the line's min-norm point
@@ -104,6 +126,25 @@ def test_affine_minimizer_on_affinely_dependent_rows():
     assert x == pytest.approx([1.0, 0.0], abs=1e-15)
     assert alphas.sum() == pytest.approx(1.0, abs=1e-15)
     assert alphas @ pts == pytest.approx(x, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_affine_complement_has_the_numerical_rank(dim):
+    # N + 1 points of one hyperplane in R^N, off it by at most 1e-15: their
+    # differences have rank N only by rounding, and the one column left is
+    # the hyperplane's normal; a simplex leaves none
+    rng = np.random.default_rng(70 + dim)
+    normal = rng.normal(size=dim)
+    normal /= np.linalg.norm(normal)
+    basis = np.linalg.svd(normal[None, :])[2][1:]           # spans the hyperplane
+    pts = 0.3 * normal + rng.normal(size=(dim + 1, dim - 1)) @ basis
+    pts += rng.uniform(-1e-15, 1e-15, size=(dim + 1, 1)) * normal
+    perp, sv = affine_complement(pts)
+    assert perp.shape == (dim, 1) and sv.size == dim
+    assert abs(abs(float(perp[:, 0] @ normal)) - 1.0) <= 1e-12
+    assert np.abs((pts[1:] - pts[0]) @ perp).max() <= 1e-12
+    simplex = np.vstack([np.zeros(dim), np.eye(dim)])
+    assert affine_complement(simplex)[0].shape == (dim, 0)
 
 
 def test_caratheodory_prune_preserves_point():

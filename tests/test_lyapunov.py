@@ -275,9 +275,8 @@ def test_find_set_convex_combination_of_returned_sets():
 
 
 def test_find_set_derandomizes_once(monkeypatch):
-    # one derandomize at 0.8 tol and one realization per pairwise mix; on
-    # smooth seeds 4, 23 and 30 the direction polish needs more than 16
-    # cutting-plane rounds to certify the face through the target
+    # one derandomize at 0.8 tol and one realization per pairwise mix, on
+    # union-of-cells and smooth targets
     lyapunov = importlib.import_module("atomless_mdp.lyapunov")
     module = importlib.import_module("atomless_mdp.derandomize")
     runs, mixes = [], []
