@@ -39,6 +39,7 @@ from .model import (
     discounted_to_absorbing,
     doubling_corridor,
     load_model,
+    read_model_document,
     save_model_file,
     weighted_transform,
 )
@@ -242,11 +243,7 @@ def _write_csv(path, header, rows):
 
 def _load_any_model(path, report):
     """Read the file once; the same bytes give the digest and the document."""
-    data = report.add_input(path)
-    try:
-        doc = json.loads(data)
-    except ValueError as exc:         # malformed JSON or bytes that are not text
-        raise ModelFormatError(path, f"invalid JSON: {exc}") from None
+    doc = read_model_document(report.add_input(path), path)
     if isinstance(doc, dict) and doc.get("kind") == "discrete-chain":
         try:
             return doubling_corridor(int(doc.get("depth", 10)))

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .errors import (
     ModelFormatError,
@@ -495,6 +496,34 @@ def _action_entries(entries, count: int, path: str) -> list:
     return entries
 
 
+def _is_action_index(a) -> bool:
+    """An integral number that is not a bool (JSON has no integer type)."""
+    if isinstance(a, float):
+        return a.is_integer()
+    return isinstance(a, int) and not isinstance(a, bool)
+
+
+def read_model_document(data: bytes, where):
+    """Parse a model document from the bytes of its file.
+
+    orjson parses the strict UTF-8 JSON every writer here emits.  What it
+    refuses goes to ``json.loads`` on the same bytes, which also reads the
+    ``NaN`` and ``Infinity`` tokens ``json.dump`` writes, UTF-16 and UTF-32
+    input and numbers beyond the double range (as infinities); its message
+    words the error when neither parser accepts the bytes, raised as
+    ModelFormatError naming ``where``.  orjson reads integers beyond 64 bits
+    as floats, a size no field here can hold.
+    """
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(data)
+    except ValueError as exc:         # malformed JSON or bytes that are not text
+        raise ModelFormatError(where, f"invalid JSON: {exc}") from None
+
+
 def load_model(doc: dict) -> AtomlessMDP:
     """Build and fully validate a model from its document form.
 
@@ -520,7 +549,7 @@ def load_model(doc: dict) -> AtomlessMDP:
     except ValueError as exc:
         raise ModelFormatError("grid", str(exc)) from None
     n_actions = doc.get("actions")
-    if not isinstance(n_actions, int) or n_actions < 1:
+    if isinstance(n_actions, bool) or not isinstance(n_actions, int) or n_actions < 1:
         raise ModelFormatError("actions", "expected a positive integer")
 
     available = doc.get("available")
@@ -528,10 +557,9 @@ def load_model(doc: dict) -> AtomlessMDP:
         raise ModelFormatError("available", f"expected {base.cell_count} per-cell action lists")
     avail = []
     for i, acts in enumerate(available):
-        try:
-            acts = sorted(set(int(a) for a in acts)) if acts else []
-        except (TypeError, ValueError):
-            raise ModelFormatError(f"available[{i}]", "expected a list of action indices") from None
+        if not isinstance(acts, list) or not all(map(_is_action_index, acts)):
+            raise ModelFormatError(f"available[{i}]", "expected a list of action indices")
+        acts = sorted({int(a) for a in acts})
         if not acts:
             raise ModelFormatError(f"available[{i}]", "empty action set")
         if acts[0] < 0 or acts[-1] >= n_actions:
@@ -677,11 +705,8 @@ def model_to_doc(model: AtomlessMDP) -> dict:
 
 
 def load_model_file(path) -> AtomlessMDP:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError("document", f"invalid JSON: {exc}") from None
+    with open(path, "rb") as fh:
+        doc = read_model_document(fh.read(), path)
     return load_model(doc)
 
 

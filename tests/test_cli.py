@@ -446,6 +446,33 @@ def test_validate_malformed_document_exits_2(tmp_path, capsys, case):
     assert f"validation error: {path}: " in capsys.readouterr().err
 
 
+def test_validate_boolean_action_count_exits_2(tmp_path, capsys):
+    # it once exited 5, an internal error, from np.zeros
+    def one_action(doc):
+        doc.update(actions=True, available=[[0]] * len(doc["available"]))
+        for cell in ("kernel", "rewards"):
+            doc[cell] = [entries[:1] for entries in doc[cell]]
+
+    assert run("validate", write_doc(tmp_path, one_action)) == 2
+    assert "validation error: actions: expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [b'{"kind": "absorbing", ', b"\xff\xfe\x00\xd8\x80"],
+                         ids=["truncated", "not text"])
+def test_validate_invalid_json_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    assert run("validate", path) == 2
+    assert f"validation error: {path}: invalid JSON: " in capsys.readouterr().err
+
+
+def test_validate_reads_utf16_document(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_bytes(json.dumps(model_to_doc(builtin("unit-interval-onestep"))).encode("utf-16"))
+    assert run("validate", path) == 0
+    assert "model valid" in capsys.readouterr().out
+
+
 def chain_grid_model(tmp_path):
     """A one-step model on the grid [0, 0.5, 0.5 + 1.8e-12, 1], whose two inner
     breakpoints are farther apart than MERGE_TOL."""

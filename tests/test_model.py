@@ -2,9 +2,12 @@
 
 import gc
 import importlib
+import json
+import struct
 import weakref
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,10 +27,12 @@ from atomless_mdp.model import (
     discounted_to_absorbing,
     doubling_corridor,
     load_model,
+    load_model_file,
     model_to_doc,
     random_deterministic_policy,
     random_model,
     random_stationary_policy,
+    read_model_document,
     stop_policy,
     validate_policy,
     weighted_transform,
@@ -223,6 +228,111 @@ def test_model_rejects_non_finite_masses():
                            (np.zeros((1, 1, 1)), np.full((1, 1), np.nan))):
         with pytest.raises(ModelFormatError, match=r"kernel\[0\]\[0\].*finite"):
             AtomlessMDP(base.grid, 1, [(0,)], kernel, absorb, base.rewards, base.initial)
+
+
+def test_load_rejects_boolean_action_count():
+    # True is an int to Python; it once reached np.zeros and raised TypeError
+    doc = minimal_doc()
+    doc["actions"] = True
+    with pytest.raises(ModelFormatError, match="^actions: expected a positive integer"):
+        load_model(doc)
+
+
+@pytest.mark.parametrize("index", [1.7, 0.9, "1", True], ids=repr)
+def test_load_rejects_non_integral_action_index(index):
+    # each of these once loaded as action int(index)
+    doc = minimal_doc()
+    doc["actions"] = 2
+    doc["available"] = [[index]]
+    with pytest.raises(ModelFormatError,
+                       match=r"^available\[0\]: expected a list of action indices$"):
+        load_model(doc)
+
+
+@pytest.mark.parametrize("index", [1, 1.0])
+def test_load_accepts_integral_action_index(index):
+    doc = minimal_doc()
+    doc["actions"] = 2
+    doc["available"] = [[index]]
+    assert load_model(doc).available == ((1,),)
+
+
+# ---------------------------------------------------------------------------
+# reading document bytes
+# ---------------------------------------------------------------------------
+
+def float_bits(value):
+    """The parsed document with every float replaced by its IEEE-754 bytes,
+    so that == compares floats bitwise (-0.0 against 0.0, NaN against NaN)."""
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    if isinstance(value, list):
+        return [float_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: float_bits(v) for k, v in value.items()}
+    return (type(value).__name__, value)
+
+
+def hard_float_texts():
+    """Decimal texts at the edges of double rounding: subnormals, the
+    smallest normal written with 17 digits, the largest finite double, a
+    signed zero and 30-digit mantissas over the whole exponent range."""
+    texts = ["5e-324", "4.9406564584124654e-324", "2.2250738585072011e-308",
+             "2.2250738585072014e-308", "-0.0", "0.0", "1.7976931348623157e308",
+             "-1.7976931348623157e308", "0.1", "9007199254740993.0", "1e-400"]
+    rng = np.random.default_rng(22)
+    for _ in range(2000):
+        digits = "".join(map(str, rng.integers(0, 10, 30)))
+        texts.append(f"{digits[0]}.{digits[1:]}e{int(rng.integers(-330, 308))}")
+    for bits in rng.integers(0, 2**63 - 1, 2000, dtype=np.int64, endpoint=True):
+        value = float(np.int64(bits).view(np.float64))
+        if np.isfinite(value):
+            texts.append(repr(value))
+    return texts
+
+
+@pytest.mark.parametrize("seed, cells, actions, criteria",
+                         [(1, 3, 2, 1), (7, 12, 3, 3), (40, 24, 4, 2)])
+def test_reader_matches_json_on_model_documents(seed, cells, actions, criteria):
+    data = json.dumps(model_to_doc(random_model(cells, actions, criteria, seed=seed)),
+                      indent=1).encode()
+    orjson.loads(data)      # strict JSON: the reader's fast path, not its fallback
+    assert float_bits(read_model_document(data, "m.json")) == float_bits(json.loads(data))
+
+
+def test_reader_matches_json_on_hard_floats():
+    data = ("[" + ",".join(hard_float_texts()) + "]").encode()
+    orjson.loads(data)
+    assert float_bits(read_model_document(data, "floats")) == float_bits(json.loads(data))
+
+
+def test_reader_keeps_what_json_dump_writes():
+    # non-finite tokens and overflowing literals go to the json fallback
+    data = b'{"a": NaN, "b": Infinity, "c": -Infinity, "d": 1e400, "e": -1e400}'
+    doc = read_model_document(data, "m.json")
+    assert np.isnan(doc["a"])
+    assert [doc[k] for k in "bcde"] == [np.inf, -np.inf, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32", "utf-8-sig"])
+def test_reader_decodes_what_json_loads_decodes(tmp_path, encoding):
+    m = random_model(4, 2, 2, seed=3)
+    text = json.dumps(model_to_doc(m), indent=1)
+    assert read_model_document(text.encode(encoding), "m.json") == json.loads(text)
+    path = tmp_path / "m.json"
+    path.write_bytes(text.encode(encoding))
+    assert model_to_doc(load_model_file(path)) == model_to_doc(m)
+
+
+@pytest.mark.parametrize("data", [b'{"kind": ', b"", b"[1,]", b"\xff\xfe\x00\xd8\x80"],
+                         ids=["truncated", "empty", "trailing comma", "not text"])
+def test_load_model_file_names_the_file_on_unreadable_bytes(tmp_path, data):
+    # bytes that are not UTF-8 once escaped as UnicodeDecodeError
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    with pytest.raises(ModelFormatError, match="invalid JSON: ") as exc:
+        load_model_file(path)
+    assert exc.value.field == path
 
 
 # ---------------------------------------------------------------------------
