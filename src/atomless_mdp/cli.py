@@ -20,6 +20,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -128,6 +129,15 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
+def _readable(tokens) -> bool:
+    """True when float reads every one of ``tokens``."""
+    try:
+        list(map(float, tokens))
+    except ValueError:
+        return False
+    return True
+
+
 def _tiling(path, data: bytes, min_cols, max_cols=None):
     """The rows ``lo hi v_1 .. v_k`` of ``data``, the content of the text file
     ``path``, sorted by start: their partition of [0, 1], their (rows x k)
@@ -148,27 +158,38 @@ def _tiling(path, data: bytes, min_cols, max_cols=None):
     lines, rows = [], []
     for lineno, line in enumerate(io.StringIO(text, newline=None), 1):
         tokens = line.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        where = f"{path}:{lineno}"
-        if rows and len(tokens) != len(rows[0]):
-            raise ModelFormatError(
-                where, f"{len(tokens)} columns, but line {lines[0]} has {len(rows[0])}")
-        if len(tokens) < min_cols or (max_cols is not None and len(tokens) > max_cols):
-            expected = f"at least {min_cols}" if max_cols is None else max_cols
-            raise ModelFormatError(where, f"expected {expected} columns, got {len(tokens)}")
-        try:
-            values = [float(t) for t in tokens]
-        except ValueError:
-            raise ModelFormatError(where, "non-numeric entry") from None
-        if not np.all(np.isfinite(values)):
-            raise ModelFormatError(where, "non-finite entry")
-        lines.append(lineno)
-        rows.append(values)
+        if tokens:
+            lines.append(lineno)
+            rows.append(tokens)
     if not rows:
         raise ModelFormatError(path, "empty file")
-    order = np.argsort([r[0] for r in rows], kind="stable")
-    lines, table = [lines[r] for r in order], np.array(rows)[order]
+    # report the first bad line, and on it the first of these faults: a
+    # column count unlike the first line's or out of range, a token float
+    # cannot read, a non-finite number
+    widths = np.fromiter(map(len, rows), np.intp, len(rows))
+    cols = int(widths[0])
+    bad = np.flatnonzero((widths != cols) | (widths < min_cols)
+                         | (max_cols is not None and widths > max_cols))
+    first = int(bad[0]) if bad.size else len(rows)
+    if first < len(rows):
+        width = int(widths[first])
+        expected = f"at least {min_cols}" if max_cols is None else max_cols
+        fault = (f"{width} columns, but line {lines[0]} has {cols}" if width != cols
+                 else f"expected {expected} columns, got {width}")
+    try:
+        values = np.fromiter(map(float, chain.from_iterable(rows[:first])), float, first * cols)
+    except ValueError:
+        first = next(k for k, tokens in enumerate(rows) if not _readable(tokens))
+        fault = "non-numeric entry"
+        values = np.fromiter(map(float, chain.from_iterable(rows[:first])), float, first * cols)
+    table = values.reshape(first, cols)
+    non_finite = ~np.isfinite(table).all(axis=1)
+    if non_finite.any():
+        raise ModelFormatError(f"{path}:{lines[int(np.argmax(non_finite))]}", "non-finite entry")
+    if first < len(rows):
+        raise ModelFormatError(f"{path}:{lines[first]}", fault)
+    order = np.argsort(table[:, 0], kind="stable")
+    lines, table = [lines[r] for r in order], table[order]
     lo, hi = table[:, 0], table[:, 1]
     ends = np.concatenate(([0.0], hi))          # where each row should start, then 1
     off = np.abs(np.append(lo, 1.0) - ends) > 1e-9

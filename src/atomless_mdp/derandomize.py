@@ -196,13 +196,15 @@ def tv_modulus(ctx: TwoPolicyContext, delta: float) -> float:
     delta = abs(float(delta))
     cert = ctx.pair.model.certificate()
     q_total = ctx.q.total
-    best = np.inf
-    horizon = cert.survival.size + 64
-    for level in range(horizon):
+    best, level = np.inf, 0
+    # cut at most 64 steps past the survival profile's end, computing the
+    # profile only as far as the cuts tried need it
+    while len(cert.profile_through(level - 64)) > level - 64:
         grow = (2.0**level) * q_total * delta
         if grow >= best:
             break
         best = min(best, 2.0 * (cert.tail(level) + grow))
+        level += 1
     return float(best)
 
 
@@ -406,8 +408,10 @@ def _face_root(ctx: TwoPolicyContext, res: DistanceResult, lo: float, x: float,
     on [max(lo, the alpha at which the threshold enters x's pair interval),
     x], each F from exact evaluations (``_spliced_value``).  Returns
     (alpha, n(alpha)) with |F| <= tol/4 there; None where the witness has
-    fewer than N affinely independent vertices, F keeps its sign, or the
-    solve finds no such alpha strictly inside the bracket in FACE_ITERS steps.
+    fewer than N vertices, F keeps its sign, the solve finds no such alpha
+    strictly inside the bracket in FACE_ITERS steps, or the vertices are not
+    affinely independent at some F evaluation (a singular value of their
+    differences at most 1e-8 of the largest), where n would be arbitrary.
     ``counts["face_steps"]`` counts the F evaluations.
     """
     dim, cols = len(active), list(active)
@@ -419,33 +423,36 @@ def _face_root(ctx: TwoPolicyContext, res: DistanceResult, lo: float, x: float,
     above = [p.actions[np.searchsorted(p.partition.points, pts[1:]) - 1] for p in witness]
 
     def face(alpha):
+        """(F(alpha), n(alpha)), or None where the vertices at alpha are not
+        affinely independent, so that their hull is no facet."""
         counts["face_steps"] += 1
         s = ctx.split(alpha)
         low = ctx.a1[s.rows]
         verts = np.array([_spliced_value(ctx, s, np.where(s.below, low, acts[s.rows]))[1][cols]
                           for acts in above])
         perp, sv = affine_complement(verts)
+        if sv.size and not sv.min() > 1e-8 * sv.max():
+            return None
         n = perp[:, 0] if perp[:, 0] @ res.direction >= 0.0 else -perp[:, 0]
-        return float(n @ (t_active - verts[0])) - 0.5 * tol, n, sv
+        return float(n @ (t_active - verts[0])) - 0.5 * tol, n
 
-    f_x, _, sv = face(x)
+    at_x = face(x)
     j = max(int(np.searchsorted(pts, ctx.threshold(x))) - 1, 0)
     a = max(lo, ctx.q.cdf(float(pts[j])) / ctx.q.total)
-    # the witness spans a facet only if its N vertices are affinely independent
-    if sv.size and not sv.min() > 1e-8 * sv.max() or not a < x:
+    at_a = face(a) if at_x is not None and a < x else None
+    if at_a is None or not at_a[0] * at_x[0] < 0.0:
         return None
-    f_a = face(a)[0]
-    if not f_a * f_x < 0.0:
-        return None
-    bracket = _Illinois(a, f_a, x, f_x)
+    bracket = _Illinois(a, at_a[0], x, at_x[0])
     for _ in range(FACE_ITERS):
         alpha = bracket.secant()
         if not bracket.a < alpha < bracket.b:
             return None
-        f, n, _ = face(alpha)
-        if abs(f) <= 0.25 * tol:
-            return alpha, n
-        bracket.move(alpha, f)
+        at = face(alpha)
+        if at is None:
+            return None
+        if abs(at[0]) <= 0.25 * tol:
+            return alpha, at[1]
+        bracket.move(alpha, at[0])
     return None
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 import orjson
@@ -295,9 +296,10 @@ class AbsorptionCertificate:
     still being alive after n steps from the model's initial distribution, and
     ``tail(n)`` bounds the worst-case expected remaining lifetime from step n.
     ``L``, ``sigma`` and ``half_horizon`` need only the first half_horizon
-    steps of the survival recursion; ``survival`` continues it on first read.
-    The certificate holds the recursion's arrays, never the model, so a
-    model that caches it forms no reference cycle.
+    steps of the survival recursion; ``profile_through(n)`` continues it
+    through step n, ``survival`` to its end.  The certificate holds the
+    recursion's arrays, never the model, so a model that caches it forms no
+    reference cycle.
     """
 
     __slots__ = ("L", "sigma", "half_horizon", "tol", "_profile", "_resume")
@@ -307,27 +309,37 @@ class AbsorptionCertificate:
         self.L, self.tol = L, tol
         self.sigma = sigma            # max over cells of the half-horizon survival bound
         self.half_horizon = half_horizon
-        self._profile = profile       # survival[0..half_horizon], then all of it
-        self._resume = resume         # (kernel, neg, mu, s_vec, cap) at half_horizon, then None
+        self._profile = profile       # survival[0..n] so far, an array once complete
+        self._resume = resume         # (kernel, neg, mu, s_vec, cap) at step n, then None
+
+    def profile_through(self, n: int):
+        """The survival profile through step n, or all of it where the
+        recursion stops first; it may run further."""
+        profile = self._profile
+        if self._resume is None or len(profile) > n:
+            return profile
+        kernel, neg, mu, s_vec, cap = self._resume
+        step, worst = len(profile) - 1, float(s_vec.max(initial=0.0))
+        while not (profile[-1] <= self.tol * 1e-4 or worst == 0.0 or step >= cap):
+            if step >= n:
+                self._resume = (kernel, neg, mu, s_vec, cap)
+                return profile
+            s_vec = _survival_step(kernel, neg, s_vec)
+            step += 1
+            profile.append(float(min(profile[-1], mu @ s_vec)))
+            worst = float(s_vec.max(initial=0.0))
+        self._profile, self._resume = np.asarray(profile), None
+        return self._profile
 
     @property
     def survival(self) -> np.ndarray:
-        if self._resume is not None:
-            kernel, neg, mu, s_vec, cap = self._resume
-            profile, worst, n = self._profile, self.sigma, self.half_horizon
-            while not (profile[-1] <= self.tol * 1e-4 or worst == 0.0 or n >= cap):
-                s_vec = _survival_step(kernel, neg, s_vec)
-                n += 1
-                profile.append(float(min(profile[-1], mu @ s_vec)))
-                worst = float(s_vec.max(initial=0.0))
-            self._profile, self._resume = np.asarray(profile), None
-        return self._profile
+        return self.profile_through(np.inf)
 
     def tail(self, n: int) -> float:
         n = int(n)
         markov = self.L * self.L / (n + 1)
-        survival = self.survival
-        s = survival[min(n, survival.size - 1)]
+        survival = self.profile_through(n)
+        s = survival[min(n, len(survival) - 1)]
         return float(min(self.L, markov, self.L * s))
 
     def summary(self) -> dict:
@@ -477,23 +489,89 @@ def weighted_transform(model: AtomlessMDP, w) -> AtomlessMDP:
 # ---------------------------------------------------------------------------
 
 
-def _rows_field(rows, path) -> np.ndarray:
-    """``[lo, hi, mass]`` rows as an (n, 3) float array."""
+def _numbers(values) -> np.ndarray:
+    """A list of JSON numbers as a float array.  Raises TypeError unless
+    ``values`` is a list of ints and floats (no booleans, no strings), and
+    OverflowError for an int beyond the double range."""
+    if type(values) is not list or not all(
+            issubclass(t, (int, float)) and not issubclass(t, bool) for t in set(map(type, values))):
+        raise TypeError("expected a list of numbers")
+    return np.fromiter(values, float, len(values))
+
+
+def _entry_arrays(avail, kernel_doc, rewards_doc, initial):
+    """The document's available (cell, action) entries, in document order,
+    then the initial rows as one more entry without absorption: every
+    entry's ``[lo, hi, mass]`` rows as one (rows, 3) table, each entry's row
+    count, absorb masses and the (entries - 1, N) rewards.
+
+    Each field is converted for all entries at once; a malformed entry
+    raises TypeError, ValueError or OverflowError, and
+    ``_raise_malformed_entry`` names it.
+    """
+    entries, rewards = [], []
+    for acts, cell_kernel, cell_rewards in zip(avail, kernel_doc, rewards_doc):
+        if list.__len__(cell_kernel) != len(acts) or list.__len__(cell_rewards) != len(acts):
+            raise ValueError("action entry count")
+        entries += cell_kernel
+        rewards += cell_rewards
+    to = [*map(dict.get, entries, repeat("to"), repeat([])), initial]
+    rows = list(chain.from_iterable(to))
+    # lists only: a string or an object would chain its characters or keys
+    if set(map(type, chain(to, rows, rewards))) != {list} or set(map(len, rows)) - {3}:
+        raise ValueError("expected [lo, hi, mass] rows")
+    table = np.fromiter(chain.from_iterable(rows), float, 3 * len(rows)).reshape(-1, 3)
+    counts = np.fromiter(map(len, to), np.intp, len(to))
+    absorb = _numbers([*map(dict.get, entries, repeat("absorb"), repeat(0.0)), 0.0])
+    criteria = set(map(len, rewards))
+    if len(criteria) != 1:
+        raise ValueError("inconsistent criteria count")
+    rewards = _numbers(list(chain.from_iterable(rewards))).reshape(len(entries), criteria.pop())
+    return table, counts, absorb, rewards
+
+
+def _check_rows(rows, path):
+    """Raise unless ``rows`` is a list of ``[lo, hi, mass]`` lists."""
     try:
         arr = np.array(rows, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(path, f"expected [lo, hi, mass] rows: {exc}") from None
-    if arr.shape == (0,):
-        return arr.reshape(0, 3)
-    if arr.ndim != 2 or arr.shape[1] != 3:
+    if (arr.shape != (0,) and (arr.ndim != 2 or arr.shape[1] != 3)
+            or type(rows) is not list or any(type(r) is not list for r in rows)):
         raise ModelFormatError(path, "expected [lo, hi, mass] rows")
-    return arr
 
 
 def _action_entries(entries, count: int, path: str) -> list:
     if not isinstance(entries, list) or len(entries) != count:
         raise ModelFormatError(path, f"expected {count} action entries")
     return entries
+
+
+def _raise_malformed_entry(avail, kernel_doc, rewards_doc, initial):
+    """Raise ModelFormatError naming the first entry, in document order,
+    that ``_entry_arrays`` cannot convert: its checks, one entry at a time.
+    Runs only once the conversion has failed, and returns no data."""
+    criteria = None
+    for i, acts in enumerate(avail):
+        cell_kernel = _action_entries(kernel_doc[i], len(acts), f"kernel[{i}]")
+        cell_rewards = _action_entries(rewards_doc[i], len(acts), f"rewards[{i}]")
+        for k, (entry, reward) in enumerate(zip(cell_kernel, cell_rewards)):
+            path = f"kernel[{i}][{k}]"
+            if not isinstance(entry, dict):
+                raise ModelFormatError(path, "expected an object with 'to' and 'absorb'")
+            _check_rows(entry.get("to", []), f"{path}.to")
+            try:
+                _numbers([entry.get("absorb", 0.0)])
+            except (TypeError, OverflowError):
+                raise ModelFormatError(f"{path}.absorb", "expected a number") from None
+            try:
+                _numbers(reward)
+            except (TypeError, OverflowError):
+                raise ModelFormatError(f"rewards[{i}][{k}]", "expected a list of numbers") from None
+            criteria = len(reward) if criteria is None else criteria
+            if len(reward) != criteria:
+                raise ModelFormatError(f"rewards[{i}][{k}]", "inconsistent criteria count")
+    _check_rows(initial, "initial")
 
 
 def _is_action_index(a) -> bool:
@@ -527,9 +605,12 @@ def read_model_document(data: bytes, where):
 def load_model(doc: dict) -> AtomlessMDP:
     """Build and fully validate a model from its document form.
 
-    Each base (cell, action) entry is parsed once into flat row arrays; the
-    grid is refined to every row endpoint, each entry's row is placed on the
-    refined grid once, and refined cells take the row of their base cell.
+    The rows, absorb masses and rewards of every base (cell, action) entry
+    are converted at once into flat arrays (``_entry_arrays``); the grid is
+    refined to every row endpoint, each entry's row is placed on the refined
+    grid once, and refined cells take the row of their base cell.  Numbers
+    in ``beta``, ``grid``, ``absorb`` and ``rewards`` must be JSON numbers,
+    not booleans or strings.
     """
     if not isinstance(doc, dict):
         raise ModelFormatError("document", "expected a mapping")
@@ -538,14 +619,12 @@ def load_model(doc: dict) -> AtomlessMDP:
         raise ModelFormatError("kind", f"expected 'absorbing' or 'discounted', got {kind!r}")
     beta = doc.get("beta")
     if kind == DISCOUNTED:
-        if not isinstance(beta, (int, float)) or not 0.0 <= beta < 1.0:
+        if isinstance(beta, bool) or not isinstance(beta, (int, float)) or not 0.0 <= beta < 1.0:
             raise ModelFormatError("beta", "discounted model needs beta in [0,1)")
     try:
-        base_points = [float(t) for t in doc["grid"]]
-    except (KeyError, TypeError, ValueError):
+        base = StatePartition(_numbers(doc.get("grid")))
+    except (TypeError, OverflowError):
         raise ModelFormatError("grid", "expected a list of breakpoints") from None
-    try:
-        base = StatePartition(base_points)
     except ValueError as exc:
         raise ModelFormatError("grid", str(exc)) from None
     n_actions = doc.get("actions")
@@ -573,37 +652,17 @@ def load_model(doc: dict) -> AtomlessMDP:
     if not isinstance(rewards_doc, list) or len(rewards_doc) != base.cell_count:
         raise ModelFormatError("rewards", f"expected {base.cell_count} per-cell entries")
 
-    # one entry per available base (cell, action), in document order
-    paths, to_rows, absorb, rewards = [], [], [], []
-    for i, acts in enumerate(avail):
-        cell_kernel = _action_entries(kernel_doc[i], len(acts), f"kernel[{i}]")
-        cell_rewards = _action_entries(rewards_doc[i], len(acts), f"rewards[{i}]")
-        for k, (entry, reward) in enumerate(zip(cell_kernel, cell_rewards)):
-            path = f"kernel[{i}][{k}]"
-            if not isinstance(entry, dict):
-                raise ModelFormatError(path, "expected an object with 'to' and 'absorb'")
-            to_rows.append(_rows_field(entry.get("to", []), f"{path}.to"))
-            try:
-                absorb.append(float(entry.get("absorb", 0.0)))
-            except (TypeError, ValueError, OverflowError):
-                raise ModelFormatError(f"{path}.absorb", "expected a number") from None
-            try:
-                rewards.append([float(r) for r in reward])
-            except (TypeError, ValueError, OverflowError):
-                raise ModelFormatError(f"rewards[{i}][{k}]", "expected a list of numbers") from None
-            if len(rewards[-1]) != len(rewards[0]):
-                raise ModelFormatError(f"rewards[{i}][{k}]", "inconsistent criteria count")
-            paths.append(path)
-    # the initial rows ride along as one more entry, with no absorption
-    to_rows.append(_rows_field(doc.get("initial", []), "initial"))
+    initial = doc.get("initial", [])
+    try:
+        table, counts, absorb, rewards = _entry_arrays(avail, kernel_doc, rewards_doc, initial)
+    except (TypeError, ValueError, OverflowError):
+        _raise_malformed_entry(avail, kernel_doc, rewards_doc, initial)
+        raise
+    paths = [f"kernel[{i}][{k}]" for i, acts in enumerate(avail) for k in range(len(acts))]
     paths.append("initial")
-    absorb.append(0.0)
-
     entries = len(paths)
-    absorb = np.array(absorb)
-    counts = np.array([len(r) for r in to_rows])
     entry_of = np.repeat(np.arange(entries), counts)
-    lo, hi, mass = np.concatenate(to_rows).T
+    lo, hi, mass = table.T
 
     def per_entry(row_flags):
         return np.bincount(entry_of, weights=row_flags, minlength=entries) > 0
@@ -652,7 +711,7 @@ def load_model(doc: dict) -> AtomlessMDP:
     slot_action = np.array([a for acts in avail for a in acts])
     kernel = np.zeros((base.cell_count, n_actions, grid.cell_count))
     base_absorb = np.ones((base.cell_count, n_actions))
-    base_rewards = np.zeros((base.cell_count, n_actions, len(rewards[0])))
+    base_rewards = np.zeros((base.cell_count, n_actions, rewards.shape[1]))
     kernel[slot_cell, slot_action] = placed[:-1]
     base_absorb[slot_cell, slot_action] = absorb[:-1]
     base_rewards[slot_cell, slot_action] = rewards

@@ -49,6 +49,24 @@ def test_validate_broken_row_sum(tmp_path, capsys):
     assert "kernel[0][0]" in err
 
 
+@pytest.mark.parametrize("field", ["beta", "grid", "absorb", "rewards"])
+def test_validate_rejects_a_boolean_or_string_number_exits_2(tmp_path, capsys, field):
+    # each of these once validated, read through float()
+    doc = model_to_doc(builtin("unit-interval-onestep"))
+    if field == "beta":
+        doc.update(kind="discounted", beta=False)
+    elif field == "grid":
+        doc["grid"] = ["0", "1"]
+    elif field == "absorb":
+        doc["kernel"][0][0]["absorb"] = "1.0"
+    else:
+        doc["rewards"][0][0] = [True]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert run("validate", path) == 2
+    assert "validation error: " in capsys.readouterr().err
+
+
 def test_validate_rejects_nan_grid_breakpoint(tmp_path, capsys):
     doc = model_to_doc(random_model(3, 2, 1, seed=1))
     doc["grid"][1] = float("nan")
@@ -512,6 +530,46 @@ def test_policy_file_rejects_non_finite_probability(onestep_model, tmp_path):
     with pytest.raises(ModelFormatError, match=r"pi.txt:2: non-finite entry"):
         load_policy_file(policy, load_model_file(onestep_model), policy.read_bytes())
     assert run("evaluate", onestep_model, policy) == 2
+
+
+@pytest.mark.parametrize("text, max_cols, expected", [
+    ("0 0.5 1\n0.5 1 x\n0.5 1 1 1\n", None, "t.txt:2: non-numeric entry"),
+    ("0 0.5 1\n0.5 1 1 1\n0.5 1 x\n", None, "t.txt:2: 4 columns, but line 1 has 3"),
+    ("0 0.5 1\n0.5 1 inf\n0.5 1 x\n", None, "t.txt:2: non-finite entry"),
+    ("0 0.5 1\n0.5 1 x\n0.5 1 nan\n", None, "t.txt:2: non-numeric entry"),
+    ("0 0.5 1\n0.5 1 nan\n0.5 1 1 1\n", None, "t.txt:2: non-finite entry"),
+    ("0 0.5 1\n0.5 1 1 1\n0.5 1 nan\n", None, "t.txt:2: 4 columns, but line 1 has 3"),
+    ("0 0.5 1\n0.5 1 x y\n", None, "t.txt:2: 4 columns, but line 1 has 3"),
+    ("0 0.5 1 1\n0.5 1 x\n", 3, "t.txt:1: expected 3 columns, got 4"),
+    ("0 0.5\n0.5 1 x\n", None, "t.txt:1: expected at least 3 columns, got 2"),
+    ("# head\n\n0 0.5 1\r\n0.5 1 -inf # tail\r0.5 1 x\n", None, "t.txt:4: non-finite entry"),
+    ("0 0.5 1\n0.5 1 1e400\n", None, "t.txt:2: non-finite entry"),
+], ids=["non-numeric, then columns", "columns, then non-numeric", "non-finite, then non-numeric",
+        "non-numeric, then non-finite", "non-finite, then columns", "columns, then non-finite",
+        "columns and non-numeric on one line", "too many columns", "too few columns",
+        "comments and line endings", "overflow"])
+def test_tiling_reports_the_first_bad_line(text, max_cols, expected):
+    from atomless_mdp.cli import _tiling
+    from atomless_mdp.errors import ModelFormatError
+
+    with pytest.raises(ModelFormatError) as exc:
+        _tiling("t.txt", text.encode(), 3, max_cols)
+    assert str(exc.value) == expected
+
+
+def test_tiling_reads_numbers_as_float_does():
+    from atomless_mdp.cli import _tiling
+    from atomless_mdp.errors import ModelFormatError
+
+    tokens = ["1_000", "+.5", "1E3", " 7", "٣", "-0", "0.1"]
+    text = "".join(f"{k / 7!r} {(k + 1) / 7!r} {t}\n" for k, t in enumerate(tokens))
+    values = _tiling("t.txt", text.encode(), 3)[1]
+    assert values[:, 0].tobytes() == np.array([float(t) for t in tokens]).tobytes()
+    for token in ("0x1p3", "1,5", "nan"):
+        with pytest.raises(ModelFormatError) as exc:
+            _tiling("t.txt", f"0 0.5 1\n0.5 1 {token}\n".encode(), 3)
+        message = "non-finite entry" if token == "nan" else "non-numeric entry"
+        assert str(exc.value) == f"t.txt:2: {message}"
 
 
 def test_evaluate_reports_performance_bitwise(tmp_path, capsys):

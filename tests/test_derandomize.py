@@ -204,6 +204,30 @@ def test_tv_modulus_closed_form_beta_half():
         assert tv_modulus(ctx, delta) == pytest.approx(expected, rel=1e-12)
 
 
+def test_tv_modulus_reads_only_the_profile_it_needs():
+    # the modulus equals the minimum over every cut up to 64 steps past the
+    # whole survival profile's end, while computing the profile only as far
+    # as the cuts it tries
+    for seed in range(3):
+        for delta in (0.0, 1e-12, 1e-6, 0.05, 0.5):
+            m = random_model(8, 3, 2, seed=120 + seed)
+            rng = np.random.default_rng(seed)
+            ctx = make_context(m, random_deterministic_policy(m, rng),
+                               random_deterministic_policy(m, rng))
+            value = tv_modulus(ctx, delta)
+            partial = len(m.certificate().profile_through(-1))
+            cert = m.certificate()
+            best = np.inf
+            for level in range(cert.survival.size + 64):
+                grow = (2.0**level) * ctx.q.total * delta
+                if grow >= best:
+                    break
+                best = min(best, 2.0 * (cert.tail(level) + grow))
+            assert np.float64(value).tobytes() == np.float64(best).tobytes(), (seed, delta)
+            if delta >= 1e-6:
+                assert partial < cert.survival.size
+
+
 def test_tv_modulus_dominates_measured_tv():
     m = random_model(6, 2, 2, seed=21)
     rng = np.random.default_rng(11)
@@ -1237,3 +1261,77 @@ def test_derandomize_former_certified_failures(rng_seed, draws, model_args):
     v_pi = performance(m, pi, tol=1e-12)
     v_phi = performance(m, phi, tol=1e-12)
     assert np.linalg.norm(v_phi - v_pi) <= 1e-5 * (1.0 + np.linalg.norm(v_pi))
+
+
+def test_face_root_uses_only_affinely_independent_faces(monkeypatch):
+    # on this model a three-coordinate level's witness loses affine rank
+    # (singular ratio 1.5e-16): the face step must then give up, never
+    # take the arbitrary normal such a face has, at x, at the bracket's
+    # other end or at any secant step.  The policy is the rng's second
+    # draw; its first was for random_model(6, 3, 5, seed=2350)
+    module = importlib.import_module("atomless_mdp.derandomize")
+    complement, face_root = module.affine_complement, module._face_root
+    roots, ratios = [], None
+
+    def recording_complement(points):
+        perp, sv = complement(points)
+        if ratios is not None:
+            ratios.append(sv.min() / sv.max() if sv.size else 1.0)
+        return perp, sv
+
+    def recording_face_root(*args):
+        nonlocal ratios
+        ratios = []
+        roots.append((ratios, face_root(*args)))
+        ratios = None
+        return roots[-1][1]
+
+    monkeypatch.setattr(module, "affine_complement", recording_complement)
+    monkeypatch.setattr(module, "_face_root", recording_face_root)
+    rng = np.random.default_rng(45)
+    random_stationary_policy(random_model(6, 3, 5, seed=2350), rng)
+    m = random_model(6, 3, 5, seed=2351)
+    pi = random_stationary_policy(m, rng)
+    phi, cert = derandomize(m, pi, tol=1e-6)
+    assert cert.error <= 1e-6
+    assert np.linalg.norm(performance(m, phi, tol=1e-12) - performance(m, pi, tol=1e-12)) <= 1e-6
+    deficient = [(ratios, result) for ratios, result in roots if min(ratios, default=1.0) <= 1e-8]
+    assert deficient
+    for ratios, result in deficient:
+        assert result is None and min(ratios[:-1], default=1.0) > 1e-8
+
+
+def test_face_root_gives_up_where_a_later_face_loses_rank(monkeypatch):
+    # every face step's second evaluation (at the bracket's other end) on a
+    # level of three or more coordinates is made to report affinely
+    # dependent vertices: each such step returns None there, and the
+    # construction still meets tol without it
+    module = importlib.import_module("atomless_mdp.derandomize")
+    complement, face_root = module.affine_complement, module._face_root
+    steps, evaluations = [], None
+
+    def degrading_complement(points):
+        perp, sv = complement(points)
+        if evaluations is not None:
+            evaluations.append(sv.size)
+            if len(evaluations) == 2 and sv.size >= 2:
+                sv = np.append(sv[:-1], 1e-9 * sv.max())
+        return perp, sv
+
+    def recording_face_root(*args):
+        nonlocal evaluations
+        evaluations = []
+        steps.append((evaluations, face_root(*args)))
+        evaluations = None
+        return steps[-1][1]
+
+    monkeypatch.setattr(module, "affine_complement", degrading_complement)
+    monkeypatch.setattr(module, "_face_root", recording_face_root)
+    m = random_model(6, 3, 3, seed=2330)
+    pi = random_stationary_policy(m, np.random.default_rng(43))
+    phi, cert = derandomize(m, pi, tol=1e-6)
+    assert cert.error <= 1e-6
+    assert np.linalg.norm(performance(m, phi, tol=1e-12) - performance(m, pi, tol=1e-12)) <= 1e-6
+    cut = [(sizes, result) for sizes, result in steps if len(sizes) >= 2 and sizes[1] >= 2]
+    assert cut
+    assert all(len(sizes) == 2 and result is None for sizes, result in cut)

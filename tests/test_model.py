@@ -257,6 +257,176 @@ def test_load_accepts_integral_action_index(index):
     assert load_model(doc).available == ((1,),)
 
 
+# (field, value, error): a boolean or a string where a document needs a
+# number; each once loaded through float()
+NOT_NUMBERS = [
+    ("beta", False, "beta: discounted model needs beta in [0,1)"),
+    ("beta", "0.5", "beta: discounted model needs beta in [0,1)"),
+    ("grid", ["0", "1"], "grid: expected a list of breakpoints"),
+    ("grid", [False, True], "grid: expected a list of breakpoints"),
+    ("absorb", "1.0", "kernel[0][0].absorb: expected a number"),
+    ("absorb", True, "kernel[0][0].absorb: expected a number"),
+    ("rewards", ["2"], "rewards[0][0]: expected a list of numbers"),
+    ("rewards", [True], "rewards[0][0]: expected a list of numbers"),
+    ("rewards", "2", "rewards[0][0]: expected a list of numbers"),
+]
+
+
+def with_field(doc, field, value):
+    if field == "beta":
+        doc.update(kind="discounted", beta=value)
+    elif field == "grid":
+        doc["grid"] = value
+    elif field == "absorb":
+        doc["kernel"][0][0]["absorb"] = value
+    else:
+        doc["rewards"][0][0] = value
+    return doc
+
+
+@pytest.mark.parametrize("field, value, error", NOT_NUMBERS,
+                         ids=[f"{f}={v!r}" for f, v, _ in NOT_NUMBERS])
+def test_load_rejects_what_is_not_a_number(field, value, error):
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(with_field(minimal_doc(), field, value))
+    assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("field, value", [("beta", 0), ("grid", [0, 1]), ("absorb", 1),
+                                          ("rewards", [2])])
+def test_load_accepts_integers_as_numbers(field, value):
+    m = load_model(with_field(minimal_doc(), field, value))
+    assert m.grid.points.tolist() == [0.0, 1.0] and m.rewards.dtype == float
+
+
+# (faulty `to`, the entry's absorb, error path suffix, message): each fault
+# of a destination-row list and the error it gives
+ROW_FAULTS = {
+    "to not a list": (0.5, None, ".to", "expected [lo, hi, mass] rows"),
+    "row of 2": ([[0.0, 1.0]], None, ".to", "expected [lo, hi, mass] rows"),
+    "row of 4": ([[0.0, 0.5, 1.0, 0.25]], None, ".to", "expected [lo, hi, mass] rows"),
+    "row not a list": ([0.5], None, ".to", "expected [lo, hi, mass] rows"),
+    "non-numeric entry": ([[0.0, 1.0, "heavy"]], None, ".to",
+                          "expected [lo, hi, mass] rows: could not convert string to float: 'heavy'"),
+    "nan mass": ([[0.0, 1.0, float("nan")]], None, "", "masses must be finite"),
+    "negative mass": ([[0.0, 1.0, -0.5]], 1.5, "", "negative mass"),
+}
+PARSE_FAULTS = [name for name, (*_, suffix, _msg) in ROW_FAULTS.items() if suffix]
+
+
+def with_row_fault(doc, i, k, fault):
+    to, absorb, suffix, message = ROW_FAULTS[fault]
+    doc["kernel"][i][k]["to"] = to
+    if absorb is not None:
+        doc["kernel"][i][k]["absorb"] = absorb
+    return f"kernel[{i}][{k}]{suffix}: {message}"
+
+
+@pytest.mark.parametrize("fault", list(ROW_FAULTS))
+def test_load_names_a_malformed_row_list(fault):
+    doc = model_to_doc(random_model(4, 2, 2, seed=5))
+    expected = with_row_fault(doc, 1, 0, fault)
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(doc)
+    assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("fault", PARSE_FAULTS)
+def test_load_names_a_malformed_initial_row_list(fault):
+    doc = model_to_doc(random_model(4, 2, 2, seed=5))
+    doc["initial"] = ROW_FAULTS[fault][0]
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(doc)
+    assert str(exc.value) == f"initial: {ROW_FAULTS[fault][3]}"
+
+
+@pytest.mark.parametrize("first", list(ROW_FAULTS))
+def test_load_reports_the_first_malformed_entry(first):
+    # a later entry is malformed too, and where a fault is found while the
+    # rows are read, so are a later absorb mass and the initial rows: such
+    # faults come before every mass check, whose first failing entry wins
+    for later in ROW_FAULTS:
+        doc = model_to_doc(random_model(4, 2, 2, seed=5))
+        expected = with_row_fault(doc, 1, 0, first)
+        later_error = with_row_fault(doc, 2, 0, later)
+        if first in PARSE_FAULTS or later in PARSE_FAULTS:
+            doc["kernel"][3][0]["absorb"] = [0.5]
+            doc["initial"] = [[0.0, 1.0]]
+        if first not in PARSE_FAULTS and later in PARSE_FAULTS:
+            expected = later_error
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(doc)
+        assert str(exc.value) == expected, (first, later)
+
+
+def per_entry_reference(doc):
+    """(grid points, kernel, absorb, rewards, initial masses) of a document
+    whose endpoints are all exact breakpoints of one grid, read one entry at
+    a time: np.array on each entry's rows, float on each number, and rows
+    placed one by one (``reference_row_masses``)."""
+    base = [float(t) for t in doc["grid"]]
+    entries = [(i, a, entry, reward)
+               for i, acts in enumerate(doc["available"])
+               for a, entry, reward in zip(acts, doc["kernel"][i], doc["rewards"][i])]
+    tables = [np.array(e["to"], dtype=float).reshape(-1, 3) for _, _, e, _ in entries]
+    initial = np.array(doc["initial"], dtype=float).reshape(-1, 3)
+    points = np.unique(np.concatenate([base, *(t[:, :2].ravel() for t in tables),
+                                       initial[:, :2].ravel()]))
+    owner = np.searchsorted(base, points[:-1], side="right") - 1
+    cells, actions = len(base) - 1, doc["actions"]
+    kernel = np.zeros((cells, actions, points.size - 1))
+    absorb = np.ones((cells, actions))
+    rewards = np.zeros((cells, actions, len(entries[0][3])))
+    for (i, a, entry, reward), table in zip(entries, tables):
+        kernel[i, a] = reference_row_masses(table.tolist(), points)
+        absorb[i, a] = float(entry.get("absorb", 0.0))
+        rewards[i, a] = [float(r) for r in reward]
+    masses = reference_row_masses(initial.tolist(), points)
+    return points, kernel[owner], absorb[owner], rewards[owner], masses
+
+
+def seeded_documents():
+    """Documents of several shapes: one the benchmark's (192 cells, 3
+    actions, 2 criteria, each row one grid cell), a discounted one, and one
+    whose rows span several cells and end inside cells."""
+    docs = [model_to_doc(random_model(192, 3, 2, seed=7)),
+            model_to_doc(random_model(24, 4, 3, seed=8)),
+            model_to_doc(random_model(1, 1, 1, seed=9))]
+    discounted = model_to_doc(random_model(12, 2, 2, seed=10))
+    discounted.update(kind="discounted", beta=0.9)
+    docs.append(discounted)
+    rng = np.random.default_rng(11)
+    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+    cuts = np.linspace(0.0, 1.0, 17)
+    kernel, rewards = [], []
+    for _ in range(4):
+        cell, cell_rewards = [], []
+        for _ in range(2):
+            to = []
+            for _ in range(int(rng.integers(0, 5))):
+                lo, hi = np.sort(rng.choice(cuts, 2, replace=False)).tolist()
+                to.append([lo, hi, float(rng.uniform(0.0, 0.15))])
+            cell.append({"to": to, "absorb": 1.0 - sum(r[2] for r in to)})
+            cell_rewards.append(rng.uniform(-1.0, 1.0, 2).tolist())
+        kernel.append(cell)
+        rewards.append(cell_rewards)
+    docs.append({"kind": "absorbing", "grid": grid, "actions": 2,
+                 "available": [[0, 1]] * 4, "kernel": kernel, "rewards": rewards,
+                 "initial": [[0.0, 0.5, 0.5], [0.25, 1.0, 0.5]]})
+    return docs
+
+
+def test_load_matches_per_entry_reference_bitwise():
+    for doc in seeded_documents():
+        m = load_model(json.loads(json.dumps(doc)))
+        points, kernel, absorb, rewards, masses = per_entry_reference(doc)
+        assert m.grid.points.tobytes() == points.tobytes()
+        assert m.kernel.tobytes() == kernel.tobytes()
+        assert m.absorb.tobytes() == absorb.tobytes()
+        assert m.rewards.tobytes() == rewards.tobytes()
+        assert m.initial.masses.tobytes() == masses.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # reading document bytes
 # ---------------------------------------------------------------------------
@@ -504,6 +674,30 @@ def test_lazy_survival_profile_equals_eager_reference():
             assert survival.size == half + 1
         elif cap < 200_000:
             assert survival.size == cap + 1
+
+
+def test_survival_profile_is_the_same_in_any_read_order():
+    rng = np.random.default_rng(49)
+    for model, cap in certificate_cases():
+        full = absorption_certificate(model, cap=cap)
+        survival = full.survival
+        steps = range(survival.size + 3)
+        tails = np.array([full.tail(n) for n in steps])
+        summary = repr(full.summary())
+        for _ in range(6):
+            cert = absorption_certificate(model, cap=cap)
+            for n in rng.integers(0, survival.size + 3, 8):
+                read = rng.integers(3)
+                if read == 0:
+                    assert np.float64(cert.tail(n)).tobytes() == tails[n].tobytes()
+                elif read == 1:
+                    assert np.asarray(cert.profile_through(n))[:n + 1].tobytes() == \
+                        survival[:n + 1].tobytes()
+                else:
+                    assert cert.survival.tobytes() == survival.tobytes()
+            assert np.array([cert.tail(n) for n in steps]).tobytes() == tails.tobytes()
+            assert repr(cert.summary()) == summary
+            assert cert.survival.tobytes() == survival.tobytes()
 
 
 def test_derandomize_runs_survival_recursion_to_half_horizon(monkeypatch):
