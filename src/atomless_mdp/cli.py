@@ -38,9 +38,7 @@ from .model import (
     builtin,
     cell_action_weights,
     discounted_to_absorbing,
-    doubling_corridor,
-    load_model,
-    read_model_document,
+    model_from_bytes,
     save_model_file,
     weighted_transform,
 )
@@ -263,14 +261,8 @@ def _write_csv(path, header, rows):
 
 
 def _load_any_model(path, report):
-    """Read the file once; the same bytes give the digest and the document."""
-    doc = read_model_document(report.add_input(path), path)
-    if isinstance(doc, dict) and doc.get("kind") == "discrete-chain":
-        try:
-            return doubling_corridor(int(doc.get("depth", 10)))
-        except (TypeError, ValueError) as exc:
-            raise ModelFormatError(path, f"depth: {exc}") from None
-    return load_model(doc)
+    """Read the file once; the same bytes give the digest and the model."""
+    return model_from_bytes(report.add_input(path), path)
 
 
 def _load_interval_model(path, report) -> AtomlessMDP:

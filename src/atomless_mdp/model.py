@@ -9,6 +9,7 @@ matter how policies subdivide cells.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -64,6 +65,7 @@ class AtomlessMDP:
         self.kind = kind
         self.beta = None if beta is None else float(beta)
         self._certificate = None
+        self._long_kernel = None
         self._perf_cache = {}         # policy digest -> performance vector
         self._validate()
         for arr in (self.kernel, self.absorb, self.rewards, self._mask):
@@ -137,6 +139,13 @@ class AtomlessMDP:
     def is_one_step(self) -> bool:
         """True when every action absorbs immediately (all kernel rows zero)."""
         return self._one_step
+
+    def long_kernel(self) -> np.ndarray:
+        """Read-only np.longdouble copy of the kernel, made at the first call."""
+        if self._long_kernel is None:
+            self._long_kernel = self.kernel.astype(np.longdouble)
+            self._long_kernel.setflags(write=False)
+        return self._long_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +583,7 @@ def _raise_malformed_entry(avail, kernel_doc, rewards_doc, initial):
     _check_rows(initial, "initial")
 
 
-def _is_action_index(a) -> bool:
+def _is_integer(a) -> bool:
     """An integral number that is not a bool (JSON has no integer type)."""
     if isinstance(a, float):
         return a.is_integer()
@@ -636,7 +645,7 @@ def load_model(doc: dict) -> AtomlessMDP:
         raise ModelFormatError("available", f"expected {base.cell_count} per-cell action lists")
     avail = []
     for i, acts in enumerate(available):
-        if not isinstance(acts, list) or not all(map(_is_action_index, acts)):
+        if not isinstance(acts, list) or not all(map(_is_integer, acts)):
             raise ModelFormatError(f"available[{i}]", "expected a list of action indices")
         acts = sorted({int(a) for a in acts})
         if not acts:
@@ -763,10 +772,47 @@ def model_to_doc(model: AtomlessMDP) -> dict:
     return doc
 
 
+def model_from_bytes(data: bytes, where):
+    """Parse a model file's bytes and build its model: the AtomlessMDP of
+    an ``absorbing`` or ``discounted`` document, the doubling corridor of a
+    ``discrete-chain`` one.  Bytes that do not parse and a chain's bad
+    ``depth`` raise ModelFormatError naming ``where``; load_model names the
+    fields of the others.
+
+    The cycle collector is paused from the parse until the parsed document
+    is freed, then left as the caller had it.  The document is an acyclic
+    tree of lists, dicts and numbers that reference counting frees, so the
+    collector has nothing in it to reclaim; running, it would scan the tree
+    dozens of times while it is built.  The tree is freed inside the pause
+    because freeing takes its objects back off the collector's allocation
+    count, which would otherwise start deferred passes once it resumes.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        doc = read_model_document(data, where)
+        if isinstance(doc, dict) and doc.get("kind") == "discrete-chain":
+            depth = doc.get("depth", 10)
+            if not _is_integer(depth):
+                raise ModelFormatError(where, "depth: expected an integer")
+            try:
+                return doubling_corridor(int(depth))
+            except ValueError as exc:
+                raise ModelFormatError(where, f"depth: {exc}") from None
+        return load_model(doc)
+    finally:
+        doc = None          # free the document before the collector resumes
+        if enabled:
+            gc.enable()
+
+
 def load_model_file(path) -> AtomlessMDP:
     with open(path, "rb") as fh:
-        doc = read_model_document(fh.read(), path)
-    return load_model(doc)
+        data = fh.read()
+    model = model_from_bytes(data, path)
+    if not isinstance(model, AtomlessMDP):
+        raise ModelFormatError("kind", "expected 'absorbing' or 'discounted', got 'discrete-chain'")
+    return model
 
 
 def save_model_file(model: AtomlessMDP, path) -> None:
@@ -900,6 +946,7 @@ class DiscreteAbsorbingChain:
 
 
 CONTINUE, STOP = 0, 1
+MAX_CORRIDOR_DEPTH = 16     # 2^17 + 1 states: about 0.7 s and 120 MiB to build
 
 
 def doubling_corridor(depth: int) -> DiscreteAbsorbingChain:
@@ -910,10 +957,13 @@ def doubling_corridor(depth: int) -> DiscreteAbsorbingChain:
     absorption and level i+1.  Levels above ``depth`` are replaced by a single
     keep-flipping state, so the truncation is absorbing with expected times
     3 - 2^(1-n) under stop-at-n and exactly 2 under always-continue, while the
-    full (untruncated) chain is absorbing but not uniformly so.
+    full (untruncated) chain is absorbing but not uniformly so.  The chain
+    has about 2^(depth+1) states, so ``depth`` is at most MAX_CORRIDOR_DEPTH.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if depth > MAX_CORRIDOR_DEPTH:
+        raise ValueError(f"depth must be at most {MAX_CORRIDOR_DEPTH}")
     sink = ("sink",)
     tail = ("tail",)
     states, actions_of, transitions = [sink, tail], {}, {}
@@ -1010,7 +1060,10 @@ def builtin(name: str, seed=None):
     if base == "doubling-corridor":
         if len(sizes) > 1 or min(sizes, default=0) < 0:
             raise ModelFormatError("builtin", "corridor depth must be a nonnegative integer")
-        return doubling_corridor(sizes[0] if sizes else 10)
+        try:
+            return doubling_corridor(sizes[0] if sizes else 10)
+        except ValueError as exc:
+            raise ModelFormatError("builtin", f"corridor {exc}") from None
     if base == "random":
         dims = sizes or [6, 3, 2]
         if len(dims) != 3 or min(dims) < 1:

@@ -104,7 +104,7 @@ def _refined_marginal(model: AtomlessMDP, w: np.ndarray, system: np.ndarray,
     """
     ext = np.longdouble
     exact = np.eye(model.cell_count, dtype=ext) - np.einsum(
-        "ia,iaj->ij", w.astype(ext), model.kernel.astype(ext))
+        "ia,iaj->ij", w.astype(ext), model.long_kernel())
     m_x = marginal.astype(ext)
     step = np.linalg.solve(system.T, (model.initial.masses - m_x @ exact).astype(float))
     m_x = np.maximum(m_x + step, 0.0)

@@ -95,6 +95,23 @@ def test_certify_truncated_chain(tmp_path, capsys):
     assert "L: 64" in out  # longest corridor dominates the truncated bound
 
 
+@pytest.mark.parametrize("depth", [2.7, True, "12", None, [3], -1, 17, 1000, 1e300], ids=repr)
+def test_chain_depth_must_be_an_integer_in_range(tmp_path, capsys, depth):
+    # 2.7, true and "12" once certified as depths 2, 1 and 12; 1000 never returned
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"kind": "discrete-chain", "depth": depth}))
+    assert run("certify", path) == 2
+    assert f"validation error: {path}: depth: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [3, 3.0], ids=repr)
+def test_chain_depth_accepts_an_integral_number(tmp_path, capsys, depth):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"kind": "discrete-chain", "depth": depth}))
+    assert run("certify", path) == 0
+    assert "L: 8" in capsys.readouterr().out
+
+
 def test_evaluate_writes_csv(onestep_model, tmp_path, capsys):
     policy = write_policy(tmp_path, "phi.txt", [(0.0, 1.0, "1")])
     out = tmp_path / "perf.csv"
@@ -847,7 +864,8 @@ def test_wrong_target_size_and_builtin_size_exit_2(tmp_path, capsys):
     dens.write_text("0.0 0.5 0.5 1.0 0.2\n0.5 1.0 0.5 0.3 1.0\n")
     assert run("lyapunov", "find", dens, 0.5, "--out", tmp_path / "set.txt") == 2
     assert "validation error: target: expected 2 values" in capsys.readouterr().err
-    for name in ("random:6x0x2", "random:6xtwox2", "doubling-corridor:-1"):
+    for name in ("random:6x0x2", "random:6xtwox2", "doubling-corridor:-1",
+                 "doubling-corridor:1000"):
         assert run("builtin", name, "--out", tmp_path / "b.json") == 2
         assert "validation error: builtin: " in capsys.readouterr().err
     chain = tmp_path / "chain.json"

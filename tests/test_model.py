@@ -1,5 +1,6 @@
 """Tests for the MDP data model, transforms, certificates and builtins."""
 
+import contextlib
 import gc
 import importlib
 import json
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atomless_mdp import derandomize
+from atomless_mdp import cli, derandomize
 from atomless_mdp.errors import ModelFormatError, NotCertifiedError, PartitionMismatchError
 from atomless_mdp.measure import PieceMeasure, StatePartition
 from atomless_mdp.model import (
+    MAX_CORRIDOR_DEPTH,
     AtomlessMDP,
     DeterministicPolicy,
     StationaryPolicy,
@@ -33,6 +35,7 @@ from atomless_mdp.model import (
     random_model,
     random_stationary_policy,
     read_model_document,
+    save_model_file,
     stop_policy,
     validate_policy,
     weighted_transform,
@@ -505,6 +508,104 @@ def test_load_model_file_names_the_file_on_unreadable_bytes(tmp_path, data):
     assert exc.value.field == path
 
 
+@contextlib.contextmanager
+def collector_state(enabled):
+    """Run the block with the cycle collector on or off, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def cli_load(path):
+    return cli._load_any_model(path, cli.RunReport(["validate", str(path)]))
+
+
+@pytest.mark.parametrize("load", [load_model_file, cli_load], ids=["library", "cli"])
+def test_loading_a_model_file_starts_no_collection(tmp_path, load):
+    path = tmp_path / "m.json"
+    save_model_file(random_model(160, 3, 2, seed=52), path)
+    doc = json.loads(path.read_text())
+    rows = sum(len(e["to"]) for cell in doc["kernel"] for e in cell) + len(doc["initial"])
+    del doc
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    with collector_state(True):
+        gc.collect()
+        before = gc.get_count()[0]
+        gc.callbacks.append(record)
+        try:
+            model = load(path)
+        finally:
+            gc.callbacks.remove(record)
+        # the parsed document, thousands of row lists, was freed inside the pause
+        grown = gc.get_count()[0] - before
+    assert model.cell_count == 160 and rows > 10_000
+    assert starts == []
+    assert grown < rows / 20
+
+
+def collector_case(tmp_path, case):
+    """A model file for each way out of the loader."""
+    doc = model_to_doc(random_model(4, 2, 2, seed=3))
+    if case == "negative mass":
+        doc["kernel"][0][0] = {"to": [[0.0, 1.0, -0.5]], "absorb": 1.5}
+    text = json.dumps(doc, indent=1)
+    data = {"truncated": b'{"kind": ', "utf-16": text.encode("utf-16"),
+            "chain": b'{"kind": "discrete-chain", "depth": 3}'}.get(case, text.encode())
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+@pytest.mark.parametrize("case", ["model", "truncated", "utf-16", "negative mass", "chain"])
+def test_loading_keeps_the_callers_collector_state(tmp_path, case, enabled):
+    path = collector_case(tmp_path, case)
+    valid = case in ("model", "utf-16", "chain")
+    with collector_state(enabled):
+        if case in ("model", "utf-16"):
+            load_model_file(path)
+        else:       # load_model_file reads no discrete chain either
+            with pytest.raises(ModelFormatError):
+                load_model_file(path)
+        assert gc.isenabled() is enabled
+        assert cli.main(["validate", str(path)]) == (0 if valid else 2)
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+def test_loading_keeps_the_collector_state_on_an_internal_error(tmp_path, monkeypatch, enabled):
+    def fail(doc):
+        raise RuntimeError("internal")
+
+    path = collector_case(tmp_path, "model")
+    monkeypatch.setattr(importlib.import_module("atomless_mdp.model"), "load_model", fail)
+    with collector_state(enabled):
+        with pytest.raises(RuntimeError):
+            load_model_file(path)
+        assert gc.isenabled() is enabled
+
+
+def test_model_loaded_from_a_file_is_freed_without_the_cycle_collector(tmp_path):
+    path = tmp_path / "m.json"
+    save_model_file(random_model(6, 3, 2, seed=49), path)
+    with collector_state(False):
+        for load in (load_model_file, cli_load):
+            m = load(path)
+            m.certificate().summary()
+            m.long_kernel()
+            ref = weakref.ref(m)
+            del m
+            assert ref() is None
+
+
 # ---------------------------------------------------------------------------
 # discounted -> absorbing
 # ---------------------------------------------------------------------------
@@ -890,6 +991,14 @@ def test_corridor_sup_expected_time_truncation():
     surv = chain.max_survival(8)
     assert surv[0] == 1.0
     assert all(a >= b for a, b in zip(surv, surv[1:]))
+
+
+def test_corridor_depth_is_bounded():
+    # about 2^(depth+1) states: depth 1000 never finished building
+    with pytest.raises(ValueError, match=f"at most {MAX_CORRIDOR_DEPTH}"):
+        doubling_corridor(MAX_CORRIDOR_DEPTH + 1)
+    with pytest.raises(ModelFormatError, match="^builtin: corridor depth must be at most"):
+        builtin("doubling-corridor:1000")
 
 
 # ---------------------------------------------------------------------------

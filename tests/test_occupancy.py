@@ -1,5 +1,7 @@
 """Tests for occupancy measures, performance vectors and the policy map."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,32 @@ def test_long_lifetime_evaluation_meets_tight_tol(beta):
             assert np.abs(marginal - series_marginal(m, w)).sum() <= err
             assert np.allclose(performance(m, pi, tol=1e-12), q.performance(),
                                rtol=1e-12, atol=1e-12)
+
+
+def test_refinement_converts_the_kernel_once(monkeypatch):
+    # two refined solves on one model share one np.longdouble kernel and give
+    # what each gives on a model of its own, whose kernel it converts afresh
+    from tests.test_scalar_dp import seeded_discounted
+
+    module = importlib.import_module("atomless_mdp.occupancy")
+    original, refined = module._refined_marginal, []
+
+    def counting(model, *args):
+        refined.append(model.long_kernel())
+        return original(model, *args)
+
+    monkeypatch.setattr(module, "_refined_marginal", counting)
+    m = seeded_discounted(2000, 0.998)
+    assert m.certificate().L == pytest.approx(500.0)
+    rng = np.random.default_rng(0)
+    for pi in (uniform_policy(m), random_stationary_policy(m, rng)):
+        w = cell_action_weights(m, pi)
+        shared = evaluate_weights(m, w, tol=1e-12)
+        alone = evaluate_weights(seeded_discounted(2000, 0.998), w, tol=1e-12)
+        assert shared[0].tobytes() == alone[0].tobytes()
+        assert shared[1] == alone[1] and shared[2].tobytes() == alone[2].tobytes()
+    assert len(refined) == 4 and refined[0] is refined[2]
+    assert refined[0].dtype == np.longdouble and not refined[0].flags.writeable
 
 
 def test_occupancy_requires_certificate():
