@@ -134,24 +134,32 @@ def locate_breakpoints(points: np.ndarray, x):
     return np.where(use_below, below, above), found
 
 
-def _spread_rows(widths, start, end, mass, slot, slots: int) -> np.ndarray:
-    """(slots, cells) masses from rows covering cells start..end-1 of a grid.
-
-    A one-cell row adds its mass to that cell; a longer row spreads it in
-    proportion to cell width.  Every cell receives its additions in row order,
-    so the sums are bitwise those of adding the rows one at a time.
-    """
+def place_rows(points, lo, hi, mass, slot, slots: int, unplaced):
+    """The breakpoints ``points`` refined to every endpoint of the rows
+    (lo, hi, mass), and the (slots, cells) masses of the rows on them, row r
+    in ``slot[r]``.  A row longer than one cell spreads its mass in
+    proportion to cell width; every cell receives its additions in row
+    order, so the sums are bitwise those of adding the rows one at a time.
+    Raises ``unplaced(r, x)`` for the first row r with an endpoint x within
+    MERGE_TOL of another but not of the breakpoint they merge to."""
+    part = StatePartition(merge_breakpoints(points, lo, hi))
+    start, found_lo = locate_breakpoints(part.points, lo)
+    end, found_hi = locate_breakpoints(part.points, hi)
+    found = found_lo & found_hi
+    if not found.all():
+        r = int(np.argmin(found))
+        raise unplaced(r, float(lo[r] if not found_lo[r] else hi[r]))
     span = end - start
     first = np.cumsum(span) - span           # position of each row's first share
     row = np.repeat(np.arange(span.size), span)
     cell = start[row] + np.arange(row.size) - first[row]
     share = mass[row]
     for r in np.flatnonzero(span > 1):
-        w = widths[start[r]:end[r]]
+        w = part.widths[start[r]:end[r]]
         share[first[r]:first[r] + span[r]] = mass[r] * w / w.sum()
-    cells = widths.size
+    cells = part.cell_count
     out = np.bincount(slot[row] * cells + cell, weights=share, minlength=slots * cells)
-    return out.reshape(slots, cells)
+    return part, out.reshape(slots, cells)
 
 
 class PieceMeasure:
@@ -192,14 +200,10 @@ class PieceMeasure:
             raise ValueError(f"empty interval ({lo[k]}, {hi[k]})")
         if np.any(mass < 0):
             raise ValueError("interval mass must be nonnegative")
-        part = StatePartition(merge_breakpoints([0.0, 1.0], lo, hi))
-        ends = np.concatenate((lo, hi))
-        idx, found = locate_breakpoints(part.points, ends)
-        if not found.all():
-            raise ValueError(f"{ends[np.argmin(found)]} is not a breakpoint of the partition")
-        start, end = np.split(idx, 2)
-        slot = np.zeros(mass.size, dtype=int)
-        return cls(part, _spread_rows(part.widths, start, end, mass, slot, 1)[0])
+        part, masses = place_rows(
+            [0.0, 1.0], lo, hi, mass, np.zeros(mass.size, dtype=int), 1,
+            lambda r, x: ValueError(f"{x} is not a breakpoint of the partition"))
+        return cls(part, masses[0])
 
     @property
     def total(self) -> float:

@@ -26,9 +26,8 @@ from .measure import (
     PieceMeasure,
     StatePartition,
     MERGE_TOL,
-    _spread_rows,
-    locate_breakpoints,
     merge_breakpoints,
+    place_rows,
 )
 
 ROW_SUM_TOL = 1e-12
@@ -131,8 +130,9 @@ class AtomlessMDP:
         return self._mask
 
     def certificate(self, tol: float = 1e-12) -> "AbsorptionCertificate":
-        """Cached uniform-absorption certificate; raises for discounted models."""
-        if self._certificate is None:
+        """Uniform-absorption certificate for ``tol``, cached until a call asks
+        for another tol; raises for discounted models."""
+        if self._certificate is None or self._certificate.tol != tol:
             self._certificate = absorption_certificate(self, tol)
         return self._certificate
 
@@ -448,29 +448,27 @@ def weighted_transform(model: AtomlessMDP, w) -> AtomlessMDP:
     w = np.asarray(w, dtype=float)
     if w.shape != (model.cell_count,) or np.any(w <= 0):
         raise ModelFormatError("weights", "need one positive weight per base cell")
-    ratio = np.einsum("iaj,j->ia", model.kernel, w) / w[:, None]
     mask = model.available_mask()
+    ratio = np.where(mask, np.einsum("iaj,j->ia", model.kernel, w) / w[:, None], 0.0)
+    i, a = np.unravel_index(np.argmax(ratio), ratio.shape)
+    worst = float(ratio[i, a])
     scale = 1.0
     beta = model.beta
     if model.kind == ABSORBING:
-        worst = np.where(mask, ratio, 0.0)
-        i, a = np.unravel_index(np.argmax(worst), worst.shape)
-        if worst[i, a] > 1.0 + ROW_SUM_TOL:
+        if worst > 1.0 + ROW_SUM_TOL:
             raise WeightConditionError(
                 f"kernel[{i}][{a}]",
-                f"weighted row expands by {float(worst[i, a])!r} > 1; certificate fails",
+                f"weighted row expands by {worst!r} > 1; certificate fails",
             )
     else:
-        c = float(np.where(mask, ratio, 0.0).max(initial=0.0))
-        if model.beta * c >= 1.0 - 1e-12:
-            i, a = np.unravel_index(np.argmax(np.where(mask, ratio, 0.0)), ratio.shape)
+        if model.beta * worst >= 1.0 - 1e-12:
             raise WeightConditionError(
                 f"kernel[{i}][{a}]",
-                f"beta * weighted expansion = {float(model.beta * c)!r} >= 1",
+                f"beta * weighted expansion = {model.beta * worst!r} >= 1",
             )
-        if c > 1.0:
-            scale = 1.0 / c
-            beta = model.beta * c
+        if worst > 1.0:
+            scale = 1.0 / worst
+            beta = model.beta * worst
     kernel = scale * model.kernel * w[None, None, :] / w[:, None, None]
     absorb = 1.0 - kernel.sum(axis=2)
     absorb[~mask] = 1.0
@@ -508,79 +506,38 @@ def _numbers(values) -> np.ndarray:
     return np.fromiter(values, float, len(values))
 
 
-def _entry_arrays(avail, kernel_doc, rewards_doc, initial):
-    """The document's available (cell, action) entries, in document order,
-    then the initial rows as one more entry without absorption: every
-    entry's ``[lo, hi, mass]`` rows as one (rows, 3) table, each entry's row
-    count, absorb masses and the (entries - 1, N) rewards.
-
-    Each field is converted for all entries at once; a malformed entry
-    raises TypeError, ValueError or OverflowError, and
-    ``_raise_malformed_entry`` names it.
-    """
-    entries, rewards = [], []
-    for acts, cell_kernel, cell_rewards in zip(avail, kernel_doc, rewards_doc):
-        if list.__len__(cell_kernel) != len(acts) or list.__len__(cell_rewards) != len(acts):
-            raise ValueError("action entry count")
-        entries += cell_kernel
-        rewards += cell_rewards
-    to = [*map(dict.get, entries, repeat("to"), repeat([])), initial]
-    rows = list(chain.from_iterable(to))
-    # lists only: a string or an object would chain its characters or keys
-    if set(map(type, chain(to, rows, rewards))) != {list} or set(map(len, rows)) - {3}:
+def _row_table(rows) -> np.ndarray:
+    """``[lo, hi, mass]`` rows as one (rows, 3) float table, their numbers
+    read as ``np.fromiter`` reads them.  Raises ValueError naming the fault
+    unless every row is a list of three numbers it reads."""
+    if set(map(type, rows)) - {list} or set(map(len, rows)) - {3}:
         raise ValueError("expected [lo, hi, mass] rows")
-    table = np.fromiter(chain.from_iterable(rows), float, 3 * len(rows)).reshape(-1, 3)
-    counts = np.fromiter(map(len, to), np.intp, len(to))
-    absorb = _numbers([*map(dict.get, entries, repeat("absorb"), repeat(0.0)), 0.0])
-    criteria = set(map(len, rewards))
-    if len(criteria) != 1:
-        raise ValueError("inconsistent criteria count")
-    rewards = _numbers(list(chain.from_iterable(rewards))).reshape(len(entries), criteria.pop())
-    return table, counts, absorb, rewards
-
-
-def _check_rows(rows, path):
-    """Raise unless ``rows`` is a list of ``[lo, hi, mass]`` lists."""
     try:
-        arr = np.array(rows, dtype=float)
+        return np.fromiter(chain.from_iterable(rows), float, 3 * len(rows)).reshape(-1, 3)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(path, f"expected [lo, hi, mass] rows: {exc}") from None
-    if (arr.shape != (0,) and (arr.ndim != 2 or arr.shape[1] != 3)
-            or type(rows) is not list or any(type(r) is not list for r in rows)):
-        raise ModelFormatError(path, "expected [lo, hi, mass] rows")
+        raise ValueError(f"expected [lo, hi, mass] rows: {exc}") from None
 
 
-def _action_entries(entries, count: int, path: str) -> list:
-    if not isinstance(entries, list) or len(entries) != count:
-        raise ModelFormatError(path, f"expected {count} action entries")
-    return entries
+def _reward_values(reward_lists) -> np.ndarray:
+    """The numbers of every reward list, one flat float array."""
+    if set(map(type, reward_lists)) - {list}:
+        raise TypeError("expected a list of numbers")
+    return _numbers(list(chain.from_iterable(reward_lists)))
 
 
-def _raise_malformed_entry(avail, kernel_doc, rewards_doc, initial):
-    """Raise ModelFormatError naming the first entry, in document order,
-    that ``_entry_arrays`` cannot convert: its checks, one entry at a time.
-    Runs only once the conversion has failed, and returns no data."""
-    criteria = None
-    for i, acts in enumerate(avail):
-        cell_kernel = _action_entries(kernel_doc[i], len(acts), f"kernel[{i}]")
-        cell_rewards = _action_entries(rewards_doc[i], len(acts), f"rewards[{i}]")
-        for k, (entry, reward) in enumerate(zip(cell_kernel, cell_rewards)):
-            path = f"kernel[{i}][{k}]"
-            if not isinstance(entry, dict):
-                raise ModelFormatError(path, "expected an object with 'to' and 'absorb'")
-            _check_rows(entry.get("to", []), f"{path}.to")
+def _convert(convert, items):
+    """``convert(items)``, an empty list and None; or None, a list holding
+    the index of the first item that ``convert([item])`` rejects, and its
+    error message."""
+    try:
+        return convert(items), [], None
+    except (TypeError, ValueError, OverflowError):
+        for k, item in enumerate(items):
             try:
-                _numbers([entry.get("absorb", 0.0)])
-            except (TypeError, OverflowError):
-                raise ModelFormatError(f"{path}.absorb", "expected a number") from None
-            try:
-                _numbers(reward)
-            except (TypeError, OverflowError):
-                raise ModelFormatError(f"rewards[{i}][{k}]", "expected a list of numbers") from None
-            criteria = len(reward) if criteria is None else criteria
-            if len(reward) != criteria:
-                raise ModelFormatError(f"rewards[{i}][{k}]", "inconsistent criteria count")
-    _check_rows(initial, "initial")
+                convert([item])
+            except (TypeError, ValueError, OverflowError) as exc:
+                return None, [k], str(exc)
+        raise
 
 
 def _is_integer(a) -> bool:
@@ -615,11 +572,14 @@ def load_model(doc: dict) -> AtomlessMDP:
     """Build and fully validate a model from its document form.
 
     The rows, absorb masses and rewards of every base (cell, action) entry
-    are converted at once into flat arrays (``_entry_arrays``); the grid is
-    refined to every row endpoint, each entry's row is placed on the refined
-    grid once, and refined cells take the row of their base cell.  Numbers
-    in ``beta``, ``grid``, ``absorb`` and ``rewards`` must be JSON numbers,
-    not booleans or strings.
+    are gathered in document order, the initial rows last, and each field is
+    converted for all entries at once.  Every check has one column in one
+    table of entries, so the error names the first faulty entry: a malformed
+    entry before any bad mass.  The grid is refined to every row endpoint,
+    each entry's row is placed on the refined grid once, and refined cells
+    take the row of their base cell.  Numbers in ``beta``, ``grid``,
+    ``absorb`` and ``rewards`` must be JSON numbers, not booleans or
+    strings; those in the rows are read as ``np.fromiter`` reads them.
     """
     if not isinstance(doc, dict):
         raise ModelFormatError("document", "expected a mapping")
@@ -661,61 +621,89 @@ def load_model(doc: dict) -> AtomlessMDP:
     if not isinstance(rewards_doc, list) or len(rewards_doc) != base.cell_count:
         raise ModelFormatError("rewards", f"expected {base.cell_count} per-cell entries")
 
-    initial = doc.get("initial", [])
-    try:
-        table, counts, absorb, rewards = _entry_arrays(avail, kernel_doc, rewards_doc, initial)
-    except (TypeError, ValueError, OverflowError):
-        _raise_malformed_entry(avail, kernel_doc, rewards_doc, initial)
-        raise
-    paths = [f"kernel[{i}][{k}]" for i, acts in enumerate(avail) for k in range(len(acts))]
-    paths.append("initial")
-    entries = len(paths)
-    entry_of = np.repeat(np.arange(entries), counts)
-    lo, hi, mass = table.T
+    # the entries of the cells before the first whose kernel or rewards list
+    # does not hold one entry per available action, in document order, and
+    # a last entry: the initial rows, or that cell
+    sized = np.array([[isinstance(c, list) and len(c) == len(acts) for acts, c in zip(avail, lists)]
+                      for lists in (kernel_doc, rewards_doc)])
+    wrong = _first(~sized.T)
+    cells = len(avail) if wrong is None else wrong[0]
+    entries = list(chain.from_iterable(kernel_doc[:cells]))
+    reward_lists = list(chain.from_iterable(rewards_doc[:cells]))
+    paths = [f"kernel[{i}][{k}]" for i in range(cells) for k in range(len(avail[i]))]
+    if wrong is None:
+        paths.append("initial")
+        last_rows, count_message = doc.get("initial", []), None
+    else:
+        paths.append(f"{('kernel', 'rewards')[wrong[1]]}[{cells}]")
+        last_rows, count_message = [], f"expected {len(avail[cells])} action entries"
+    n = len(paths)
+    objects = [e if isinstance(e, dict) else {} for e in entries]
+    # a `to` that is not a list reads as one row, which is not a list either
+    to = [t if type(t) is list else [t]
+          for t in (*map(dict.get, objects, repeat("to"), repeat([])), last_rows)]
+    entry_of = np.repeat(np.arange(n), np.fromiter(map(len, to), np.intp, n))
+    rows = list(chain.from_iterable(to))
+    table, bad_row, row_message = _convert(_row_table, rows)
+    absorb, bad_absorb, _ = _convert(
+        _numbers, [*map(dict.get, objects, repeat("absorb"), repeat(0.0)), 0.0])
+    rewards, bad_reward, _ = _convert(_reward_values, reward_lists)
+    criteria = np.array([len(r) if type(r) is list else -1 for r in reward_lists], dtype=int)
 
     def per_entry(row_flags):
-        return np.bincount(entry_of, weights=row_flags, minlength=entries) > 0
+        return np.bincount(entry_of, weights=row_flags, minlength=n) > 0
 
     def rows_path(e):
-        return paths[e] if paths[e] == "initial" else f"{paths[e]}.to"
+        return paths[e] if e == n - 1 else f"{paths[e]}.to"
 
-    # bincount adds each entry's masses in row order, as a sequential sum does
-    totals = np.bincount(entry_of, weights=mass, minlength=entries) + absorb
-    bad_interval = ~((0.0 <= lo) & (lo < hi) & (hi <= 1.0))
-    # report the first failing entry, its checks taken in this order
-    failures = np.column_stack([
-        per_entry(~np.isfinite(mass)) | ~np.isfinite(absorb),
-        np.abs(totals - 1.0) > ROW_SUM_TOL,
-        per_entry(mass < 0) | (absorb < 0),
-        per_entry(bad_interval),
-    ])
-    if failures.any():
-        e, check = np.unravel_index(np.argmax(failures), failures.shape)
-        path, total = paths[e], float(totals[e])
-        if check == 0:
-            raise ModelFormatError(path, "masses must be finite")
-        if check == 1:
-            if path == "initial":
-                raise ModelFormatError(path, f"total mass {total!r}, not 1")
-            raise ModelFormatError(path, f"row sums to {total!r}, not 1")
-        if check == 2:
-            raise ModelFormatError(path, "negative mass")
-        r = np.flatnonzero(bad_interval & (entry_of == e))[0]
-        raise ModelFormatError(rows_path(e), f"bad interval ({lo[r]}, {hi[r]})")
+    # one row per entry, one column per check in the order they are
+    # reported; the mass checks run once every entry is well formed, so
+    # the first fault of the document, if any, is structural
+    faults = np.zeros((n, 10), dtype=bool)
+    faults[-1, 0] = count_message is not None
+    faults[:-1, 1] = [not isinstance(e, dict) for e in entries]
+    faults[entry_of[bad_row], 2] = True
+    faults[bad_absorb, 3] = True
+    faults[bad_reward, 4] = True
+    faults[:-1, 5] = criteria != criteria[:1]
+    if not faults.any():
+        lo, hi, mass = table.T
+        # bincount adds each entry's masses in row order, as a sequential sum does
+        totals = np.bincount(entry_of, weights=mass, minlength=n) + absorb
+        bad_interval = ~((0.0 <= lo) & (lo < hi) & (hi <= 1.0))
+        faults[:, 6] = per_entry(~np.isfinite(mass)) | ~np.isfinite(absorb)
+        faults[:, 7] = np.abs(totals - 1.0) > ROW_SUM_TOL
+        faults[:, 8] = per_entry(mass < 0) | (absorb < 0)
+        faults[:, 9] = per_entry(bad_interval)
+    fault = _first(faults)
+    if fault is not None:
+        e, check = fault
+        path, rewards_path = paths[e], "rewards" + paths[e][len("kernel"):]
+        if check == 7:
+            word = "total mass" if path == "initial" else "row sums to"
+            raise ModelFormatError(path, f"{word} {float(totals[e])!r}, not 1")
+        if check == 9:
+            r = np.flatnonzero(bad_interval & (entry_of == e))[0]
+            raise ModelFormatError(rows_path(e), f"bad interval ({lo[r]}, {hi[r]})")
+        raise ModelFormatError(*{
+            0: (path, count_message),
+            1: (path, "expected an object with 'to' and 'absorb'"),
+            2: (rows_path(e), row_message),
+            3: (f"{path}.absorb", "expected a number"),
+            4: (rewards_path, "expected a list of numbers"),
+            5: (rewards_path, "inconsistent criteria count"),
+            6: (path, "masses must be finite"),
+            8: (path, "negative mass"),
+        }[check])
 
-    grid = StatePartition(merge_breakpoints(base.points, lo, hi))
-    start, found_lo = locate_breakpoints(grid.points, lo)
-    end, found_hi = locate_breakpoints(grid.points, hi)
-    found = found_lo & found_hi
-    if not found.all():
-        # a chain of endpoints, each within MERGE_TOL of the next, merged into
-        # one breakpoint farther than MERGE_TOL from some of them
-        r = int(np.argmin(found))
-        x = float(lo[r] if not found_lo[r] else hi[r])
-        raise ModelFormatError(rows_path(entry_of[r]),
-                               f"endpoint {x!r} is within {MERGE_TOL} of another "
-                               "endpoint but not of the breakpoint they merge to")
-    placed = _spread_rows(grid.widths, start, end, mass, entry_of, entries)
+    grid, placed = place_rows(
+        base.points, lo, hi, mass, entry_of, n,
+        # a chain of endpoints, each within MERGE_TOL of the next, merged
+        # into one breakpoint farther than MERGE_TOL from some of them
+        lambda r, x: ModelFormatError(
+            rows_path(entry_of[r]), f"endpoint {x!r} is within {MERGE_TOL} of another "
+            "endpoint but not of the breakpoint they merge to"))
+    rewards = rewards.reshape(criteria.size, criteria[0])
     slot_cell = np.repeat(np.arange(base.cell_count), [len(acts) for acts in avail])
     slot_action = np.array([a for acts in avail for a in acts])
     kernel = np.zeros((base.cell_count, n_actions, grid.cell_count))

@@ -203,6 +203,21 @@ def test_tv_disjoint_supports():
     assert total_variation(m1, m2) == 2.0
 
 
+def test_from_intervals_spreads_rows_and_names_faults():
+    m = PieceMeasure.from_intervals([(0.0, 0.5, 0.5), (0.25, 1.0, 0.75)])
+    assert m.partition.points.tolist() == [0.0, 0.25, 0.5, 1.0]
+    assert m.masses.tolist() == [0.25, 0.25 + 0.25, 0.5]
+    with pytest.raises(ValueError, match=r"^empty interval \(0\.5, 0\.5\)$"):
+        PieceMeasure.from_intervals([(0.5, 0.5, 1.0)])
+    with pytest.raises(ValueError, match="^interval mass must be nonnegative$"):
+        PieceMeasure.from_intervals([(0.0, 1.0, -1.0)])
+    # endpoints 0.8e-12 apart merge into the first, farther than MERGE_TOL
+    # from the last
+    chain = [(0.5, 1.0, 0.1), (0.5 + 0.8e-12, 1.0, 0.1), (0.5 + 1.6e-12, 1.0, 0.1)]
+    with pytest.raises(ValueError, match=r"^0\.5000000000016 is not a breakpoint of the partition$"):
+        PieceMeasure.from_intervals(chain)
+
+
 def test_tv_cellwise():
     m1 = pm([0, 0.5, 1], [1.0, 1.0])
     m2 = pm([0, 0.5, 1], [2.0, 0.0])

@@ -362,6 +362,48 @@ def test_load_reports_the_first_malformed_entry(first):
         assert str(exc.value) == expected, (first, later)
 
 
+# ways for the kernel or rewards list of a cell to hold the wrong number of
+# action entries
+COUNT_FAULTS = {
+    "one entry too many": lambda cell: cell + cell,
+    "no entries": lambda cell: [],
+    "not a list": lambda cell: {"entries": cell},
+}
+
+
+@pytest.mark.parametrize("other", [None, (1, "non-numeric entry"), (3, "non-numeric entry"),
+                                   (1, "negative mass")],
+                         ids=["alone", "earlier malformed", "later malformed", "earlier bad mass"])
+@pytest.mark.parametrize("fault", list(COUNT_FAULTS))
+@pytest.mark.parametrize("wrong", ["kernel", "rewards", "kernel and rewards"])
+def test_load_names_a_wrong_action_entry_count(wrong, fault, other):
+    # the count fault of cell 2 is found where that cell is read: after a
+    # malformed entry of cell 1, before any fault of cell 3 and before
+    # every mass check
+    doc = model_to_doc(random_model(4, 2, 2, seed=5))
+    for field in wrong.split(" and "):
+        doc[field][2] = COUNT_FAULTS[fault](doc[field][2])
+    expected = f"{wrong.split()[0]}[2]: expected 1 action entries"
+    if other is not None:
+        cell, row_fault = other
+        error = with_row_fault(doc, cell, 0, row_fault)
+        if cell < 2 and row_fault in PARSE_FAULTS:
+            expected = error
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(doc)
+    assert str(exc.value) == expected
+
+
+def test_certificate_is_built_for_the_tol_asked():
+    # the first certificate was once returned whatever tol a later call asked
+    m = random_model(6, 2, 2, seed=1)
+    m.certificate(1e-12)
+    cert = m.certificate(1e-3)
+    assert cert.tol == 1e-3
+    assert cert.survival.tobytes() == absorption_certificate(m, 1e-3).survival.tobytes()
+    assert m.certificate(1e-3) is cert
+
+
 def per_entry_reference(doc):
     """(grid points, kernel, absorb, rewards, initial masses) of a document
     whose endpoints are all exact breakpoints of one grid, read one entry at
