@@ -36,7 +36,7 @@ from .model import (
     StationaryPolicy,
     validate_policy,
 )
-from .occupancy import evaluate_weights, performance
+from .occupancy import cell_weights, evaluate_weights, performance
 from .scalar_dp import SubmodelSpec, conserving_submodel, support, value_iteration
 
 __all__ = [
@@ -71,14 +71,6 @@ def _perf(model: AtomlessMDP, policy) -> np.ndarray:
         hit = performance(model, policy, tol=EVAL_TOL)
         model._perf_cache[key] = hit
     return hit
-
-
-def _cell_weights(model: AtomlessMDP, owner, frac, actions) -> np.ndarray:
-    """(cells x actions) sums of ``frac`` by base cell and action, added in
-    interval order as ``cell_action_weights`` adds them."""
-    a = model.action_count
-    flat = np.bincount(owner * a + actions, weights=frac, minlength=model.cell_count * a)
-    return flat.reshape(model.cell_count, a)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +135,7 @@ class TwoPolicyContext:
 def _context(pair: SubmodelSpec, a0, a1) -> TwoPolicyContext:
     """The context over a checked pair submodel that allows exactly a0 and a1."""
     model, half = pair.model, 0.5 * pair.frac
-    w = _cell_weights(model, pair.owner, half, a0) + _cell_weights(model, pair.owner, half, a1)
+    w = cell_weights(model, pair.owner, half, a0) + cell_weights(model, pair.owner, half, a1)
     q = PieceMeasure(model.grid, evaluate_weights(model, w, EVAL_TOL)[0])
     return TwoPolicyContext(pair, a0, a1, q)
 
@@ -179,7 +171,7 @@ def _spliced_value(ctx: TwoPolicyContext, s: PathSplit, actions):
     """Cell weights, performance vector and marginal error of the policy with
     ``actions`` on the intervals of ``s.partition``."""
     model = ctx.pair.model
-    w = _cell_weights(model, ctx.pair.owner[s.rows], s.frac, actions)
+    w = cell_weights(model, ctx.pair.owner[s.rows], s.frac, actions)
     _, err, v = evaluate_weights(model, w, EVAL_TOL)
     return w, v, err
 

@@ -446,8 +446,8 @@ def weighted_transform(model: AtomlessMDP, w) -> AtomlessMDP:
     expand, the discount factor is raised to keep rows substochastic.
     """
     w = np.asarray(w, dtype=float)
-    if w.shape != (model.cell_count,) or np.any(w <= 0):
-        raise ModelFormatError("weights", "need one positive weight per base cell")
+    if w.shape != (model.cell_count,) or not np.all((w > 0) & (w < np.inf)):
+        raise ModelFormatError("weights", "need one positive finite weight per base cell")
     mask = model.available_mask()
     ratio = np.where(mask, np.einsum("iaj,j->ia", model.kernel, w) / w[:, None], 0.0)
     i, a = np.unravel_index(np.argmax(ratio), ratio.shape)

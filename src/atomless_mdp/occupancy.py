@@ -5,7 +5,9 @@ row is a base-grid measure, the state marginal after each step is again a
 base-grid measure, regardless of any sub-cell structure in the policy.  A
 policy therefore enters the dynamics only through its length-averaged action
 probabilities per cell, and the state marginal is one linear solve on the
-base grid, its error certified by the absorption certificate's bound L.
+base grid, its error certified by the absorption certificate's bound L.  The
+scalarized DP solves the same system I - P_w on the right for the cell
+averages of a policy's values, with the same certificate and refinement.
 """
 
 from __future__ import annotations
@@ -73,43 +75,77 @@ def marginal_step(model: AtomlessMDP, policy, q_n: PieceMeasure) -> PieceMeasure
     q_masses = q_n.refined_to(joint).masses
     probs = probs[joint.index_map_from(on_grid)]
     owner = joint.index_map_from(model.grid)
-    weights = np.zeros((model.cell_count, model.action_count))
-    np.add.at(weights, owner, q_masses[:, None] * probs)
-    out = np.einsum("ia,iaj->j", weights, model.kernel)
+    out = np.einsum("ia,iaj->j", _joint_weights(model, owner, q_masses, probs), model.kernel)
     return PieceMeasure(model.grid, out)
 
 
-def transition_matrix(model: AtomlessMDP, w: np.ndarray) -> np.ndarray:
-    """Substochastic cell-to-cell matrix P_w of the (cells x actions) cell weights w."""
-    return np.einsum("ia,iaj->ij", w, model.kernel)
+def cell_weights(model: AtomlessMDP, owner, frac, actions) -> np.ndarray:
+    """(cells x actions) sums of ``frac`` by base cell and action, added in
+    interval order as ``cell_action_weights`` adds them."""
+    a = model.action_count
+    flat = np.bincount(owner * a + actions, weights=frac, minlength=model.cell_count * a)
+    return flat.reshape(model.cell_count, a)
 
 
-def _residual_bound(model: AtomlessMDP, m: np.ndarray, system: np.ndarray, L: float) -> float:
-    """L |mu - m (I - P_w)|_1 plus a bound on that residual's rounding in m's
-    dtype (the A-term sums of P_w, the n-term products with m, two subtractions)."""
-    rounding = (model.cell_count + model.action_count + 2) * np.finfo(m.dtype).eps * m.sum()
-    return L * float(np.abs(model.initial.masses - m @ system).sum() + rounding)
+def transition_matrix(w: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Substochastic cell-to-cell matrix P_w of the (cells x actions) cell
+    weights w, in the dtype of w and the kernel."""
+    return np.einsum("ia,iaj->ij", w, kernel)
 
 
-def _refined_marginal(model: AtomlessMDP, w: np.ndarray, system: np.ndarray,
-                      marginal: np.ndarray, L: float):
-    """(m, bound) after one step of iterative refinement in extended precision.
+def _system(model: AtomlessMDP, w: np.ndarray, kernel: np.ndarray, left: bool):
+    """(a, rhs) with a x = rhs in the dtype of w and the kernel: a = I - P_w
+    and rhs = sum_a w r on the right, for the cell averages of the values of
+    r; a = (I - P_w)^T and rhs = mu on the left, for the state marginal."""
+    system = np.eye(model.cell_count, dtype=w.dtype) - transition_matrix(w, kernel)
+    if left:
+        return system.T, model.initial.masses
+    return system, np.einsum("ia,ian->in", w, model.rewards)
 
-    A float64 residual's rounding, about n eps |m|_1 = n eps L, keeps its
+
+def _residual_bound(model: AtomlessMDP, a, x, rhs, L: float, left: bool) -> float:
+    """L |rhs - a x| plus a bound on that residual's rounding in x's dtype (the
+    A-term sums of P_w, the n-term products with x, two subtractions).
+    (I - P_w)^-1 has row sums at most L, so this bounds x's error in |.|_1
+    on the left and in the largest |entry| on the right."""
+    residual, x = abs(rhs - a @ x), abs(x)
+    residual, size = (residual.sum(), x.sum()) if left else (residual.max(), x.max())
+    rounding = (model.cell_count + model.action_count + 2) * np.finfo(x.dtype).eps * size
+    return L * float(residual + rounding)
+
+
+def certified_solve(model: AtomlessMDP, w: np.ndarray, L: float, left: bool):
+    """(x, bound) for the cell weights w: x solves _system's a x = rhs and the
+    bound certifies its error.  On the left the marginal is clipped at zero,
+    which moves it toward the exact marginal."""
+    a, rhs = _system(model, w, model.kernel, left)
+    x = np.linalg.solve(a, rhs)
+    if left:
+        x = np.maximum(x, 0.0)
+    return x, _residual_bound(model, a, x, rhs, L, left)
+
+
+def refine(model: AtomlessMDP, w: np.ndarray, x: np.ndarray, L: float, left: bool):
+    """certified_solve's (x, bound) after one step of iterative refinement in
+    extended precision.
+
+    A float64 residual's rounding, about n eps |x| with |x| up to L, keeps its
     bound above n eps L^2: over 1e-12 once L passes about 20 on a few cells.
-    Here the marginal is corrected as an np.longdouble vector m_x, with its
-    residual taken against I - P_w formed in np.longdouble; the float64
-    m = round(m_x) is within |m - m_x|_1 plus m_x's bound.  Where
-    np.longdouble is float64 this gains nothing and tol decides.
+    Here x is corrected as an np.longdouble x_x, with its residual taken
+    against the system formed in np.longdouble; the float64 x = round(x_x)
+    is within |x - x_x| plus x_x's bound.  Where np.longdouble is float64
+    this gains nothing and tol decides.
     """
-    ext = np.longdouble
-    exact = np.eye(model.cell_count, dtype=ext) - np.einsum(
-        "ia,iaj->ij", w.astype(ext), model.long_kernel())
-    m_x = marginal.astype(ext)
-    step = np.linalg.solve(system.T, (model.initial.masses - m_x @ exact).astype(float))
-    m_x = np.maximum(m_x + step, 0.0)
-    m = m_x.astype(float)
-    return m, _residual_bound(model, m_x, exact, L) + float(np.abs(m_x - m).sum())
+    a = _system(model, w, model.kernel, left)[0]
+    exact, rhs = _system(model, w.astype(np.longdouble), model.long_kernel(), left)
+    x_x = x.astype(np.longdouble)
+    x_x = x_x + np.linalg.solve(a, (rhs - exact @ x_x).astype(float))
+    if left:
+        x_x = np.maximum(x_x, 0.0)
+    x = x_x.astype(float)
+    shift = abs(x_x - x)
+    return x, _residual_bound(model, exact, x_x, rhs, L, left) + float(
+        shift.sum() if left else shift.max())
 
 
 def evaluate_weights(model: AtomlessMDP, w: np.ndarray, tol: float = 1e-9):
@@ -118,23 +154,19 @@ def evaluate_weights(model: AtomlessMDP, w: np.ndarray, tol: float = 1e-9):
     The state marginal m solves m (I - P_w) = mu (m = mu on a one-step model).
     (I - P_w)^-1 has row sums at most L, so |m - m*|(X) <= truncation_error =
     L |mu - m (I - P_w)|_1, with that residual's rounding added, and must be
-    at most ``tol``; when the float64 residual is too coarse for that,
-    _refined_marginal tightens it.  The performance vector
-    v = m . sum_a w r is within truncation_error * max |r|.
+    at most ``tol``; when the float64 residual is too coarse for that, one
+    step of refine tightens it.  The performance vector v = m . sum_a w r is
+    within truncation_error * max |r|.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    cert = model.certificate()
-    mu = model.initial.masses
+    L = model.certificate().L
     if model.is_one_step():
-        marginal, err = mu, 0.0
+        marginal, err = model.initial.masses, 0.0
     else:
-        system = np.eye(model.cell_count) - transition_matrix(model, w)
-        # clipping moves toward the exact marginal, which is nonnegative
-        marginal = np.maximum(np.linalg.solve(system.T, mu), 0.0)
-        err = _residual_bound(model, marginal, system, cert.L)
+        marginal, err = certified_solve(model, w, L, True)
         if not err <= tol:
-            marginal, err = _refined_marginal(model, w, system, marginal, cert.L)
+            marginal, err = refine(model, w, marginal, L, True)
         if not err <= tol:        # a NaN residual certifies nothing either
             raise ToleranceError(f"certified marginal error {err:.3e} exceeds tol {tol:.3e}")
     return marginal, err, marginal @ np.einsum("ia,ian->in", w, model.rewards)

@@ -2,10 +2,10 @@
 
 Solves sup over policies of <direction, v> restricted to per-interval allowed
 action sets.  The optimum is found by policy iteration over intervalwise
-deterministic policies (each evaluation is an exact linear solve on the
-submodel partition) and certified afterwards by the one-step Bellman
-residual: for an absorbing model, a residual of delta bounds the distance to
-the true optimum by L * delta.
+deterministic policies (each evaluation is one certified linear solve on the
+base grid, through the occupancy layer) and certified afterwards by the
+one-step Bellman residual: for an absorbing model, a residual of delta
+bounds the distance to the true optimum by L * delta.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 from .errors import CertifiedFailure, ToleranceError
 from .measure import StatePartition
 from .model import AtomlessMDP, DeterministicPolicy
+from .occupancy import cell_weights, certified_solve, refine
 
 __all__ = [
     "SubmodelSpec",
@@ -37,7 +38,8 @@ class SubmodelSpec:
     checks: a child of a checked submodel (``_child``) reuses its ``owner``
     and ``frac``, and its mask is a nonempty subset of the parent's rows.
     A submodel keeps the policy-iteration answer of every direction it has
-    solved, so a repeated query costs no solve.
+    solved, so a repeated query whose tol that answer's bound meets costs no
+    solve.
     """
 
     __slots__ = ("model", "partition", "allowed", "owner", "frac", "initial_masses", "_solved")
@@ -116,29 +118,29 @@ class ValueFunction:
         self.error_bound = float(error_bound)
 
 
-def _q_values(sub: SubmodelSpec, scalar_r, values):
-    """q[s, a] = r(cell(s), a) + integral of the value under the kernel row."""
-    kernel = sub.model.kernel
-    cell_avg = np.bincount(sub.owner, sub.frac * values, kernel.shape[0])
-    cont = kernel @ cell_avg          # (cells, actions)
-    return (scalar_r + cont)[sub.owner]
+def _q_values(sub: SubmodelSpec, q_masked, cell_values):
+    """q[s, a] = r(cell(s), a) + integral of the value under the kernel row,
+    given the value's cell averages; ``q_masked`` holds the immediate
+    rewards, -inf where a is not allowed."""
+    return q_masked + (sub.model.kernel @ cell_values)[sub.owner]
 
 
 def _policy_iteration(sub: SubmodelSpec, direction, tol: float):
     """Optimal intervalwise actions for <direction, r>, certified within tol.
 
-    Returns (actions, x, err, residual): x[:, 0] is the optimal value,
-    x[:, 1:] the optimal policy's values of the reward vector, err the
-    certified optimality gap and residual the largest residual of the reward
-    columns in the final solve (zero on a one-step model, whose solution is
-    exact).  The answer does not depend on tol, so each submodel solves a
-    direction once and keeps the read-only arrays; tol is checked per call.
+    Returns (actions, x, err, bound): x[:, 0] is the optimal value, x[:, 1:]
+    the optimal policy's values of the reward vector, err the certified
+    optimality gap and bound the final solve's certified bound, which bounds
+    the error of x[:, 1:] and of its integral against the initial masses
+    (zero on a one-step model, whose solution is exact).  Each submodel keeps
+    the read-only answer per direction and reuses it while its bound meets
+    tol; the gap is checked per call.
     """
     direction = np.asarray(direction, dtype=float)
     key = direction.tobytes()
     solved = sub._solved.get(key)
-    if solved is None:
-        solved = sub._solved[key] = _solve(sub, direction)
+    if solved is None or not solved[3] <= tol:
+        solved = sub._solved[key] = _solve(sub, direction, tol)
         for arr in solved[:2]:
             arr.setflags(write=False)
     err = solved[2]
@@ -149,22 +151,23 @@ def _policy_iteration(sub: SubmodelSpec, direction, tol: float):
     return solved
 
 
-def _solve(sub: SubmodelSpec, direction: np.ndarray):
-    """Policy iteration: _policy_iteration's answer, without the tol check.
+def _solve(sub: SubmodelSpec, direction: np.ndarray, tol: float):
+    """Policy iteration: _policy_iteration's answer, without the gap check.
 
-    Each evaluated policy costs one solve of I - P whose right-hand side
-    stacks the scalarized rewards and the N reward columns.  Ties in the
-    greedy step break toward the lowest action index.
+    Each evaluated policy costs one solve of I - P_w on the base grid for its
+    cell weights w: the cell averages c of its values of the reward vector
+    solve (I - P_w) c = sum_a w r, and an interval of cell i with action a
+    has the values r(i, a) + K(i, a) c.  The greedy step reads its Q-values
+    from c; the final solve is refined where its bound misses tol.
+    Ties in the greedy step break toward the lowest action index.
     """
     model = sub.model
     cert = model.certificate()
     scalar_r = model.rewards @ direction      # (cells, actions)
-    owner, blocked = sub.owner, ~sub.allowed
-    n = sub.partition.cell_count
-    rows = np.arange(n)
-    r_own = scalar_r[owner]
+    owner = sub.owner
+    rows = np.arange(sub.partition.cell_count)
     # the first greedy step is on the masked immediate rewards (zero values)
-    q_masked = np.where(sub.allowed, r_own, -np.inf)
+    q_masked = np.where(sub.allowed, scalar_r[owner], -np.inf)
 
     if model.is_one_step():
         # one-step model: the value is the per-interval best immediate reward
@@ -174,38 +177,33 @@ def _solve(sub: SubmodelSpec, direction: np.ndarray):
 
     # keep the incumbent unless the gain is numerically meaningful
     keep_gain = 1e-13 * (1.0 + float(np.abs(scalar_r).max(initial=0.0))) * cert.L
-    eye = np.eye(n)
-
-    def greedy(values, current):
-        """Improved actions and the masked Q row maxima at ``values``."""
-        q = _q_values(sub, scalar_r, values)
-        np.copyto(q, -np.inf, where=blocked)
-        best = q.argmax(axis=1)
-        top = q[rows, best]
-        keep = top - q[rows, current] <= keep_gain
-        best[keep] = current[keep]
-        return best, top
 
     def evaluate(actions):
-        # I - P, with P[s, t] the mass the policy moves from interval s to t
-        system = eye - model.kernel[owner[:, None], actions[:, None], owner] * sub.frac
-        rhs = np.concatenate((r_own[rows, actions][:, None], model.rewards[owner, actions]), axis=1)
-        return system, rhs, np.linalg.solve(system, rhs)
+        w = cell_weights(model, owner, sub.frac, actions)
+        return (w, *certified_solve(model, w, cert.L, False))
 
     actions = q_masked.argmax(axis=1)
-    system, rhs, x = evaluate(actions)
+    w, c, bound = evaluate(actions)
     for _ in range(POLICY_ROUNDS):
-        improved, top = greedy(x[:, 0], actions)
+        q = _q_values(sub, q_masked, c @ direction)
+        improved = q.argmax(axis=1)
+        keep = q[rows, improved] - q[rows, actions] <= keep_gain
+        improved = np.where(keep, actions, improved)
         if np.array_equal(improved, actions):
             break
         actions = improved
-        system, rhs, x = evaluate(actions)
+        w, c, bound = evaluate(actions)
     else:
         raise CertifiedFailure("policy iteration did not stabilize", residual=np.inf)
 
-    err = cert.L * float(np.abs(top - x[:, 0]).max(initial=0.0))
-    residual = float(np.abs(system @ x[:, 1:] - rhs[:, 1:]).max(initial=0.0))
-    return actions, x, err, residual
+    if not bound <= tol:
+        c, bound = refine(model, w, c, cert.L, False)
+    values = model.rewards[owner, actions] + model.kernel[owner, actions] @ c
+    x = np.concatenate(((values @ direction)[:, None], values), axis=1)
+    # the Bellman residual of x[:, 0]
+    q = _q_values(sub, q_masked, np.bincount(owner, sub.frac * x[:, 0], model.cell_count))
+    err = cert.L * float(abs(q.max(axis=1) - x[:, 0]).max())
+    return actions, x, err, bound
 
 
 def value_iteration(sub: SubmodelSpec, direction, tol: float = 1e-10):
@@ -230,12 +228,11 @@ def support(model_or_sub, direction, tol: float = 1e-10):
     intervalwise-deterministic policy, so the returned policy is a vertex,
     and v is its performance vector.  v comes from the same linear solve
     that evaluates the optimal value, with the reward vectors as further
-    right-hand sides; a residual of delta bounds its error by L * delta,
-    certified within tol.
+    right-hand sides, and its error is that solve's certified bound, which
+    must be within tol.
     """
     sub = model_or_sub if isinstance(model_or_sub, SubmodelSpec) else SubmodelSpec.full(model_or_sub)
-    actions, x, _, residual = _policy_iteration(sub, direction, tol)
-    err = sub.model.certificate().L * residual
+    actions, x, _, err = _policy_iteration(sub, direction, tol)
     if err > tol:
         raise ToleranceError(
             f"certified performance error {err:.3e} exceeds requested tol {tol:.3e}"
@@ -252,7 +249,8 @@ def conserving_submodel(sub: SubmodelSpec, direction, vf: ValueFunction,
     if vf.partition != sub.partition:
         raise ValueError("value function must live on the submodel partition")
     scalar_r = sub.model.rewards @ np.asarray(direction, dtype=float)
-    q = _q_values(sub, scalar_r, vf.values)
+    cell_avg = np.bincount(sub.owner, sub.frac * vf.values, sub.model.cell_count)
+    q = _q_values(sub, np.where(sub.allowed, scalar_r[sub.owner], -np.inf), cell_avg)
     gaps = np.abs(q - vf.values[:, None])
     keep = sub.allowed & (gaps <= eta)
     empty = np.flatnonzero(~keep.any(axis=1))

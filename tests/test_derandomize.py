@@ -988,10 +988,10 @@ def test_no_submodel_solves_a_direction_twice(monkeypatch):
     original_solve, original_query = module._solve, module._policy_iteration
     solved, kept, queries = Counter(), [], [0]
 
-    def solve(sub, direction):
+    def solve(sub, direction, tol):
         kept.append(sub)          # hold it, so that no id is reused
         solved[id(sub), np.asarray(direction, dtype=float).tobytes()] += 1
-        return original_solve(sub, direction)
+        return original_solve(sub, direction, tol)
 
     def query(*args):
         queries[0] += 1

@@ -932,6 +932,13 @@ def test_weighted_transform_rejects_expanding_weight():
         weighted_transform(m, np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_weighted_transform_rejects_non_finite_weight(bad):
+    m = random_model(3, 2, 1, seed=1)
+    with pytest.raises(ModelFormatError, match="^weights: .*finite"):
+        weighted_transform(m, [bad, 1.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # policies
 # ---------------------------------------------------------------------------

@@ -199,13 +199,13 @@ def test_refinement_converts_the_kernel_once(monkeypatch):
     from tests.test_scalar_dp import seeded_discounted
 
     module = importlib.import_module("atomless_mdp.occupancy")
-    original, refined = module._refined_marginal, []
+    original, refined = module.refine, []
 
     def counting(model, *args):
         refined.append(model.long_kernel())
         return original(model, *args)
 
-    monkeypatch.setattr(module, "_refined_marginal", counting)
+    monkeypatch.setattr(module, "refine", counting)
     m = seeded_discounted(2000, 0.998)
     assert m.certificate().L == pytest.approx(500.0)
     rng = np.random.default_rng(0)
@@ -217,6 +217,64 @@ def test_refinement_converts_the_kernel_once(monkeypatch):
         assert shared[1] == alone[1] and shared[2].tobytes() == alone[2].tobytes()
     assert len(refined) == 4 and refined[0] is refined[2]
     assert refined[0].dtype == np.longdouble and not refined[0].flags.writeable
+
+
+def fraction_solve(a, b):
+    """The exact solution of a x = b, entries as Fractions (b is n x k)."""
+    n = len(a)
+    rows = [list(a[i]) + list(b[i]) for i in range(n)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k] != 0)
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(n):
+            if i != k and rows[i][k] != 0:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return [[x / rows[i][i] for x in rows[i][n:]] for i in range(n)]
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_certified_bound_covers_the_exact_error(left):
+    # L = 500: the bound of the float64 solve is at least its exact error,
+    # from Fractions, against the solution for the same float64 matrix and
+    # right-hand side and against the one for I - P_w and the right-hand
+    # side formed exactly from w, the kernel and mu or the rewards; so is
+    # the refined solve's, which is tighter
+    from fractions import Fraction
+
+    from tests.test_scalar_dp import seeded_discounted
+
+    module = importlib.import_module("atomless_mdp.occupancy")
+    m = seeded_discounted(2000, 0.998)
+    L = m.certificate().L
+    assert L == pytest.approx(500.0)
+    w = cell_action_weights(m, random_stationary_policy(m, np.random.default_rng(0)))
+    n = m.cell_count
+    wf = [[Fraction(x) for x in row] for row in w]
+    p_w = [[sum(wf[i][a] * Fraction(m.kernel[i, a, j]) for a in range(m.action_count))
+            for j in range(n)] for i in range(n)]
+    system = [[(i == j) - p_w[i][j] for j in range(n)] for i in range(n)]
+    if left:
+        exact_a, exact_rhs = [list(col) for col in zip(*system)], [[Fraction(x)] for x in m.initial.masses]
+    else:
+        exact_a = system
+        exact_rhs = [[sum(wf[i][a] * Fraction(m.rewards[i, a, k]) for a in range(m.action_count))
+                      for k in range(m.criteria)] for i in range(n)]
+    float_a, float_rhs = module._system(m, w, m.kernel, left)
+    float_rhs = np.reshape(float_rhs, (n, -1))
+    references = [fraction_solve([[Fraction(x) for x in row] for row in float_a],
+                                 [[Fraction(x) for x in row] for row in float_rhs]),
+                  fraction_solve(exact_a, exact_rhs)]
+
+    def error(x, exact):
+        diffs = [abs(Fraction(xi) - ei) for row, exact_row in zip(np.reshape(x, (n, -1)), exact)
+                 for xi, ei in zip(row, exact_row)]
+        return sum(diffs) if left else max(diffs)
+
+    x, bound = module.certified_solve(m, w, L, left)
+    assert all(error(x, exact) <= Fraction(bound) for exact in references)
+    refined, refined_bound = module.refine(m, w, x, L, left)
+    assert refined_bound < bound and error(refined, references[1]) <= Fraction(refined_bound)
 
 
 def test_occupancy_requires_certificate():

@@ -21,6 +21,7 @@ from atomless_mdp.occupancy import performance
 from atomless_mdp.scalar_dp import (
     SubmodelSpec,
     _policy_iteration,
+    _solve,
     conserving_submodel,
     support,
     value_iteration,
@@ -249,34 +250,91 @@ def dense_performances(sub, policies):
     return np.einsum("ki,kin->kn", visits, r_w)
 
 
-@pytest.mark.parametrize("cells, seed", [
+SIX_INTERVAL_CASES = [
     (5, 2102), (5, 2116), (5, 2122), (4, 2133), (3, 2117), (5, 2213), (5, 2216), (5, 2226),
-])
-def test_support_is_optimal_over_every_policy(cells, seed):
-    # on submodels of 6 intervals with up to 3 actions each, every
-    # intervalwise-deterministic policy is enumerated and evaluated densely:
-    # h is within the certified gap of the best of them, and the returned
-    # vertex's v is its dense value within L times the solve's residual;
-    # slack covers the dense reference's own rounding.  The models (seeds
-    # 22xx discounted, L = 5) have two or three actions in most cells
+]
+
+
+def six_interval_submodel(cells, seed):
+    """The seeded generator and a full-action submodel of 6 intervals on a
+    model of ``cells`` cells (seeds 22xx discounted, L = 5)."""
     rng = np.random.default_rng(seed)
     m = seeded_discounted(seed) if seed >= 2200 else random_model(cells, 3, 2, seed=seed)
     cuts = np.sort(rng.uniform(0.0, 1.0, size=6 - m.cell_count))
     part = m.grid.refine(StatePartition(np.concatenate(([0.0], cuts, [1.0]))))
     owner, _ = part.rebin_from(m.grid)
-    sub = SubmodelSpec(m, part, m.available_mask()[owner])
+    return rng, m, SubmodelSpec(m, part, m.available_mask()[owner])
+
+
+@pytest.mark.parametrize("cells, seed", SIX_INTERVAL_CASES)
+def test_support_is_optimal_over_every_policy(cells, seed):
+    # on submodels of 6 intervals with up to 3 actions each, every
+    # intervalwise-deterministic policy is enumerated and evaluated densely:
+    # h is within the certified gap of the best of them, and the returned
+    # vertex's v is its dense value within the solve's certified bound;
+    # slack covers the dense reference's own rounding.  The models (seeds
+    # 22xx discounted, L = 5) have two or three actions in most cells
+    rng, m, sub = six_interval_submodel(cells, seed)
     policies = np.array(list(itertools.product(*as_sets(sub.allowed))))
-    assert part.cell_count == 6 and len(policies) >= 54
+    assert sub.partition.cell_count == 6 and len(policies) >= 54
     dense = dense_performances(sub, policies)
     L = m.certificate().L
     for _ in range(6):
         b = rng.normal(size=2)
-        _, _, err, residual = _policy_iteration(sub, b, 1e-10)
+        _, _, err, bound = _policy_iteration(sub, b, 1e-10)
         h, policy, v = support(sub, b)
         slack = 8.0 * np.finfo(float).eps * L * (1.0 + abs(h))
         assert h >= float((dense @ b).max()) - err - slack
         k = int(np.flatnonzero((policies == policy.actions).all(axis=1))[0])
-        assert np.abs(v - dense[k]).max() <= L * residual + slack
+        assert np.abs(v - dense[k]).max() <= bound + slack
+
+
+def interval_policy_iteration(sub, b):
+    """Policy iteration that evaluates each policy on the interval-sized
+    system I - P, P[s, t] the mass it moves from interval s to t, with the
+    scalarized and the reward columns as right-hand sides: (actions, x)."""
+    m, owner, rows = sub.model, sub.owner, np.arange(sub.partition.cell_count)
+    scalar_r = m.rewards @ b
+    keep_gain = 1e-13 * (1.0 + float(np.abs(scalar_r).max())) * m.certificate().L
+    actions = np.where(sub.allowed, scalar_r[owner], -np.inf).argmax(axis=1)
+    while True:
+        system = np.eye(len(rows)) - m.kernel[owner[:, None], actions[:, None], owner] * sub.frac
+        rhs = np.column_stack((scalar_r[owner, actions], m.rewards[owner, actions]))
+        x = np.linalg.solve(system, rhs)
+        cell_avg = np.bincount(owner, sub.frac * x[:, 0], m.cell_count)
+        q = np.where(sub.allowed, (scalar_r + m.kernel @ cell_avg)[owner], -np.inf)
+        best = q.argmax(axis=1)
+        best = np.where(q[rows, best] - q[rows, actions] <= keep_gain, actions, best)
+        if np.array_equal(best, actions):
+            return actions, x
+        actions = best
+
+
+@pytest.mark.parametrize("cells, seed", SIX_INTERVAL_CASES)
+def test_policy_iteration_solves_on_the_base_grid(monkeypatch, cells, seed):
+    # with more intervals than cells, support and value_iteration solve only
+    # cells x cells systems, and _solve picks the actions of policy iteration
+    # on the interval-sized system, with its values to rounding
+    rng, m, sub = six_interval_submodel(cells, seed)
+    shapes = []
+    original = np.linalg.solve
+
+    def recording(a, b):
+        shapes.append(np.shape(a))
+        return original(a, b)
+
+    for _ in range(6):
+        b = rng.normal(size=2)
+        ref_actions, ref_x = interval_policy_iteration(sub, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", recording)
+            support(SubmodelSpec(m, sub.partition, sub.allowed), b)
+            value_iteration(SubmodelSpec(m, sub.partition, sub.allowed), b)
+        actions, x, _, _ = _solve(SubmodelSpec(m, sub.partition, sub.allowed), b, 1e-10)
+        assert np.array_equal(actions, ref_actions)
+        assert np.all(np.abs(x - ref_x) <= 1e-14 * (1.0 + np.abs(ref_x)))
+    assert shapes and set(shapes) == {(m.cell_count, m.cell_count)}
+    assert m.cell_count < sub.partition.cell_count
 
 
 def test_support_reuses_submodel_setup(monkeypatch):
@@ -361,26 +419,40 @@ def test_solved_direction_is_answered_without_a_solve(monkeypatch):
             assert vf.error_bound == fresh_vf.error_bound
 
 
-def test_solved_direction_checks_tol_per_call():
-    # the stored answer does not depend on tol: a tighter tol on it raises
-    # ToleranceError from both readers, and a looser one still gets it
+def test_solved_direction_checks_tol_per_call(monkeypatch):
+    # a kept answer serves every tol its vector bound meets; a tighter tol
+    # solves again, refining the final solve, and keeps that answer.  Each
+    # call checks its own tol: the optimality gap from both readers, the
+    # vector bound from support where refinement cannot meet it (as where
+    # np.longdouble is float64)
+    module = importlib.import_module("atomless_mdp.scalar_dp")
     m = random_model(6, 3, 2, seed=693)
     sub = SubmodelSpec.full(m)
-    L = m.certificate().L
 
-    def gaps(b):
-        _, _, err, residual = _policy_iteration(sub, b, 1.0)
-        return err, L * residual
+    def refined_gap(b):
+        return module._solve(SubmodelSpec.full(m), b, 0.0)[2]
 
     rng = np.random.default_rng(32)
-    b = next(b for b in rng.normal(size=(20, 2)) if 0.0 < gaps(b)[0] < gaps(b)[1])
-    err, perf_err = gaps(b)
+    b = next(b for b in rng.normal(size=(20, 2)) if refined_gap(b) > 0.0)
+    err = refined_gap(b)
     with pytest.raises(ToleranceError, match="optimality gap"):
         support(sub, b, tol=0.5 * err)
     with pytest.raises(ToleranceError, match="optimality gap"):
         value_iteration(sub, b, tol=0.5 * err)
-    with pytest.raises(ToleranceError, match="performance error"):
-        support(sub, b, tol=0.5 * (err + perf_err))
+
+    loose = SubmodelSpec.full(m)
+    _, _, float_err, perf_err = _policy_iteration(loose, b, 1.0)
+    tol = 0.5 * perf_err
+    assert float_err <= tol
+    support(loose, b, tol=tol)
+    kept = _policy_iteration(loose, b, tol)
+    assert kept[3] <= tol and _policy_iteration(loose, b, 1.0) is kept
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "refine", lambda model, w, x, L, left: (x, perf_err))
+        unrefined = SubmodelSpec.full(m)
+        with pytest.raises(ToleranceError, match="performance error"):
+            support(unrefined, b, tol=tol)
+        value_iteration(unrefined, b, tol=tol)
     actions, x, _, _ = _policy_iteration(sub, b, 1e-10)
     h, policy, _ = support(sub, b)
     assert np.array_equal(policy.actions, actions) and h == float(sub.initial_masses @ x[:, 0])
@@ -399,7 +471,7 @@ def test_solved_answers_are_read_only_and_failures_are_not_kept(monkeypatch):
     # a CertifiedFailure is raised again by the next query, not stored
     module = importlib.import_module("atomless_mdp.scalar_dp")
 
-    def failing(sub, direction):
+    def failing(sub, direction, tol):
         raise CertifiedFailure("policy iteration did not stabilize", residual=np.inf)
 
     c = np.array([-0.8, 0.6])

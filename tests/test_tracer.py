@@ -40,6 +40,10 @@ def test_benchmark_tracer_records_traced_calls():
     metrics = tracer.metrics(1.0, 0.0)
     assert set(metrics) == set(tracing.metric_units())
     assert metrics["occupancy.occupancy.calls"] == 1
+    # one P_w for the occupancy, at least one for value_iteration's policy
+    # evaluations, which solve on the base grid through the occupancy layer
+    assert not model.is_one_step()
+    assert metrics["occupancy.transition_matrix.calls"] >= 2
     assert metrics["occupancy.squarings"] == math.log2(q.terms)
     assert metrics["scalar_dp.value_iteration.calls"] == 1
     assert metrics["scalar_dp.SubmodelSpec.init.calls"] == 1
