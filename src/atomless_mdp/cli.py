@@ -16,6 +16,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 import traceback
@@ -87,9 +88,25 @@ def _fraction(text: str) -> float:
 # ---------------------------------------------------------------------------
 
 
+# the thread variables that atomless_mdp_cli sets before NumPy is imported
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_setting() -> str:
+    """The BLAS library NumPy was built with and the thread variables' values."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas.get('name', 'unknown')} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):     # NumPy before 1.25 prints its configuration
+        name = "unknown"
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in THREAD_VARIABLES)
+    return f"{name}, {threads}"
+
+
 @dataclass
 class RunReport:
     command: list
+    blas: str = ""
     inputs: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
@@ -105,7 +122,7 @@ class RunReport:
         return data
 
     def render(self) -> str:
-        lines = [f"command: {' '.join(self.command)}"]
+        lines = [f"command: {' '.join(self.command)}", f"blas: {self.blas}"]
         for path, digest in self.inputs.items():
             lines.append(f"input: {path} sha256:{digest}")
         for key, value in self.tolerances.items():
@@ -558,7 +575,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _parser().parse_args(argv)
-    report = RunReport(command=["atomless-mdp", *argv])
+    report = RunReport(command=["atomless-mdp", *argv], blas=blas_setting())
     start = time.perf_counter()
     try:
         code = args.fn(args, report)

@@ -7,8 +7,10 @@ by a deterministic threshold construction:
   the state space, and quantile thresholds of q cut out policies phi_alpha
   that interpolate continuously (in occupancy total variation) between the
   endpoints;
-* for one criterion a safeguarded Illinois root solve over the threshold
-  hits any intermediate value exactly (intermediate value theorem);
+* for one criterion the threshold hits any intermediate value exactly
+  (intermediate value theorem); across one interval of the pair's partition
+  the path's value is a rank-one update in closed form, which proposes the
+  root, and a certified evaluation accepts it;
 * for several criteria, the largest alpha whose frozen submodel still attains
   the target admits a supporting direction there; keeping only the actions
   that conserve the scalarized optimum pins one coordinate affinely to the
@@ -36,7 +38,7 @@ from .model import (
     StationaryPolicy,
     validate_policy,
 )
-from .occupancy import cell_weights, evaluate_weights, performance
+from .occupancy import RankOnePath, cell_weights, evaluate_weights, performance, rank_one_path
 from .scalar_dp import SubmodelSpec, conserving_submodel, support, value_iteration
 
 __all__ = [
@@ -58,14 +60,18 @@ EVAL_TOL = 1e-12          # certified marginal error for performance evaluations
 DISTANCE_CAP = 200        # support calls per distance iteration
 SCALAR_ITERS = 220        # threshold root-solve steps for one criterion
 FACE_ITERS = 40           # secant steps of one witness-face root solve
+PROPOSAL_CELLS = 64       # cells from which a closed-form proposal stacks one system
+
+
+def _perf_key(policy) -> tuple:
+    """The policy's digest in ``model._perf_cache``."""
+    values = policy.actions if isinstance(policy, DeterministicPolicy) else policy.probs
+    return policy.partition.points.tobytes(), values.tobytes()
 
 
 def _perf(model: AtomlessMDP, policy) -> np.ndarray:
     """Tight-tolerance performance evaluation, cached on the model by policy digest."""
-    if isinstance(policy, DeterministicPolicy):
-        key = (policy.partition.points.tobytes(), policy.actions.tobytes())
-    else:
-        key = (policy.partition.points.tobytes(), policy.probs.tobytes())
+    key = _perf_key(policy)
     hit = model._perf_cache.get(key)
     if hit is None:
         hit = performance(model, policy, tol=EVAL_TOL)
@@ -131,6 +137,36 @@ class TwoPolicyContext:
         allowed[s.below, s.actions[s.below]] = True
         return self.pair._child(s.partition, self.pair.owner[s.rows], s.frac, allowed)
 
+    # Within pair interval j the threshold is affine in alpha, and a policy
+    # continued across it changes one cell's weights: the threshold's
+    # position s there (its offset from the interval's start over the base
+    # cell's width) moves weight s from the policy's action to a1.
+
+    def position(self, alpha: float, j: int) -> float:
+        """The alpha-threshold's position s in pair interval j, clipped to it."""
+        pair = self.pair
+        s = (self.threshold(alpha) - pair.partition.points[j]) / pair.model.grid.widths[pair.owner[j]]
+        return min(max(s, 0.0), float(pair.frac[j]))
+
+    def fraction(self, j: int, s: float) -> float:
+        """The alpha whose threshold has position s in pair interval j."""
+        pair = self.pair
+        t = pair.partition.points[j] + s * pair.model.grid.widths[pair.owner[j]]
+        return self.q.cdf(min(float(t), 1.0)) / self.q.total
+
+    def paths(self, j: np.ndarray, above: np.ndarray) -> RankOnePath:
+        """RankOnePath of the policies k that take a1 on the pair intervals
+        before j[k] and the actions above[k] (one per pair interval) from it
+        on, as the threshold crosses interval j[k]."""
+        pair, model = self.pair, self.pair.model
+        k = np.arange(j.size)
+        acts = np.where(np.arange(pair.partition.cell_count) < j[:, None], self.a1, above)
+        size = model.cell_count * model.action_count
+        flat = np.bincount((k[:, None] * size + pair.owner * model.action_count + acts).ravel(),
+                           weights=np.tile(pair.frac, j.size), minlength=j.size * size)
+        w = flat.reshape(j.size, model.cell_count, model.action_count)
+        return rank_one_path(model, w, pair.owner[j], self.a1[j], above[k, j])
+
 
 def _context(pair: SubmodelSpec, a0, a1) -> TwoPolicyContext:
     """The context over a checked pair submodel that allows exactly a0 and a1."""
@@ -163,17 +199,9 @@ def path_value(ctx: TwoPolicyContext, alpha: float):
     """
     model = ctx.pair.model
     s = ctx.split(alpha)
-    w, v, err = _spliced_value(ctx, s, s.actions)
-    return w, v, err * float(np.abs(model.rewards).max(initial=0.0))
-
-
-def _spliced_value(ctx: TwoPolicyContext, s: PathSplit, actions):
-    """Cell weights, performance vector and marginal error of the policy with
-    ``actions`` on the intervals of ``s.partition``."""
-    model = ctx.pair.model
-    w = cell_weights(model, ctx.pair.owner[s.rows], s.frac, actions)
+    w = cell_weights(model, ctx.pair.owner[s.rows], s.frac, s.actions)
     _, err, v = evaluate_weights(model, w, EVAL_TOL)
-    return w, v, err
+    return w, v, err * float(np.abs(model.rewards).max(initial=0.0))
 
 
 def tv_modulus(ctx: TwoPolicyContext, delta: float) -> float:
@@ -386,6 +414,44 @@ class _Illinois:
             self.side = -1
 
 
+def _crossing(ctx: TwoPolicyContext, above: np.ndarray, e: np.ndarray, level: float,
+              j0: int = 0, s0: float = 0.0):
+    """The first alpha, from position s0 in pair interval j0 on, at which
+    <e, v(alpha)> reaches ``level`` from below, or None; v(alpha) is the
+    value of the policy that takes a1 below the alpha-threshold and
+    ``above`` (one action per pair interval) from it on.
+
+    That value moves only across the intervals where ``above`` and a1
+    differ, and across each in closed form (``TwoPolicyContext.paths``).
+    Each round evaluates up to (PROPOSAL_CELLS / cells)^2 evenly spaced
+    candidate intervals, at least one, in one stacked solve: a crossing ends
+    the search, and otherwise the first candidate that starts at or above
+    ``level`` and the last one before it narrow the range.  The value must
+    be below ``level`` at the start.  Float64 and uncertified: a proposal.
+    """
+    change = np.flatnonzero(above != ctx.a1)
+    change = change[change >= j0]
+    batch = max(1, (PROPOSAL_CELLS // ctx.pair.model.cell_count) ** 2)
+    lo, hi = 0, change.size      # below level where change[lo] starts
+    while lo < hi:
+        idx = np.unique(lo + (2 * np.arange(batch) + 1) * (hi - lo) // (2 * batch))
+        j = change[idx]
+        paths = ctx.paths(j, np.broadcast_to(above, (idx.size, above.size)))
+        start, width = np.where(j == j0, s0, 0.0), ctx.pair.frac[j]
+        below = paths.value(start) @ e < level
+        cross = np.flatnonzero(below & (paths.value(width) @ e >= level))
+        if cross.size:
+            k = int(cross[0])
+            s = float(paths.crossing(e, level)[k])
+            return ctx.fraction(int(j[k]), s) if start[k] <= s <= width[k] else None
+        up = int(np.argmin(below)) if not below.all() else idx.size
+        if up < idx.size:
+            hi = int(idx[up])
+        if up > 0:
+            lo = int(idx[up - 1]) + 1
+    return None
+
+
 def _face_root(ctx: TwoPolicyContext, res: DistanceResult, lo: float, x: float,
                t_active, active, tol: float, counts: dict):
     """Root of the witness face's offset from the target, or None.
@@ -397,10 +463,12 @@ def _face_root(ctx: TwoPolicyContext, res: DistanceResult, lo: float, x: float,
     of V(alpha) for alpha <= x.  With n(alpha) the unit normal of their
     affine hull, oriented like the answer's direction, the smooth scalar
     F(alpha) = <n, target - v_0(alpha)> - tol/2 is solved by ``_Illinois``
-    on [max(lo, the alpha at which the threshold enters x's pair interval),
-    x], each F from exact evaluations (``_spliced_value``).  Returns
-    (alpha, n(alpha)) with |F| <= tol/4 there; None where the witness has
-    fewer than N vertices, F keeps its sign, the solve finds no such alpha
+    on [a, x], a = max(lo, the alpha at which the threshold enters x's pair
+    interval).  Across that interval the vertices' vectors are in closed
+    form (``TwoPolicyContext.paths``, one stacked solve), so no F evaluation
+    solves or splits; the caller certifies the root.  Returns (alpha,
+    n(alpha)) with |F| <= tol/4 there; None where the witness has fewer
+    than N vertices, F keeps its sign, the solve finds no such alpha
     strictly inside the bracket in FACE_ITERS steps, or the vertices are not
     affinely independent at some F evaluation (a singular value of their
     differences at most 1e-8 of the largest), where n would be arbitrary.
@@ -412,16 +480,19 @@ def _face_root(ctx: TwoPolicyContext, res: DistanceResult, lo: float, x: float,
         return None
     pts = ctx.pair.partition.points
     # each vertex's action on the piece that ends at every pair breakpoint
-    above = [p.actions[np.searchsorted(p.partition.points, pts[1:]) - 1] for p in witness]
+    above = np.array([p.actions[np.searchsorted(p.partition.points, pts[1:]) - 1]
+                      for p in witness])
+    j = max(int(np.searchsorted(pts, ctx.threshold(x))) - 1, 0)
+    a = max(lo, ctx.fraction(j, 0.0))
+    if not a < x:
+        return None
+    paths = ctx.paths(np.full(dim, j), above)
 
     def face(alpha):
         """(F(alpha), n(alpha)), or None where the vertices at alpha are not
         affinely independent, so that their hull is no facet."""
         counts["face_steps"] += 1
-        s = ctx.split(alpha)
-        low = ctx.a1[s.rows]
-        verts = np.array([_spliced_value(ctx, s, np.where(s.below, low, acts[s.rows]))[1][cols]
-                          for acts in above])
+        verts = paths.value(ctx.position(alpha, j))[:, cols]
         perp, sv = affine_complement(verts)
         if sv.size and not sv.min() > 1e-8 * sv.max():
             return None
@@ -429,9 +500,7 @@ def _face_root(ctx: TwoPolicyContext, res: DistanceResult, lo: float, x: float,
         return float(n @ (t_active - verts[0])) - 0.5 * tol, n
 
     at_x = face(x)
-    j = max(int(np.searchsorted(pts, ctx.threshold(x))) - 1, 0)
-    a = max(lo, ctx.q.cdf(float(pts[j])) / ctx.q.total)
-    at_a = face(a) if at_x is not None and a < x else None
+    at_a = face(a) if at_x is not None else None
     if at_a is None or not at_a[0] * at_x[0] < 0.0:
         return None
     bracket = _Illinois(a, at_a[0], x, at_x[0])
@@ -464,16 +533,27 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     g < -tol certifies "outside" and moves hi, g > 0 moves a, and g in
     [-tol, 0] calls a membership test.  "Inside" stops with the certificate
     (inside, and g <= 0); "outside" gives a new hi and b and restarts the
-    bracket from lo, the last "inside".  The steps are ``_Illinois.secant``,
-    without ``step``'s halving test, whose forced midpoints only added
-    support calls here.  A bracket that shrinks to adjacent floats before
+    bracket from lo, the last "inside".
+
+    Each step is proposed in closed form.  The policy that the support call
+    found optimal at the bracket's low end a, continued along the path
+    (phi1 below the threshold, its own actions above it), stays in V(alpha)
+    for every alpha >= a, so <b, its v(alpha)> - <b, target> is a lower
+    bound on g(alpha), exact at a.  The step is that bound's first root at
+    -tol/2 (``_crossing``), where no support call can certify "outside": the
+    step lands in the window or moves a with a better policy.  Only where
+    that root is not strictly inside the bracket is the step
+    ``_Illinois.secant`` (without ``step``'s halving test, whose forced
+    midpoints only added support calls here), counted in
+    ``fallback_steps``.  A bracket that shrinks to adjacent floats before
     the certificate holds raises ``CertifiedFailure`` with the gap at lo.
     Returns 1.0 when the target is within tol of V(1).  A ``certificate``
     dict receives b on the active coordinates (None at 1.0) as
-    ``direction``, and the search's ``membership_tests``, ``support_calls``
-    and ``face_steps``.  For ``_realize`` it also receives the "inside" test
-    at the returned fraction: its witness as (policy, vector on the active
-    coordinates) pairs as ``_witness`` and its submodel as ``_submodel``.
+    ``direction``, and the search's ``membership_tests``, ``support_calls``,
+    ``face_steps`` and ``fallback_steps``.  For ``_realize`` it also
+    receives the "inside" test at the returned fraction: its witness as
+    (policy, vector on the active coordinates) pairs as ``_witness`` and its
+    submodel as ``_submodel``.
 
     The path's two ends seed the alpha = 0 test: both are policies of V(0),
     and where the target lies on their segment (the top level of a mix)
@@ -484,13 +564,27 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     t_active = target[list(active)]
     pool = [(0.0, path_policy(ctx, end), path_value(ctx, end)[1][list(active)])
             for end in (0.0, 1.0)]
-    counts = {"membership_tests": 2, "support_calls": 0, "face_steps": 0}
+    counts = {"membership_tests": 2, "support_calls": 0, "face_steps": 0, "fallback_steps": 0}
+    criteria, pts = ctx.pair.model.criteria, ctx.pair.partition.points
 
     def gap(sub, direction):
-        """h(b) - <b, target> on the active coordinates."""
+        """h(b) - <b, target> on the active coordinates, and the optimal policy."""
         counts["support_calls"] += 1
-        h = support(sub, _embed(direction, active, ctx.pair.model.criteria))[0]
-        return h - float(direction @ t_active)
+        h, policy, _ = support(sub, _embed(direction, active, criteria))
+        return h - float(direction @ t_active), policy
+
+    def step(bracket, policy):
+        """The next step from the bracket's low end, where ``policy`` is optimal."""
+        a = bracket.a
+        j = min(int(np.searchsorted(pts, ctx.threshold(a), side="right")) - 1, pts.size - 2)
+        above = policy.actions[np.searchsorted(policy.partition.points, pts[1:]) - 1]
+        # <b, v> - <b, target> reaches -tol/2 from above
+        x = _crossing(ctx, above, -_embed(b, active, criteria),
+                      0.5 * tol - float(b @ t_active), j, ctx.position(a, j))
+        if x is not None and a < x < bracket.b:
+            return x
+        counts["fallback_steps"] += 1
+        return bracket.secant()
 
     def member(sub, alpha):
         counts["membership_tests"] += 1
@@ -511,7 +605,7 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
             face = _face_root(ctx, res, lo, x, t_active, active, tol, counts)
             if face is not None:
                 sub = ctx.submodel_at(face[0])
-                g_face = gap(sub, face[1])
+                g_face = gap(sub, face[1])[0]
                 if -tol <= g_face <= 0.0:
                     ok, res = member(sub, face[0])
                     if ok:
@@ -521,16 +615,19 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
                     continue
             # "outside" at x: h_x(b) <= <b, target> - lower for its direction
             b, ok = res.direction, True
-            g_lo = gap(ctx.submodel_at(lo), b)
+            g_lo, low = gap(ctx.submodel_at(lo), b)
             bracket = _Illinois(lo, g_lo, x, -res.lower)
             continue
-        x = bracket.secant()
+        x = step(bracket, low)
         if not bracket.a < x < bracket.b:
             raise CertifiedFailure("alpha_hat's bracket collapsed before its certificate",
                                    residual=g_lo)
         sub = ctx.submodel_at(x)
-        g_x = gap(sub, b)
-        if g_x < -tol or g_x > 0.0:
+        g_x, policy = gap(sub, b)
+        if g_x > 0.0:
+            bracket.move(x, g_x)
+            low = policy
+        elif g_x < -tol:
             bracket.move(x, g_x)
         else:
             ok, res = member(sub, x)
@@ -564,7 +661,9 @@ class MixCertificate:
         """The run's figures and its work: the trace's totals of alpha_hat's
         membership tests, support calls and face steps, of the support calls
         of the distance iterations that found the reduce directions
-        (``polish_calls``) and of scalar path solves."""
+        (``polish_calls``) and of scalar path solves, and the root-solve
+        steps of both searches that no closed-form proposal made
+        (``fallback_steps``)."""
         def total(kind, key):
             return sum(e[key] for e in self.trace if e["kind"] == kind)
 
@@ -580,6 +679,7 @@ class MixCertificate:
             "face_steps": total("reduce", "face_steps"),
             "polish_calls": total("reduce", "polish_calls"),
             "path_solves": total("scalar", "iters"),
+            "fallback_steps": total("reduce", "fallback_steps") + total("scalar", "fallback_steps"),
         }
 
 
@@ -599,7 +699,15 @@ def _pair_from_submodel(sub: SubmodelSpec, a0, a1):
 
 
 def _realize_scalar(pair, target, coord, tol, trace):
-    """Intermediate-value root solve along the threshold path for one criterion."""
+    """Intermediate-value root solve along the threshold path for one criterion.
+
+    The path's value is in closed form across each pair interval, and
+    ``_crossing`` proposes its root in the first interval across which
+    v(alpha)[coord] - t turns from negative to nonnegative.  A certified
+    evaluation there (``path_value``) accepts it or, where it misses tol,
+    starts safeguarded Illinois steps on [0, 1] with the same acceptance.  The trace entry counts the certified path solves as
+    ``iters`` and the Illinois steps among them as ``fallback_steps``.
+    """
     model = pair.model
     e = _embed(np.array([1.0]), (coord,), model.criteria)
     _, phi_hi, v_hi = support(pair, e)
@@ -613,31 +721,33 @@ def _realize_scalar(pair, target, coord, tol, trace):
             residual=max(v_lo - t, t - v_hi),
         )
     t = min(max(t, v_lo), v_hi)
-    if abs(v_hi - t) <= tol:
-        trace.append({"kind": "scalar", "coord": coord, "achieved": v_hi, "iters": 0})
-        return phi_hi
-    if abs(v_lo - t) <= tol:
-        trace.append({"kind": "scalar", "coord": coord, "achieved": v_lo, "iters": 0})
-        return phi_lo
+    for phi, v_end in ((phi_hi, v_hi), (phi_lo, v_lo)):
+        if abs(v_end - t) <= tol:
+            trace.append({"kind": "scalar", "coord": coord, "achieved": v_end, "iters": 0,
+                          "fallback_steps": 0})
+            return phi
     ctx = _context(*_pair_from_submodel(pair, phi_lo.actions, phi_hi.actions))
     # v(alpha)[coord] - t is below zero at phi_lo's end and above at phi_hi's
     bracket = _Illinois(0.0, v_lo - t, 1.0, v_hi - t)
     best_err = abs(v_lo - t)
+    alpha, steps = _crossing(ctx, ctx.a0, e, t), 0
     for it in range(SCALAR_ITERS):
-        # each step is one solve on the threshold's cell weights; only the
-        # accepted step becomes a policy, evaluated once more through _perf
-        alpha = bracket.step()
+        if alpha is None:
+            alpha, steps = bracket.step(), steps + 1
         _, v, bound = path_value(ctx, alpha)
         val = float(v[coord])
         err = abs(val - t) + bound
         best_err = min(best_err, err)
         if err <= tol:
+            # path_value's w is cell_action_weights(model, phi) bitwise, so
+            # v is what _perf would compute for phi
             phi = path_policy(ctx, alpha)
-            achieved = float(_perf(model, phi)[coord])
-            trace.append({"kind": "scalar", "coord": coord, "achieved": achieved,
-                          "iters": it + 1})
+            model._perf_cache.setdefault(_perf_key(phi), v)
+            trace.append({"kind": "scalar", "coord": coord, "achieved": val, "iters": it + 1,
+                          "fallback_steps": steps})
             return phi
         bracket.move(alpha, val - t)
+        alpha = None
     raise CertifiedFailure("scalar path root solve missed its tolerance",
                            residual=best_err, trace=trace)
 
@@ -708,6 +818,7 @@ def _realize(pair, a0, a1, target, active, tol, trace, depth=0):
         "membership_tests": stop["membership_tests"],
         "support_calls": stop["support_calls"],
         "face_steps": stop["face_steps"],
+        "fallback_steps": stop["fallback_steps"],
         "polish_calls": sep.support_calls,
     })
     return _realize(*next_pair, new_target, new_active, tol, trace, depth + 1)

@@ -22,11 +22,16 @@ def _affine_minimizer(points: np.ndarray):
 
     x = p0 + c @ (rows[1:] - p0) with c by least squares, so the weights
     [1 - sum c, c] sum to 1 even when the rows are affinely dependent.
+    Formed so, x carries rounding of order eps |p0| along the hull, which
+    at |x| ~ 1e-8 swamps the stop test's <x, p> - |x|^2; one more
+    least-squares step on x itself removes that component.
     """
     base = points[0]
     diffs = points[1:] - base
     coef, *_ = np.linalg.lstsq(diffs.T, -base, rcond=None)
-    return np.concatenate(([1.0 - coef.sum()], coef)), base + coef @ diffs
+    x = base + coef @ diffs
+    delta, *_ = np.linalg.lstsq(diffs.T, -x, rcond=None)
+    return np.concatenate(([1.0 - coef.sum() - delta.sum()], coef + delta)), x + delta @ diffs
 
 
 def min_norm_point(points):

@@ -12,6 +12,8 @@ averages of a policy's values, with the same certificate and refinement.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ToleranceError
@@ -28,6 +30,8 @@ __all__ = [
     "OccupancyMeasure",
     "marginal_step",
     "evaluate_weights",
+    "RankOnePath",
+    "rank_one_path",
     "occupancy",
     "performance",
     "policy_from_occupancy",
@@ -103,26 +107,34 @@ def _system(model: AtomlessMDP, w: np.ndarray, kernel: np.ndarray, left: bool):
     return system, np.einsum("ia,ian->in", w, model.rewards)
 
 
-def _residual_bound(model: AtomlessMDP, a, x, rhs, L: float, left: bool) -> float:
-    """L |rhs - a x| plus a bound on that residual's rounding in x's dtype (the
-    A-term sums of P_w, the n-term products with x, two subtractions).
-    (I - P_w)^-1 has row sums at most L, so this bounds x's error in |.|_1
-    on the left and in the largest |entry| on the right."""
+def _residual_bound(model: AtomlessMDP, a, x, rhs, L: float, left: bool):
+    """(bound, residual): residual is L |rhs - a x|, and bound adds L times a
+    bound on that residual's rounding in x's dtype (the A-term sums of P_w,
+    the n-term products with x, two subtractions).  (I - P_w)^-1 has row
+    sums at most L, so bound bounds x's error in |.|_1 on the left and in
+    the largest |entry| on the right."""
     residual, x = abs(rhs - a @ x), abs(x)
     residual, size = (residual.sum(), x.sum()) if left else (residual.max(), x.max())
     rounding = (model.cell_count + model.action_count + 2) * np.finfo(x.dtype).eps * size
-    return L * float(residual + rounding)
+    return L * float(residual + rounding), L * float(residual)
 
 
 def certified_solve(model: AtomlessMDP, w: np.ndarray, L: float, left: bool):
-    """(x, bound) for the cell weights w: x solves _system's a x = rhs and the
-    bound certifies its error.  On the left the marginal is clipped at zero,
-    which moves it toward the exact marginal."""
+    """(x, bound, residual) for the cell weights w: x solves _system's
+    a x = rhs, the bound certifies its error and residual is the bound's
+    part without rounding, L |rhs - a x| in float64.  On the left the
+    marginal is clipped at zero, which moves it toward the exact marginal."""
     a, rhs = _system(model, w, model.kernel, left)
     x = np.linalg.solve(a, rhs)
     if left:
         x = np.maximum(x, 0.0)
-    return x, _residual_bound(model, a, x, rhs, L, left)
+    return x, *_residual_bound(model, a, x, rhs, L, left)
+
+
+def residual(model: AtomlessMDP, w: np.ndarray, x: np.ndarray, L: float, left: bool) -> float:
+    """certified_solve's residual, for any float64 x."""
+    a, rhs = _system(model, w, model.kernel, left)
+    return _residual_bound(model, a, x, rhs, L, left)[1]
 
 
 def refine(model: AtomlessMDP, w: np.ndarray, x: np.ndarray, L: float, left: bool):
@@ -144,8 +156,68 @@ def refine(model: AtomlessMDP, w: np.ndarray, x: np.ndarray, L: float, left: boo
         x_x = np.maximum(x_x, 0.0)
     x = x_x.astype(float)
     shift = abs(x_x - x)
-    return x, _residual_bound(model, exact, x_x, rhs, L, left) + float(
+    return x, _residual_bound(model, exact, x_x, rhs, L, left)[0] + float(
         shift.sum() if left else shift.max())
+
+
+class RankOnePath(NamedTuple):
+    """Marginals and performance vectors of a stack of policies, each moving
+    cell weight s from one action to another on one cell.
+
+    Their I - P_w(s) differ from I - P_w(0) in that cell's row only, by s
+    times the row difference d of the kernel, so by Sherman and Morrison
+    (Ann. Math. Statist. 21, 1950) m(s) = m0 + c(s) z and v(s) = v0 + c(s) g
+    with c(s) = s head / (1 - s pivot): m0 and z solve x (I - P_w(0)) = mu
+    and = d, head and pivot are their entries on the moving cell, v0 = m0 .
+    sum_a w r and g = z . sum_a w r plus the reward difference.  I - P_w(s)
+    stays nonsingular, so 1 - s pivot stays positive.  Float64, uncertified.
+    """
+
+    m0: np.ndarray       # (policies, cells)
+    z: np.ndarray        # (policies, cells)
+    v0: np.ndarray       # (policies, criteria)
+    g: np.ndarray        # (policies, criteria)
+    head: np.ndarray     # (policies,)
+    pivot: np.ndarray    # (policies,)
+
+    def coefficient(self, s):
+        return s * self.head / (1.0 - s * self.pivot)
+
+    def crossing(self, b, level) -> np.ndarray:
+        """Per policy, the s with <b, v(s)> = level: the inverse of the
+        coefficient at c = (level - <b, v0>) / <b, g>, on the branch where
+        1 - s pivot > 0 (nan or infinite where v(s) never reaches it)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = (level - self.v0 @ b) / (self.g @ b)
+            return c / (self.head + c * self.pivot)
+
+    def marginal(self, s) -> np.ndarray:
+        return self.m0 + self.coefficient(s)[:, None] * self.z
+
+    def value(self, s) -> np.ndarray:
+        return self.v0 + self.coefficient(s)[:, None] * self.g
+
+
+def rank_one_path(model: AtomlessMDP, w: np.ndarray, cell, gain, loss) -> RankOnePath:
+    """RankOnePath of the (policies x cells x actions) cell weights w, policy
+    k moving weight from action loss[k] to gain[k] on cell cell[k]: one
+    stacked solve of (I - P_w)^T with the right-hand sides mu and d (m0 = mu
+    and z = 0 on a one-step model)."""
+    kernel, rewards = model.kernel, model.rewards
+    rhs = np.empty((w.shape[0], model.cell_count, 2))
+    rhs[..., 0] = model.initial.masses
+    if model.is_one_step():
+        rhs[..., 1] = 0.0
+        sol = rhs
+    else:
+        rhs[..., 1] = kernel[cell, gain] - kernel[cell, loss]
+        p_w = (w[:, :, None, :] @ kernel)[:, :, 0]
+        sol = np.linalg.solve(np.eye(model.cell_count) - p_w.transpose(0, 2, 1), rhs)
+    # rows v0 and the z-part of g: (m0, z) . sum_a w r
+    v0g = sol.transpose(0, 2, 1) @ (w[:, :, None, :] @ rewards)[:, :, 0]
+    g = v0g[:, 1] + rewards[cell, gain] - rewards[cell, loss]
+    head = sol[np.arange(w.shape[0]), cell]
+    return RankOnePath(sol[..., 0], sol[..., 1], v0g[:, 0], g, head[:, 0], head[:, 1])
 
 
 def evaluate_weights(model: AtomlessMDP, w: np.ndarray, tol: float = 1e-9):
@@ -164,7 +236,7 @@ def evaluate_weights(model: AtomlessMDP, w: np.ndarray, tol: float = 1e-9):
     if model.is_one_step():
         marginal, err = model.initial.masses, 0.0
     else:
-        marginal, err = certified_solve(model, w, L, True)
+        marginal, err, _ = certified_solve(model, w, L, True)
         if not err <= tol:
             marginal, err = refine(model, w, marginal, L, True)
         if not err <= tol:        # a NaN residual certifies nothing either

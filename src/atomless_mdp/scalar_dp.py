@@ -15,7 +15,7 @@ import numpy as np
 from .errors import CertifiedFailure, ToleranceError
 from .measure import StatePartition
 from .model import AtomlessMDP, DeterministicPolicy
-from .occupancy import cell_weights, certified_solve, refine
+from .occupancy import cell_weights, certified_solve, refine, residual
 
 __all__ = [
     "SubmodelSpec",
@@ -183,26 +183,30 @@ def _solve(sub: SubmodelSpec, direction: np.ndarray, tol: float):
         return (w, *certified_solve(model, w, cert.L, False))
 
     actions = q_masked.argmax(axis=1)
-    w, c, bound = evaluate(actions)
+    w, c, bound, res = evaluate(actions)
     for _ in range(POLICY_ROUNDS):
         q = _q_values(sub, q_masked, c @ direction)
         improved = q.argmax(axis=1)
-        keep = q[rows, improved] - q[rows, actions] <= keep_gain
-        improved = np.where(keep, actions, improved)
+        gain = q[rows, improved] - q[rows, actions]
+        improved = np.where(gain <= keep_gain, actions, improved)
         if np.array_equal(improved, actions):
             break
         actions = improved
-        w, c, bound = evaluate(actions)
+        w, c, bound, res = evaluate(actions)
     else:
         raise CertifiedFailure("policy iteration did not stabilize", residual=np.inf)
 
     if not bound <= tol:
         c, bound = refine(model, w, c, cert.L, False)
+        q = _q_values(sub, q_masked, c @ direction)
+        gain = q.max(axis=1) - q[rows, actions]
+        res = residual(model, w, c, cert.L, False)
     values = model.rewards[owner, actions] + model.kernel[owner, actions] @ c
     x = np.concatenate(((values @ direction)[:, None], values), axis=1)
-    # the Bellman residual of x[:, 0]
-    q = _q_values(sub, q_masked, np.bincount(owner, sub.frac * x[:, 0], model.cell_count))
-    err = cert.L * float(abs(q.max(axis=1) - x[:, 0]).max())
+    # the Bellman residual of x[:, 0], from the Q-values on c @ direction:
+    # those on x[:, 0]'s cell averages differ by at most the solve's residual
+    # times |direction|_1 (res is L times it, and bound covers res)
+    err = cert.L * float(gain.max()) + res * float(np.abs(direction).sum())
     return actions, x, err, bound
 
 

@@ -874,3 +874,31 @@ def test_wrong_target_size_and_builtin_size_exit_2(tmp_path, capsys):
     policy.write_text("0 1 0\n")
     assert run("evaluate", chain, policy) == 2
     assert "a discrete chain supports only validate and certify" in capsys.readouterr().err
+
+
+def test_console_entry_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # the console entry point pins BLAS to one thread unless the caller set
+    # the thread variables, so a run with them unset writes the same bytes as
+    # a run with them set to 1; calling cli.main with them unset on two or
+    # more CPUs moved a threshold of this 256-cell derandomize
+    from atomless_mdp.cli import save_policy_file
+    from atomless_mdp.model import random_stationary_policy
+
+    model = builtin("random:256x3x2", seed=1)
+    model_path, policy = tmp_path / "m.json", tmp_path / "pi.txt"
+    save_model_file(model, model_path)
+    save_policy_file(random_stationary_policy(model, np.random.default_rng(1)), policy)
+    src = Path(__file__).resolve().parents[1] / "src"
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    unset = {k: v for k, v in os.environ.items() if k not in threads}
+    outputs = []
+    for name, env in (("unset", unset), ("one", {**unset, **dict.fromkeys(threads, "1")})):
+        prefix = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, str(src / "atomless_mdp_cli.py"), "derandomize", str(model_path),
+             str(policy), "--out", str(prefix), "--tol", "1e-6"],
+            capture_output=True, text=True, env={**env, "PYTHONPATH": str(src)}, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert "blas: " in done.stdout and "OPENBLAS_NUM_THREADS=1" in done.stdout
+        outputs.append([Path(f"{prefix}.{ext}").read_bytes() for ext in ("policy.txt", "cert.json")])
+    assert outputs[0] == outputs[1]

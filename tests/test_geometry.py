@@ -1,11 +1,14 @@
 """Tests for the min-norm-point and Caratheodory pruning helpers."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
 from atomless_mdp.geometry import (
+    TOL,
     _affine_minimizer,
     affine_complement,
     caratheodory_prune,
@@ -116,6 +119,35 @@ def test_min_norm_point_looks_past_the_corral():
     x, lam = min_norm_point(pts)
     assert float(np.linalg.norm(x)) == pytest.approx(4.8170064925e-9, abs=1e-12)
     assert np.flatnonzero(lam).tolist() == [1, 2, 3]
+
+
+def exact_segment_distance(p, q) -> Fraction:
+    """Squared distance from the origin to the segment pq, in exact arithmetic."""
+    p, q = [Fraction(float(c)) for c in p], [Fraction(float(c)) for c in q]
+    d = [b - a for a, b in zip(p, q)]
+    t = min(max(-sum(a * c for a, c in zip(p, d)) / sum(c * c for c in d), Fraction(0)),
+            Fraction(1))
+    return sum((a + t * c) ** 2 for a, c in zip(p, d))
+
+
+@pytest.mark.parametrize("seed", [11, 19, 38, 59, 68])
+def test_min_norm_point_finds_a_vertex_just_beyond_the_face(seed):
+    # a face 1.2e-8 from the origin between points of size one, and a third
+    # point 1e-9 to 9e-9 beyond it: the affine minimizer's rounding along
+    # the face, of order eps |p0|, hid that point from the stop test, which
+    # returned the face's distance; the origin lies outside the triangle
+    rng = np.random.default_rng(seed)
+    delta = rng.uniform(1e-9, 9e-9)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    turn = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    left, right = rng.uniform(-2.0, -0.2), rng.uniform(0.2, 2.0)
+    pts = np.array([[left, 1.2e-8], [right, 1.2e-8],
+                    [rng.uniform(left, right), 1.2e-8 - delta]]) @ turn.T
+    exact = min(exact_segment_distance(pts[i], pts[(i + 1) % 3]) for i in range(3))
+    x, _ = min_norm_point(pts)
+    # min_norm_point's accuracy: TOL sqrt(scale), here 1e-12 to 2.3e-12
+    slack = TOL * np.sqrt(1.0 + (pts * pts).sum(axis=1).max())
+    assert abs(float(np.linalg.norm(x)) - float(exact) ** 0.5) <= slack
 
 
 def test_affine_minimizer_on_affinely_dependent_rows():

@@ -271,7 +271,7 @@ def test_certified_bound_covers_the_exact_error(left):
                  for xi, ei in zip(row, exact_row)]
         return sum(diffs) if left else max(diffs)
 
-    x, bound = module.certified_solve(m, w, L, left)
+    x, bound, _ = module.certified_solve(m, w, L, left)
     assert all(error(x, exact) <= Fraction(bound) for exact in references)
     refined, refined_bound = module.refine(m, w, x, L, left)
     assert refined_bound < bound and error(refined, references[1]) <= Fraction(refined_bound)

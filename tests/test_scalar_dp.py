@@ -636,3 +636,23 @@ def test_mask_errors_name_first_bad_interval():
     mask[later] = ~avail[later]
     with pytest.raises(ValueError, match=rf"^interval {first}: empty allowed set"):
         SubmodelSpec(m, m.grid, mask)
+
+
+@pytest.mark.parametrize("cells, seed", SIX_INTERVAL_CASES)
+def test_optimality_gap_covers_the_bellman_residual_of_the_values(cells, seed):
+    # _solve reads the gap from its last greedy round's Q-values on the cell
+    # values c and adds the solve's residual times |b|_1; that covers the
+    # Bellman residual of the returned values themselves (their Q-values on
+    # their own cell averages, up to that computation's own rounding), and
+    # stays within the tol asked
+    rng, m, sub = six_interval_submodel(cells, seed)
+    L = m.certificate().L
+    for b in rng.normal(size=(6, m.criteria)):
+        actions, x, err, _ = _solve(sub, b, 1e-10)
+        scalar_r = m.rewards @ b
+        q_masked = np.where(sub.allowed, scalar_r[sub.owner], -np.inf)
+        cell_avg = np.bincount(sub.owner, sub.frac * x[:, 0], m.cell_count)
+        q = q_masked + (m.kernel @ cell_avg)[sub.owner]
+        rounding = (x.shape[0] + m.cell_count + 2) * np.finfo(float).eps * abs(x[:, 0]).max()
+        assert L * float(abs(q.max(axis=1) - x[:, 0]).max()) <= err + L * rounding
+        assert err <= 1e-10
