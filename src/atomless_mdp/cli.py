@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
+from atomless_mdp_cli import THREAD_VARIABLES
 
 from .errors import (
     AtomlessMDPError,
@@ -86,10 +87,6 @@ def _fraction(text: str) -> float:
 # ---------------------------------------------------------------------------
 # run reports
 # ---------------------------------------------------------------------------
-
-
-# the thread variables that atomless_mdp_cli sets before NumPy is imported
-THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def blas_setting() -> str:

@@ -60,7 +60,6 @@ EVAL_TOL = 1e-12          # certified marginal error for performance evaluations
 DISTANCE_CAP = 200        # support calls per distance iteration
 SCALAR_ITERS = 220        # threshold root-solve steps for one criterion
 FACE_ITERS = 40           # secant steps of one witness-face root solve
-PROPOSAL_CELLS = 64       # cells from which a closed-form proposal stacks one system
 
 
 def _perf_key(policy) -> tuple:
@@ -415,40 +414,52 @@ class _Illinois:
 
 
 def _crossing(ctx: TwoPolicyContext, above: np.ndarray, e: np.ndarray, level: float,
-              j0: int = 0, s0: float = 0.0):
-    """The first alpha, from position s0 in pair interval j0 on, at which
+              j0: int = 0, s0: float = 0.0, end: float = 1.0):
+    """An alpha from position s0 in pair interval j0 up to ``end`` at which
     <e, v(alpha)> reaches ``level`` from below, or None; v(alpha) is the
     value of the policy that takes a1 below the alpha-threshold and
-    ``above`` (one action per pair interval) from it on.
+    ``above`` (one action per pair interval) from it on.  The value must be
+    below ``level`` at the start.  Float64 and uncertified: a proposal.
 
     That value moves only across the intervals where ``above`` and a1
-    differ, and across each in closed form (``TwoPolicyContext.paths``).
-    Each round evaluates up to (PROPOSAL_CELLS / cells)^2 evenly spaced
-    candidate intervals, at least one, in one stacked solve: a crossing ends
-    the search, and otherwise the first candidate that starts at or above
-    ``level`` and the last one before it narrow the range.  The value must
-    be below ``level`` at the start.  Float64 and uncertified: a proposal.
+    differ, and across each in closed form.  On a one-step model it is
+    linear there, with slope mu (r_a1 - r_above) . e, so one cumulative sum
+    over those intervals finds the first crossing.  Otherwise the search
+    bisects those intervals, one solve each (``TwoPolicyContext.paths``):
+    one that the value crosses ends it, one that it starts at or above
+    ``level`` becomes the upper end and one that it ends below the lower
+    end, so the crossing found need not be the first.
     """
+    pair, model = ctx.pair, ctx.pair.model
+    j1 = max(int(np.searchsorted(pair.partition.points, ctx.threshold(end))) - 1, 0)
     change = np.flatnonzero(above != ctx.a1)
-    change = change[change >= j0]
-    batch = max(1, (PROPOSAL_CELLS // ctx.pair.model.cell_count) ** 2)
+    change = change[(change >= j0) & (change <= j1)]
+    start = np.where(change == j0, s0, 0.0)
+    stop = np.where(change == j1, ctx.position(end, j1), pair.frac[change])
+    if model.is_one_step():
+        rows = np.arange(pair.owner.size)
+        r = model.initial.masses[pair.owner, None] * (model.rewards[pair.owner] @ e)
+        slope = r[rows, ctx.a1] - r[rows, above]
+        base = pair.frac @ r[rows, above] + pair.frac[:j0] @ slope[:j0] + s0 * slope[j0]
+        rise = np.cumsum(slope[change] * (stop - start))
+        hit = np.flatnonzero(base + rise >= level)
+        if not hit.size:
+            return None
+        k = int(hit[0])
+        before = base + (rise[k - 1] if k else 0.0)
+        s = start[k] if before >= level else start[k] + (level - before) / slope[change[k]]
+        return ctx.fraction(int(change[k]), min(s, stop[k]))
     lo, hi = 0, change.size      # below level where change[lo] starts
     while lo < hi:
-        idx = np.unique(lo + (2 * np.arange(batch) + 1) * (hi - lo) // (2 * batch))
-        j = change[idx]
-        paths = ctx.paths(j, np.broadcast_to(above, (idx.size, above.size)))
-        start, width = np.where(j == j0, s0, 0.0), ctx.pair.frac[j]
-        below = paths.value(start) @ e < level
-        cross = np.flatnonzero(below & (paths.value(width) @ e >= level))
-        if cross.size:
-            k = int(cross[0])
-            s = float(paths.crossing(e, level)[k])
-            return ctx.fraction(int(j[k]), s) if start[k] <= s <= width[k] else None
-        up = int(np.argmin(below)) if not below.all() else idx.size
-        if up < idx.size:
-            hi = int(idx[up])
-        if up > 0:
-            lo = int(idx[up - 1]) + 1
+        mid = (lo + hi) // 2
+        path = ctx.paths(change[mid:mid + 1], above[None])
+        if float(path.value(start[mid])[0] @ e) >= level:
+            hi = mid
+        elif float(path.value(stop[mid])[0] @ e) < level:
+            lo = mid + 1
+        else:
+            s = float(path.crossing(e, level)[0])
+            return ctx.fraction(int(change[mid]), s) if start[mid] <= s <= stop[mid] else None
     return None
 
 
@@ -539,12 +550,12 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     found optimal at the bracket's low end a, continued along the path
     (phi1 below the threshold, its own actions above it), stays in V(alpha)
     for every alpha >= a, so <b, its v(alpha)> - <b, target> is a lower
-    bound on g(alpha), exact at a.  The step is that bound's first root at
-    -tol/2 (``_crossing``), where no support call can certify "outside": the
-    step lands in the window or moves a with a better policy.  Only where
-    that root is not strictly inside the bracket is the step
-    ``_Illinois.secant`` (without ``step``'s halving test, whose forced
-    midpoints only added support calls here), counted in
+    bound on g(alpha), exact at a.  The step is a root of that bound at
+    -tol/2 inside the bracket (``_crossing``), where no support call can
+    certify "outside": the step lands in the window or moves a with a better
+    policy.  Only where ``_crossing`` finds no root strictly inside the
+    bracket is the step ``_Illinois.secant`` (without ``step``'s halving
+    test, whose forced midpoints only added support calls here), counted in
     ``fallback_steps``.  A bracket that shrinks to adjacent floats before
     the certificate holds raises ``CertifiedFailure`` with the gap at lo.
     Returns 1.0 when the target is within tol of V(1).  A ``certificate``
@@ -580,7 +591,7 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
         above = policy.actions[np.searchsorted(policy.partition.points, pts[1:]) - 1]
         # <b, v> - <b, target> reaches -tol/2 from above
         x = _crossing(ctx, above, -_embed(b, active, criteria),
-                      0.5 * tol - float(b @ t_active), j, ctx.position(a, j))
+                      0.5 * tol - float(b @ t_active), j, ctx.position(a, j), bracket.b)
         if x is not None and a < x < bracket.b:
             return x
         counts["fallback_steps"] += 1
@@ -702,11 +713,12 @@ def _realize_scalar(pair, target, coord, tol, trace):
     """Intermediate-value root solve along the threshold path for one criterion.
 
     The path's value is in closed form across each pair interval, and
-    ``_crossing`` proposes its root in the first interval across which
+    ``_crossing`` proposes its root in an interval across which
     v(alpha)[coord] - t turns from negative to nonnegative.  A certified
     evaluation there (``path_value``) accepts it or, where it misses tol,
-    starts safeguarded Illinois steps on [0, 1] with the same acceptance.  The trace entry counts the certified path solves as
-    ``iters`` and the Illinois steps among them as ``fallback_steps``.
+    starts safeguarded Illinois steps on [0, 1] with the same acceptance.
+    The trace entry counts the certified path solves as ``iters`` and the
+    Illinois steps among them as ``fallback_steps``.
     """
     model = pair.model
     e = _embed(np.array([1.0]), (coord,), model.criteria)

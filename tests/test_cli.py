@@ -12,6 +12,7 @@ import pytest
 from atomless_mdp.cli import load_densities_file, main
 from atomless_mdp.lyapunov import range_hull
 from atomless_mdp.model import builtin, model_to_doc, random_model, save_model_file
+from atomless_mdp_cli import THREAD_VARIABLES
 
 
 @pytest.fixture()
@@ -889,10 +890,9 @@ def test_console_entry_artifacts_do_not_depend_on_blas_threads(tmp_path):
     save_model_file(model, model_path)
     save_policy_file(random_stationary_policy(model, np.random.default_rng(1)), policy)
     src = Path(__file__).resolve().parents[1] / "src"
-    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    unset = {k: v for k, v in os.environ.items() if k not in threads}
+    unset = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
     outputs = []
-    for name, env in (("unset", unset), ("one", {**unset, **dict.fromkeys(threads, "1")})):
+    for name, env in (("unset", unset), ("one", {**unset, **dict.fromkeys(THREAD_VARIABLES, "1")})):
         prefix = tmp_path / name
         done = subprocess.run(
             [sys.executable, str(src / "atomless_mdp_cli.py"), "derandomize", str(model_path),

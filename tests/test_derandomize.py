@@ -971,16 +971,49 @@ def test_scalar_realization_evaluates_one_path_policy(monkeypatch):
     monkeypatch.setattr(module, "performance", counting(performance))
     monkeypatch.setattr(module, "occupancy", counting(occupancy), raising=False)
     monkeypatch.setattr(module, "_realize_scalar", realize)
-    rng = np.random.default_rng(17)
-    for seed in range(6):
-        m = random_model(6, 3, 1 + seed % 2, seed=1500 + seed)
-        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
-        mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
+    # the same mixes with the closed-form proposal and then without it,
+    # where every step is an Illinois step
+    for proposal in (True, False):
+        if not proposal:
+            monkeypatch.setattr(module, "_crossing", lambda *args, **kwargs: None)
+        rng = np.random.default_rng(17)
+        for seed in range(6):
+            m = random_model(6, 3, 1 + seed % 2, seed=1500 + seed)
+            phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+            mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
     solved = [(evals, phi, m) for iters, evals, phi, m in realized if iters > 0]
-    assert len(solved) >= 4
+    assert len(solved) >= 8 and max(iters for iters, *_ in realized) > 1
     for evals, phi, m in solved:
         assert evals == []
         assert np.array_equal(module._perf(m, phi), performance(m, phi, tol=module.EVAL_TOL))
+
+
+@pytest.mark.parametrize("proposal", ["none", "short"])
+def test_root_solves_certify_without_the_closed_form_proposal(monkeypatch, proposal):
+    # where _crossing proposes nothing, or a fraction short of the root it
+    # found, alpha_hat's steps and the scalar step's fall back on Illinois
+    # steps: each search counts them, the scalar one takes more than one
+    # certified path solve, and every mix still meets tol
+    module = importlib.import_module("atomless_mdp.derandomize")
+    original = module._crossing
+
+    def crossing(*args, **kwargs):
+        x = original(*args, **kwargs)
+        return None if proposal == "none" or x is None else 0.5 * x
+
+    monkeypatch.setattr(module, "_crossing", crossing)
+    rng = np.random.default_rng(23)
+    reduce, scalar = [], []
+    for seed in range(6):
+        m = random_model(6, 3, 2 + seed % 2, seed=1700 + seed)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        _, cert = mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
+        assert cert.error <= 1e-6
+        reduce += [e for e in cert.trace if e["kind"] == "reduce"]
+        scalar += [e for e in cert.trace if e["kind"] == "scalar"]
+    assert sum(e["fallback_steps"] for e in reduce) > 0
+    assert sum(e["fallback_steps"] for e in scalar) > 0
+    assert max(e["iters"] for e in scalar) > 1
 
 
 def test_no_submodel_solves_a_direction_twice(monkeypatch):
@@ -1004,12 +1037,12 @@ def test_no_submodel_solves_a_direction_twice(monkeypatch):
     monkeypatch.setattr(module, "_solve", solve)
     monkeypatch.setattr(module, "_policy_iteration", query)
     rng = np.random.default_rng(17)
-    for seed in range(6):
+    for seed in range(12):
         m = random_model(6, 3, 1 + seed % 2, seed=1500 + seed)
         phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
         mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
     assert max(solved.values()) == 1
-    assert queries[0] > sum(solved.values()) > 50
+    assert queries[0] > sum(solved.values()) > 100
 
 
 def test_scalar_root_solve_work_counts():
@@ -1401,6 +1434,44 @@ def test_continued_policy_is_a_lower_bound_on_the_support():
                     assert value == pytest.approx(h_lo, abs=2e-10)
                 pts_checked += 1
     assert pts_checked == 12 * 2 * 7
+
+
+def test_crossing_lands_on_the_level_inside_its_window():
+    # _crossing's alpha, between a start inside the path and the window's
+    # end, is one where the path policy's value reaches the level; on a
+    # one-step model, where that value is linear across each pair interval,
+    # it is the first such alpha.  A level that the value reaches only
+    # beyond the window's end gives no alpha past that end.
+    module = importlib.import_module("atomless_mdp.derandomize")
+    rng = np.random.default_rng(41)
+    found, beyond = Counter(), 0
+    for m, ctx in path_contexts():
+        pts = ctx.pair.partition.points
+        for _ in range(3):
+            e = rng.normal(size=m.criteria)
+            a, end = np.sort(rng.uniform(0.0, 1.0, size=2))
+            grid = np.linspace(a, 1.0, 81)
+            values = np.array([path_value(ctx, x)[1] @ e for x in grid])
+            inside = values[grid <= end]
+            j = min(int(np.searchsorted(pts, ctx.threshold(a), side="right")) - 1, pts.size - 2)
+            if values.max() > inside.max() + 1e-6:
+                level = inside.max() + 0.5 * (values.max() - inside.max())
+                x = module._crossing(ctx, ctx.a0, e, level, j, ctx.position(a, j), end)
+                assert x is None or x <= end + 1e-12
+                beyond += 1
+            if not inside.max() > values[0] + 1e-9:
+                continue
+            level = values[0] + 0.6 * (inside.max() - values[0])
+            x = module._crossing(ctx, ctx.a0, e, level, j, ctx.position(a, j), end)
+            if x is None:
+                assert not m.is_one_step()
+                continue
+            assert a <= x <= end
+            assert path_value(ctx, x)[1] @ e == pytest.approx(level, abs=1e-9 * (1.0 + abs(level)))
+            if m.is_one_step():
+                assert values[grid < x].max() <= level + 1e-12
+            found[m.is_one_step()] += 1
+    assert found[True] >= 6 and found[False] >= 6 and beyond >= 6
 
 
 def test_closed_form_steps_cut_the_oracle_work_on_the_fixed_inputs(monkeypatch, tmp_path):
