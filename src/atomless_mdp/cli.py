@@ -46,7 +46,7 @@ from .model import (
 )
 from .occupancy import evaluate_weights, occupancy, occupancy_total_variation
 from .derandomize import derandomize, make_context, mix_pair, path_policy, tv_modulus
-from .lyapunov import IntervalSet, VectorMeasure, find_set, range_hull
+from .lyapunov import _PROBABILITY_TOL, IntervalSet, VectorMeasure, find_set, range_hull
 
 
 def fmt(x: float) -> str:
@@ -254,7 +254,7 @@ def load_densities_file(path, data: bytes) -> VectorMeasure:
     try:
         base = PieceMeasure(part, values[:, 0])
         total = base.total
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > _PROBABILITY_TOL:
             base = PieceMeasure(part, base.masses / total)
         return VectorMeasure(base, values[:, 1:])
     except ValueError as exc:

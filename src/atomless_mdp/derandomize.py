@@ -158,13 +158,9 @@ class TwoPolicyContext:
         before j[k] and the actions above[k] (one per pair interval) from it
         on, as the threshold crosses interval j[k]."""
         pair, model = self.pair, self.pair.model
-        k = np.arange(j.size)
         acts = np.where(np.arange(pair.partition.cell_count) < j[:, None], self.a1, above)
-        size = model.cell_count * model.action_count
-        flat = np.bincount((k[:, None] * size + pair.owner * model.action_count + acts).ravel(),
-                           weights=np.tile(pair.frac, j.size), minlength=j.size * size)
-        w = flat.reshape(j.size, model.cell_count, model.action_count)
-        return rank_one_path(model, w, pair.owner[j], self.a1[j], above[k, j])
+        w = np.stack([cell_weights(model, pair.owner, pair.frac, a) for a in acts])
+        return rank_one_path(model, w, pair.owner[j], self.a1[j], above[np.arange(j.size), j])
 
 
 def _context(pair: SubmodelSpec, a0, a1) -> TwoPolicyContext:
@@ -792,6 +788,8 @@ def _realize(pair, a0, a1, target, active, tol, trace, depth=0):
     sep = distance_to_performance_set(frozen, pushed, tol=0.25 * member_tol, active=active,
                                       seeds=stop["_witness"])
     b_active = sep.direction
+    if b_active is None:      # the pushed target is within the iteration's 1e-14 floor
+        raise CertifiedFailure("reduction found no separating direction", residual=sep.g)
     # h(b) - <b, t>, from the iteration's bound h(b) = <b, pushed> - lower
     gap = member_tol * float(b_active @ stop["direction"]) - sep.lower
 
@@ -895,11 +893,16 @@ def caratheodory(model: AtomlessMDP, pi: StationaryPolicy, tol: float = 1e-7):
     if res.g > tol:
         raise CertifiedFailure("hull iteration missed the stationary target",
                                residual=res.g)
+    return _terms(res, model.criteria)
+
+
+def _terms(res: DistanceResult, criteria: int) -> list:
+    """A hull answer's witness as at most criteria + 1 (weight, policy) terms."""
     policies = [p for p, _ in res.vertices]
     vectors = np.array([v for _, v in res.vertices])
     lam = np.where(res.weights > 1e-14, res.weights, 0.0)
     lam = lam / lam.sum()
-    lam = caratheodory_prune(vectors, lam, model.criteria + 1)
+    lam = caratheodory_prune(vectors, lam, criteria + 1)
     terms = [(float(l), policies[i].canonical()) for i, l in enumerate(lam) if l > 1e-13]
     total = sum(l for l, _ in terms)
     return [(l / total, p) for l, p in terms]
@@ -920,7 +923,11 @@ def derandomize(model: AtomlessMDP, pi: StationaryPolicy, tol: float = 1e-6):
         return phi, MixCertificate(None, v, v, 0.0, tol, [{"kind": "already-deterministic"}])
 
     target = _perf(model, pi)
-    terms = caratheodory(model, pi, tol=0.25 * tol)
+    return _fold(model, caratheodory(model, pi, tol=0.25 * tol), target, tol)
+
+
+def _fold(model: AtomlessMDP, terms: list, target, tol: float):
+    """derandomize's fold of (weight, checked policy) terms with the given target."""
     stage_floor = tol / (2.0 * max(1, len(terms)))
     trace: list = [{
         "kind": "caratheodory",

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import CertifiedFailure, ModelFormatError
 from .geometry import affine_complement, distance_to_hull
 from .measure import PieceMeasure
-from .model import AtomlessMDP, DeterministicPolicy, StationaryPolicy, _onestep, weighted_transform
-from .derandomize import derandomize, distance_to_performance_set
+from .model import AtomlessMDP, DeterministicPolicy, _onestep, weighted_transform
+from .derandomize import _fold, _terms, distance_to_performance_set
 from .scalar_dp import SubmodelSpec, support
 
 __all__ = [
@@ -32,6 +32,8 @@ __all__ = [
     "find_set",
     "brute_force_range",
 ]
+
+_PROBABILITY_TOL = 1e-12
 
 
 class VectorMeasure:
@@ -45,7 +47,7 @@ class VectorMeasure:
             raise ValueError("densities must be (cells, criteria)")
         if np.any(dens < 0) or not np.all(np.isfinite(dens)):
             raise ValueError("densities must be finite and nonnegative")
-        if abs(base.total - 1.0) > 1e-12:
+        if abs(base.total - 1.0) > _PROBABILITY_TOL:
             raise ValueError("base measure must be a probability measure")
         dens = dens.copy()
         dens.setflags(write=False)
@@ -60,19 +62,17 @@ class VectorMeasure:
         return self.densities.T @ self.base.masses
 
     def integrate(self, sets: "IntervalSet") -> np.ndarray:
-        """Exact integral of the densities over the interval union."""
-        out = np.zeros(self.criteria)
-        for lo, hi in sets.intervals:
-            out += self.densities.T @ self._cell_masses(lo, hi)
-        return out
-
-    def _cell_masses(self, lo: float, hi: float) -> np.ndarray:
-        # base mass of [lo, hi] within each cell: clip the cumulative masses
-        part = self.base.partition
-        cum_lo = np.interp(np.clip(lo, 0, 1), part.points, self.base._cum)
-        cum_hi = np.interp(np.clip(hi, 0, 1), part.points, self.base._cum)
-        cut = np.clip(self.base._cum, cum_lo, cum_hi)
-        return np.diff(cut)
+        """Exact integral of the densities over the interval union, read off
+        the cumulative integral at the intervals' ends."""
+        part, cum = self.base.partition, self.base._cum
+        ends = np.clip(np.reshape(sets.intervals, (-1, 2)), 0.0, 1.0)
+        cell = np.minimum(np.searchsorted(part.points, ends, side="right") - 1, part.cell_count - 1)
+        parts = self.base.masses[:, None] * self.densities
+        before = np.concatenate((np.zeros((1, self.criteria)), np.cumsum(parts, axis=0)))
+        # the integral up to each end: the cells before its cell, then its share of that cell
+        upto = before[cell] + (np.interp(ends, part.points, cum) - cum[cell])[..., None] \
+            * self.densities[cell]
+        return (upto[:, 1] - upto[:, 0]).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -211,12 +211,12 @@ def _hausdorff_gap(dirs, values, verts) -> float:
 def find_set(vm: VectorMeasure, target, tol: float = 1e-8) -> IntervalSet:
     """Interval union whose vector integral hits the target within tol.
 
-    A mixture of vertex indicator policies achieves the target exactly in one
-    step; derandomizing that mixture at 0.8 tol produces a deterministic
-    threshold policy whose action-one region is the set.  Every call
-    self-checks the returned set by direct integration and raises
-    ``CertifiedFailure`` when it misses by more than tol; there is no
-    fallback.
+    The hull iteration's vertex indicator policies and weights, within 0.5
+    tol of the target, are folded pairwise through the mixer at 0.8 tol
+    (``derandomize``'s fold) into a deterministic threshold policy whose
+    action-one region is the set.  Every call self-checks the returned set
+    by direct integration and raises ``CertifiedFailure`` when it misses by
+    more than tol; there is no fallback.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -239,20 +239,7 @@ def find_set(vm: VectorMeasure, target, tol: float = 1e-8) -> IntervalSet:
             f"undecidable at this resolution (distance within [{res.lower:.1e}, {res.g:.1e}])",
         )
 
-    # stationary mixture of the witness vertex policies
-    weights = [(w, p) for w, (p, _) in zip(res.weights, res.vertices) if w > 1e-14]
-    parts = [p.partition for _, p in weights]
-    part = parts[0]
-    for extra in parts[1:]:
-        part = part.refine(extra)
-    probs = np.zeros((part.cell_count, model.action_count))
-    for w, p in weights:
-        acts = p.refined_to(part).actions
-        probs[np.arange(part.cell_count), acts] += w
-    probs /= probs.sum(axis=1, keepdims=True)
-    pi = StationaryPolicy(part, probs)
-
-    phi, _ = derandomize(model, pi, tol=0.8 * tol)
+    phi, _ = _fold(model, _terms(res, vm.criteria), res.projection, 0.8 * tol)
     out = IntervalSet.from_policy(phi, action=1)
     residual = float(np.linalg.norm(vm.integrate(out) - target))
     if residual > tol:

@@ -131,15 +131,9 @@ def certified_solve(model: AtomlessMDP, w: np.ndarray, L: float, left: bool):
     return x, *_residual_bound(model, a, x, rhs, L, left)
 
 
-def residual(model: AtomlessMDP, w: np.ndarray, x: np.ndarray, L: float, left: bool) -> float:
-    """certified_solve's residual, for any float64 x."""
-    a, rhs = _system(model, w, model.kernel, left)
-    return _residual_bound(model, a, x, rhs, L, left)[1]
-
-
 def refine(model: AtomlessMDP, w: np.ndarray, x: np.ndarray, L: float, left: bool):
-    """certified_solve's (x, bound) after one step of iterative refinement in
-    extended precision.
+    """certified_solve's (x, bound, residual) after one step of iterative
+    refinement in extended precision.
 
     A float64 residual's rounding, about n eps |x| with |x| up to L, keeps its
     bound above n eps L^2: over 1e-12 once L passes about 20 on a few cells.
@@ -148,7 +142,7 @@ def refine(model: AtomlessMDP, w: np.ndarray, x: np.ndarray, L: float, left: boo
     is within |x - x_x| plus x_x's bound.  Where np.longdouble is float64
     this gains nothing and tol decides.
     """
-    a = _system(model, w, model.kernel, left)[0]
+    a, rhs64 = _system(model, w, model.kernel, left)
     exact, rhs = _system(model, w.astype(np.longdouble), model.long_kernel(), left)
     x_x = x.astype(np.longdouble)
     x_x = x_x + np.linalg.solve(a, (rhs - exact @ x_x).astype(float))
@@ -156,13 +150,14 @@ def refine(model: AtomlessMDP, w: np.ndarray, x: np.ndarray, L: float, left: boo
         x_x = np.maximum(x_x, 0.0)
     x = x_x.astype(float)
     shift = abs(x_x - x)
-    return x, _residual_bound(model, exact, x_x, rhs, L, left)[0] + float(
+    bound = _residual_bound(model, exact, x_x, rhs, L, left)[0] + float(
         shift.sum() if left else shift.max())
+    return x, bound, _residual_bound(model, a, x, rhs64, L, left)[1]
 
 
 class RankOnePath(NamedTuple):
-    """Marginals and performance vectors of a stack of policies, each moving
-    cell weight s from one action to another on one cell.
+    """Performance vectors of a stack of policies, each moving cell weight s
+    from one action to another on one cell.
 
     Their I - P_w(s) differ from I - P_w(0) in that cell's row only, by s
     times the row difference d of the kernel, so by Sherman and Morrison
@@ -173,8 +168,6 @@ class RankOnePath(NamedTuple):
     stays nonsingular, so 1 - s pivot stays positive.  Float64, uncertified.
     """
 
-    m0: np.ndarray       # (policies, cells)
-    z: np.ndarray        # (policies, cells)
     v0: np.ndarray       # (policies, criteria)
     g: np.ndarray        # (policies, criteria)
     head: np.ndarray     # (policies,)
@@ -191,9 +184,6 @@ class RankOnePath(NamedTuple):
             c = (level - self.v0 @ b) / (self.g @ b)
             return c / (self.head + c * self.pivot)
 
-    def marginal(self, s) -> np.ndarray:
-        return self.m0 + self.coefficient(s)[:, None] * self.z
-
     def value(self, s) -> np.ndarray:
         return self.v0 + self.coefficient(s)[:, None] * self.g
 
@@ -204,20 +194,17 @@ def rank_one_path(model: AtomlessMDP, w: np.ndarray, cell, gain, loss) -> RankOn
     stacked solve of (I - P_w)^T with the right-hand sides mu and d (m0 = mu
     and z = 0 on a one-step model)."""
     kernel, rewards = model.kernel, model.rewards
-    rhs = np.empty((w.shape[0], model.cell_count, 2))
-    rhs[..., 0] = model.initial.masses
-    if model.is_one_step():
-        rhs[..., 1] = 0.0
-        sol = rhs
-    else:
-        rhs[..., 1] = kernel[cell, gain] - kernel[cell, loss]
+    sol = np.zeros((w.shape[0], model.cell_count, 2))
+    sol[..., 0] = model.initial.masses
+    if not model.is_one_step():
+        sol[..., 1] = kernel[cell, gain] - kernel[cell, loss]
         p_w = (w[:, :, None, :] @ kernel)[:, :, 0]
-        sol = np.linalg.solve(np.eye(model.cell_count) - p_w.transpose(0, 2, 1), rhs)
+        sol = np.linalg.solve(np.eye(model.cell_count) - p_w.transpose(0, 2, 1), sol)
     # rows v0 and the z-part of g: (m0, z) . sum_a w r
     v0g = sol.transpose(0, 2, 1) @ (w[:, :, None, :] @ rewards)[:, :, 0]
     g = v0g[:, 1] + rewards[cell, gain] - rewards[cell, loss]
     head = sol[np.arange(w.shape[0]), cell]
-    return RankOnePath(sol[..., 0], sol[..., 1], v0g[:, 0], g, head[:, 0], head[:, 1])
+    return RankOnePath(v0g[:, 0], g, head[:, 0], head[:, 1])
 
 
 def evaluate_weights(model: AtomlessMDP, w: np.ndarray, tol: float = 1e-9):
@@ -238,7 +225,7 @@ def evaluate_weights(model: AtomlessMDP, w: np.ndarray, tol: float = 1e-9):
     else:
         marginal, err, _ = certified_solve(model, w, L, True)
         if not err <= tol:
-            marginal, err = refine(model, w, marginal, L, True)
+            marginal, err, _ = refine(model, w, marginal, L, True)
         if not err <= tol:        # a NaN residual certifies nothing either
             raise ToleranceError(f"certified marginal error {err:.3e} exceeds tol {tol:.3e}")
     return marginal, err, marginal @ np.einsum("ia,ian->in", w, model.rewards)

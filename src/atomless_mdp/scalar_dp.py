@@ -15,7 +15,7 @@ import numpy as np
 from .errors import CertifiedFailure, ToleranceError
 from .measure import StatePartition
 from .model import AtomlessMDP, DeterministicPolicy
-from .occupancy import cell_weights, certified_solve, refine, residual
+from .occupancy import cell_weights, certified_solve, refine
 
 __all__ = [
     "SubmodelSpec",
@@ -197,10 +197,9 @@ def _solve(sub: SubmodelSpec, direction: np.ndarray, tol: float):
         raise CertifiedFailure("policy iteration did not stabilize", residual=np.inf)
 
     if not bound <= tol:
-        c, bound = refine(model, w, c, cert.L, False)
+        c, bound, res = refine(model, w, c, cert.L, False)
         q = _q_values(sub, q_masked, c @ direction)
         gain = q.max(axis=1) - q[rows, actions]
-        res = residual(model, w, c, cert.L, False)
     values = model.rewards[owner, actions] + model.kernel[owner, actions] @ c
     x = np.concatenate(((values @ direction)[:, None], values), axis=1)
     # the Bellman residual of x[:, 0], from the Q-values on c @ direction:

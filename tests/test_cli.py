@@ -287,6 +287,18 @@ def test_lyapunov_find_linear_density(tmp_path, capsys):
     assert leb == pytest.approx(0.5, abs=2e-6)
 
 
+def test_lyapunov_find_rescales_base_masses_that_miss_one(tmp_path):
+    # base masses whose total misses 1 by more than the measure's 1e-12 are
+    # rescaled, at any miss
+    dens = tmp_path / "dens.txt"
+    out = tmp_path / "set.txt"
+    for mass in ("0.5000000005", "0.6"):
+        dens.write_text(f"0 0.5 {mass} 1 0\n0.5 1 0.5 0 1\n")
+        assert run("lyapunov", "find", dens, 0.2, 0.2, "--out", out) == 0, mass
+    base = load_densities_file(dens, dens.read_bytes()).base
+    assert base.masses.tolist() == [0.6 / 1.1, 0.5 / 1.1]
+
+
 def test_lyapunov_hull_csv(tmp_path):
     dens = tmp_path / "dens.txt"
     dens.write_text("0.0 0.5 0.5 1.0 0.2\n0.5 1.0 0.5 0.3 1.4\n")
@@ -651,6 +663,21 @@ def test_derandomize_four_criteria(tmp_path):
     save_policy_file(random_stationary_policy(model, np.random.default_rng(3)), policy)
     assert run("derandomize", model_path, policy, "--out", tmp_path / "d") == 0
     assert json.loads((tmp_path / "d.cert.json").read_text())["error"] <= 1e-6
+
+
+def test_derandomize_below_the_distance_floor_exits_3(tmp_path, capsys):
+    from atomless_mdp.cli import save_policy_file
+    from atomless_mdp.model import load_model_file, random_stationary_policy
+
+    model_path = tmp_path / "m.json"
+    assert run("builtin", "random:7x3x2", "--seed", 7010, "--out", model_path) == 0
+    policy = tmp_path / "pi.txt"
+    model = load_model_file(model_path)
+    save_policy_file(random_stationary_policy(model, np.random.default_rng(10)), policy)
+    capsys.readouterr()
+    code = run("derandomize", model_path, policy, "--tol", 1e-13, "--out", tmp_path / "d")
+    assert code == 3
+    assert "certified failure" in capsys.readouterr().out
 
 
 def test_derandomize_leaves_scipy_unimported(tmp_path):

@@ -275,23 +275,23 @@ def test_find_set_convex_combination_of_returned_sets():
 
 
 def test_find_set_derandomizes_once(monkeypatch):
-    # one derandomize at 0.8 tol and one realization per pairwise mix, on
+    # one fold at 0.8 tol and one realization per pairwise mix, on
     # union-of-cells and smooth targets
     lyapunov = importlib.import_module("atomless_mdp.lyapunov")
     module = importlib.import_module("atomless_mdp.derandomize")
     runs, mixes = [], []
-    # derandomize folds through mix_pair's unchecked body, _mix
-    original_derandomize, original_mix = lyapunov.derandomize, module._mix
+    # the fold goes through mix_pair's unchecked body, _mix
+    original_fold, original_mix = lyapunov._fold, module._mix
 
-    def counting_derandomize(*args, **kwargs):
-        runs.append(kwargs["tol"])
-        return original_derandomize(*args, **kwargs)
+    def counting_fold(*args, **kwargs):
+        runs.append(args[3])
+        return original_fold(*args, **kwargs)
 
     def counting_mix(*args, **kwargs):
         mixes.append(args[3])
         return original_mix(*args, **kwargs)
 
-    monkeypatch.setattr(lyapunov, "derandomize", counting_derandomize)
+    monkeypatch.setattr(lyapunov, "_fold", counting_fold)
     monkeypatch.setattr(module, "_mix", counting_mix)
     realizations = count_realizations(monkeypatch)
     cases = ([union_of_cells_target(seed) for seed in (0, 1, 2)]
@@ -304,6 +304,19 @@ def test_find_set_derandomizes_once(monkeypatch):
         assert runs == [0.8 * 1e-6], k
         assert len(realizations) == len(mixes), k
         assert np.linalg.norm(vm.integrate(s) - target) <= 1e-6, k
+
+
+def test_find_set_folds_its_own_hull_answer(monkeypatch):
+    # no second hull iteration over a stationary mixture
+    module = importlib.import_module("atomless_mdp.derandomize")
+
+    def no_caratheodory(*args, **kwargs):
+        raise AssertionError("find_set decomposed its target again")
+
+    monkeypatch.setattr(module, "caratheodory", no_caratheodory)
+    vm, target = smooth_target(4)
+    s = find_set(vm, target, tol=1e-6)
+    assert np.linalg.norm(vm.integrate(s) - target) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +346,22 @@ def test_brute_force_inside_outer_polytope():
     hull = range_hull(vm, direction_count=120)
     for p in brute_force_range(vm):
         assert hull.contains_in_outer(p, tol=1e-9)
+
+
+def test_integrate_unions_of_cells_matches_brute_force():
+    # every union of whole cells, as the fewest intervals
+    vm = random_vm(10, 3, seed=43, scale=2.0)
+    pts = vm.base.partition.points
+    scale = 1e-15 * float(vm.total().max())
+    for subset, point in enumerate(brute_force_range(vm)):
+        cells = [k for k in range(10) if subset >> k & 1]
+        runs = []
+        for k in cells:
+            if runs and runs[-1][1] == pts[k]:
+                runs[-1] = (runs[-1][0], float(pts[k + 1]))
+            else:
+                runs.append((float(pts[k]), float(pts[k + 1])))
+        assert np.abs(vm.integrate(IntervalSet(tuple(runs))) - point).max() <= scale, subset
 
 
 def test_find_set_matches_cell_aligned_points():

@@ -273,8 +273,25 @@ def test_certified_bound_covers_the_exact_error(left):
 
     x, bound, _ = module.certified_solve(m, w, L, left)
     assert all(error(x, exact) <= Fraction(bound) for exact in references)
-    refined, refined_bound = module.refine(m, w, x, L, left)
+    refined, refined_bound, _ = module.refine(m, w, x, L, left)
     assert refined_bound < bound and error(refined, references[1]) <= Fraction(refined_bound)
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_refine_returns_the_float64_residual_of_its_solution(left):
+    # refine's third value is certified_solve's residual, L |rhs - a x| in
+    # float64, for the refined x
+    from tests.test_scalar_dp import seeded_discounted
+
+    module = importlib.import_module("atomless_mdp.occupancy")
+    m = seeded_discounted(2000, 0.998)
+    L = m.certificate().L
+    w = cell_action_weights(m, random_stationary_policy(m, np.random.default_rng(0)))
+    x, _, _ = module.certified_solve(m, w, L, left)
+    refined, _, residual = module.refine(m, w, x, L, left)
+    a, rhs = module._system(m, w, m.kernel, left)
+    gap = np.abs(rhs - a @ refined)
+    assert residual == L * float(gap.sum() if left else gap.max())
 
 
 def test_occupancy_requires_certificate():

@@ -448,7 +448,7 @@ def test_solved_direction_checks_tol_per_call(monkeypatch):
     kept = _policy_iteration(loose, b, tol)
     assert kept[3] <= tol and _policy_iteration(loose, b, 1.0) is kept
     with monkeypatch.context() as patch:
-        patch.setattr(module, "refine", lambda model, w, x, L, left: (x, perf_err))
+        patch.setattr(module, "refine", lambda model, w, x, L, left: (x, perf_err, 0.0))
         unrefined = SubmodelSpec.full(m)
         with pytest.raises(ToleranceError, match="performance error"):
             support(unrefined, b, tol=tol)
