@@ -62,22 +62,6 @@ SCALAR_ITERS = 220        # threshold root-solve steps for one criterion
 FACE_ITERS = 40           # secant steps of one witness-face root solve
 
 
-def _perf_key(policy) -> tuple:
-    """The policy's digest in ``model._perf_cache``."""
-    values = policy.actions if isinstance(policy, DeterministicPolicy) else policy.probs
-    return policy.partition.points.tobytes(), values.tobytes()
-
-
-def _perf(model: AtomlessMDP, policy) -> np.ndarray:
-    """Tight-tolerance performance evaluation, cached on the model by policy digest."""
-    key = _perf_key(policy)
-    hit = model._perf_cache.get(key)
-    if hit is None:
-        hit = performance(model, policy, tol=EVAL_TOL)
-        model._perf_cache[key] = hit
-    return hit
-
-
 # ---------------------------------------------------------------------------
 # two-policy context and the threshold path
 # ---------------------------------------------------------------------------
@@ -152,6 +136,12 @@ class TwoPolicyContext:
         pair = self.pair
         t = pair.partition.points[j] + s * pair.model.grid.widths[pair.owner[j]]
         return self.q.cdf(min(float(t), 1.0)) / self.q.total
+
+    def actions_on_pair(self, policy: DeterministicPolicy) -> np.ndarray:
+        """The policy's action on the piece that ends at each pair breakpoint,
+        one per pair interval."""
+        pts = self.pair.partition.points
+        return policy.actions[np.searchsorted(policy.partition.points, pts[1:]) - 1]
 
     def paths(self, j: np.ndarray, above: np.ndarray) -> RankOnePath:
         """RankOnePath of the policies k that take a1 on the pair intervals
@@ -486,9 +476,7 @@ def _face_root(ctx: TwoPolicyContext, res: DistanceResult, lo: float, x: float,
     if len(witness) != dim:
         return None
     pts = ctx.pair.partition.points
-    # each vertex's action on the piece that ends at every pair breakpoint
-    above = np.array([p.actions[np.searchsorted(p.partition.points, pts[1:]) - 1]
-                      for p in witness])
+    above = np.array([ctx.actions_on_pair(p) for p in witness])
     j = max(int(np.searchsorted(pts, ctx.threshold(x))) - 1, 0)
     a = max(lo, ctx.fraction(j, 0.0))
     if not a < x:
@@ -584,9 +572,8 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
         """The next step from the bracket's low end, where ``policy`` is optimal."""
         a = bracket.a
         j = min(int(np.searchsorted(pts, ctx.threshold(a), side="right")) - 1, pts.size - 2)
-        above = policy.actions[np.searchsorted(policy.partition.points, pts[1:]) - 1]
         # <b, v> - <b, target> reaches -tol/2 from above
-        x = _crossing(ctx, above, -_embed(b, active, criteria),
+        x = _crossing(ctx, ctx.actions_on_pair(policy), -_embed(b, active, criteria),
                       0.5 * tol - float(b @ t_active), j, ctx.position(a, j), bracket.b)
         if x is not None and a < x < bracket.b:
             return x
@@ -714,7 +701,9 @@ def _realize_scalar(pair, target, coord, tol, trace):
     evaluation there (``path_value``) accepts it or, where it misses tol,
     starts safeguarded Illinois steps on [0, 1] with the same acceptance.
     The trace entry counts the certified path solves as ``iters`` and the
-    Illinois steps among them as ``fallback_steps``.
+    Illinois steps among them as ``fallback_steps``.  Returns the policy and
+    its performance vector: the accepted step's ``path_value`` (bitwise what
+    ``performance`` gives for the policy), or a range end's evaluation.
     """
     model = pair.model
     e = _embed(np.array([1.0]), (coord,), model.criteria)
@@ -733,7 +722,7 @@ def _realize_scalar(pair, target, coord, tol, trace):
         if abs(v_end - t) <= tol:
             trace.append({"kind": "scalar", "coord": coord, "achieved": v_end, "iters": 0,
                           "fallback_steps": 0})
-            return phi
+            return phi, performance(model, phi, tol=EVAL_TOL)
     ctx = _context(*_pair_from_submodel(pair, phi_lo.actions, phi_hi.actions))
     # v(alpha)[coord] - t is below zero at phi_lo's end and above at phi_hi's
     bracket = _Illinois(0.0, v_lo - t, 1.0, v_hi - t)
@@ -747,13 +736,9 @@ def _realize_scalar(pair, target, coord, tol, trace):
         err = abs(val - t) + bound
         best_err = min(best_err, err)
         if err <= tol:
-            # path_value's w is cell_action_weights(model, phi) bitwise, so
-            # v is what _perf would compute for phi
-            phi = path_policy(ctx, alpha)
-            model._perf_cache.setdefault(_perf_key(phi), v)
             trace.append({"kind": "scalar", "coord": coord, "achieved": val, "iters": it + 1,
                           "fallback_steps": steps})
-            return phi
+            return path_policy(ctx, alpha), v
         bracket.move(alpha, val - t)
         alpha = None
     raise CertifiedFailure("scalar path root solve missed its tolerance",
@@ -763,7 +748,8 @@ def _realize_scalar(pair, target, coord, tol, trace):
 def _realize(pair, a0, a1, target, active, tol, trace, depth=0):
     """Find a deterministic policy of the pair submodel, which allows exactly
     the actions a0 and a1, matching the target on the active coordinates
-    within tol.  Each level below derives its pair from checked arrays."""
+    within tol, and its performance vector.  Each level below derives its
+    pair from checked arrays."""
     if len(active) == 1:
         return _realize_scalar(pair, target, active[0], tol, trace)
 
@@ -774,7 +760,7 @@ def _realize(pair, a0, a1, target, active, tol, trace, depth=0):
     a_hat = alpha_hat(ctx, target, tol=member_tol, active=active, certificate=stop)
     if a_hat >= 1.0:
         trace.append({"kind": "endpoint", "alpha_hat": 1.0})
-        return path_policy(ctx, 1.0)
+        return path_policy(ctx, 1.0), path_value(ctx, 1.0)[1]
     # V(alpha_hat), as the stopping membership test built and queried it
     frozen = stop["_submodel"]
 
@@ -844,8 +830,9 @@ def mix_pair(model: AtomlessMDP, phi0: DeterministicPolicy, phi1: DeterministicP
     """Deterministic policy whose performance is lam * v(phi0) + (1-lam) * v(phi1).
 
     One threshold-path realization of the target at tolerance tol / (2N) per
-    level, verified by evaluating the returned policy; a miss above tol
-    raises ``CertifiedFailure`` with the achieved residual and the trace.
+    level, verified by the returned policy's certified evaluation, which the
+    realization hands back; a miss above tol raises ``CertifiedFailure``
+    with the achieved residual and the trace.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must be in [0,1]")
@@ -854,24 +841,22 @@ def mix_pair(model: AtomlessMDP, phi0: DeterministicPolicy, phi1: DeterministicP
     model.certificate()
     validate_policy(model, phi0)
     validate_policy(model, phi1)
-    return _mix(model, phi0, phi1, lam, tol)
+    return _mix(model, phi0, phi1, lam, tol,
+                performance(model, phi0, tol=EVAL_TOL), performance(model, phi1, tol=EVAL_TOL))
 
 
-def _mix(model, phi0, phi1, lam, tol):
-    """mix_pair on two checked policies and a lambda in [0, 1]."""
+def _mix(model, phi0, phi1, lam, tol, v0, v1):
+    """mix_pair on two checked policies, a lambda in [0, 1] and the policies'
+    performance vectors v0 and v1."""
     if lam == 1.0 or phi0 == phi1:
-        v = _perf(model, phi0)
-        return phi0.canonical(), MixCertificate(lam, v, v, 0.0, tol, [])
+        return phi0.canonical(), MixCertificate(lam, v0, v0, 0.0, tol, [])
     if lam == 0.0:
-        v = _perf(model, phi1)
-        return phi1.canonical(), MixCertificate(lam, v, v, 0.0, tol, [])
+        return phi1.canonical(), MixCertificate(lam, v1, v1, 0.0, tol, [])
 
-    v0, v1 = _perf(model, phi0), _perf(model, phi1)
     target = lam * v0 + (1.0 - lam) * v1
     trace: list = []
-    phi = _realize(*SubmodelSpec._pair(model, phi0, phi1), target,
-                   tuple(range(model.criteria)), tol / (2.0 * model.criteria), trace)
-    achieved = _perf(model, phi)
+    phi, achieved = _realize(*SubmodelSpec._pair(model, phi0, phi1), target,
+                             tuple(range(model.criteria)), tol / (2.0 * model.criteria), trace)
     err = float(np.linalg.norm(achieved - target))
     if err > tol:
         raise CertifiedFailure("pairwise mix missed its tolerance", residual=err, trace=trace)
@@ -888,7 +873,11 @@ def caratheodory(model: AtomlessMDP, pi: StationaryPolicy, tol: float = 1e-7):
         return [(1.0, pi.canonical())]
     if pi.is_deterministic(1e-12):
         return [(1.0, pi.to_deterministic().canonical())]
-    target = _perf(model, pi)
+    return _hull_terms(model, performance(model, pi, tol=EVAL_TOL), tol)
+
+
+def _hull_terms(model: AtomlessMDP, target, tol: float) -> list:
+    """caratheodory's terms for a randomized policy's performance vector."""
     res = distance_to_performance_set(SubmodelSpec.full(model), target, tol=0.5 * tol)
     if res.g > tol:
         raise CertifiedFailure("hull iteration missed the stationary target",
@@ -911,31 +900,36 @@ def _terms(res: DistanceResult, criteria: int) -> list:
 def derandomize(model: AtomlessMDP, pi: StationaryPolicy, tol: float = 1e-6):
     """Deterministic policy with the same performance vector as ``pi``.
 
-    Decomposes v(pi) over vertex policies, then folds the terms through
-    the mixer left to right with the per-stage budget tol / (2 * #terms).
+    Decomposes v(pi) over vertex policies at 0.25 tol, then folds the terms
+    through the mixer left to right.  Unused budget rolls forward: each
+    stage may spend (0.7 tol - the error spent so far) / (stages left), and
+    never less than tol / (2 * #terms).  The evaluation of ``pi`` is its
+    check.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     model.certificate()
     if isinstance(pi, DeterministicPolicy) or pi.is_deterministic(1e-12):
         phi = pi if isinstance(pi, DeterministicPolicy) else pi.to_deterministic()
-        v = _perf(model, phi)
+        v = performance(model, phi, tol=EVAL_TOL)
         return phi, MixCertificate(None, v, v, 0.0, tol, [{"kind": "already-deterministic"}])
 
-    target = _perf(model, pi)
-    return _fold(model, caratheodory(model, pi, tol=0.25 * tol), target, tol)
+    target = performance(model, pi, tol=EVAL_TOL)
+    return _fold(model, _hull_terms(model, target, 0.25 * tol), target, tol)
 
 
 def _fold(model: AtomlessMDP, terms: list, target, tol: float):
-    """derandomize's fold of (weight, checked policy) terms with the given target."""
+    """derandomize's fold of (weight, checked policy) terms with the given
+    target.  Each term is evaluated once; each mix's achieved vector is the
+    next mix's v0, and the last one certifies the fold."""
     stage_floor = tol / (2.0 * max(1, len(terms)))
     trace: list = [{
         "kind": "caratheodory",
         "terms": len(terms),
         "weights": [float(l) for l, _ in terms],
     }]
-    phi_acc = terms[0][1]
-    weight = terms[0][0]
+    weight, phi_acc = terms[0]
+    achieved = performance(model, phi_acc, tol=EVAL_TOL)
     consumed = 0.0
     remaining = len(terms) - 1
     for lam_k, phi_k in terms[1:]:
@@ -943,12 +937,13 @@ def _fold(model: AtomlessMDP, terms: list, target, tol: float):
         # reweighting, so the sum of stage errors bounds the fold error
         stage_tol = max(stage_floor, (0.7 * tol - consumed) / remaining)
         # the terms are support vertices and the folds' outputs: checked already
-        phi_acc, cert = _mix(model, phi_acc, phi_k, weight / (weight + lam_k), stage_tol)
+        phi_acc, cert = _mix(model, phi_acc, phi_k, weight / (weight + lam_k), stage_tol,
+                             achieved, performance(model, phi_k, tol=EVAL_TOL))
+        achieved = cert.achieved
         consumed += cert.error
         remaining -= 1
         trace.extend(cert.trace)
         weight += lam_k
-    achieved = _perf(model, phi_acc)
     err = float(np.linalg.norm(achieved - target))
     if err > tol:
         raise CertifiedFailure("derandomization missed its tolerance",

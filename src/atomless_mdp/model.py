@@ -65,7 +65,6 @@ class AtomlessMDP:
         self.beta = None if beta is None else float(beta)
         self._certificate = None
         self._long_kernel = None
-        self._perf_cache = {}         # policy digest -> performance vector
         self._validate()
         for arr in (self.kernel, self.absorb, self.rewards, self._mask):
             arr.setflags(write=False)

@@ -1,6 +1,7 @@
 """Tests for the threshold-path constructions, pairwise mixing and derandomization."""
 
 import importlib
+import pickle
 import sys
 from collections import Counter
 from pathlib import Path
@@ -948,8 +949,9 @@ def test_mix_pair_realizes_once(monkeypatch, criteria):
 
 def test_scalar_realization_evaluates_one_path_policy(monkeypatch):
     # root-solve steps are solves on cell weights; only the accepted step is
-    # built as a policy, and its certified path value is what _perf returns
-    # for it, so performance never evaluates it again
+    # built as a policy, and the vector handed back with it is its certified
+    # path value, bitwise what performance returns for it, so performance
+    # never evaluates it again
     module = importlib.import_module("atomless_mdp.derandomize")
     evaluated, realized = [], []
 
@@ -964,9 +966,9 @@ def test_scalar_realization_evaluates_one_path_policy(monkeypatch):
 
     def realize(*args, **kwargs):
         before = len(evaluated)
-        phi = original(*args, **kwargs)
-        realized.append((args[4][-1]["iters"], evaluated[before:], phi, args[0].model))
-        return phi
+        phi, v = original(*args, **kwargs)
+        realized.append((args[4][-1]["iters"], evaluated[before:], phi, v, args[0].model))
+        return phi, v
 
     monkeypatch.setattr(module, "performance", counting(performance))
     monkeypatch.setattr(module, "occupancy", counting(occupancy), raising=False)
@@ -981,11 +983,11 @@ def test_scalar_realization_evaluates_one_path_policy(monkeypatch):
             m = random_model(6, 3, 1 + seed % 2, seed=1500 + seed)
             phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
             mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
-    solved = [(evals, phi, m) for iters, evals, phi, m in realized if iters > 0]
+    solved = [(evals, phi, v, m) for iters, evals, phi, v, m in realized if iters > 0]
     assert len(solved) >= 8 and max(iters for iters, *_ in realized) > 1
-    for evals, phi, m in solved:
+    for evals, phi, v, m in solved:
         assert evals == []
-        assert np.array_equal(module._perf(m, phi), performance(m, phi, tol=module.EVAL_TOL))
+        assert np.array_equal(v, performance(m, phi, tol=module.EVAL_TOL))
 
 
 @pytest.mark.parametrize("proposal", ["none", "short"])
@@ -1182,18 +1184,42 @@ def test_derandomize_random_three_criteria():
 
 
 def test_derandomize_folds_checked_terms_once(monkeypatch):
-    # derandomize checks pi once, in caratheodory; its terms are support
-    # vertices and its folds' outputs, so no fold checks a policy again
+    # derandomize checks pi once, in the evaluation that gives its target;
+    # its terms are support vertices and its folds' outputs, so no fold
+    # checks a term, and no policy goes through the check twice
     module = importlib.import_module("atomless_mdp.derandomize")
+    model_module = importlib.import_module("atomless_mdp.model")
     calls = count_calls(monkeypatch, (module, "validate_policy"), (module, "_mix"))
+    joined, on_joint = [], model_module._on_joint
+
+    def recording(model, policy):
+        joined.append(policy)             # kept alive, so ids stay distinct
+        return on_joint(model, policy)
+
+    monkeypatch.setattr(model_module, "_on_joint", recording)
     rng = np.random.default_rng(23)
     for seed in range(3):
         m = random_model(6, 3, 2, seed=1900 + seed)
         pi = random_stationary_policy(m, rng)
         calls.clear()
+        joined.clear()
         _, cert = derandomize(m, pi, tol=1e-5)
         assert calls["_mix"] == cert.trace[0]["terms"] - 1 >= 1, seed
-        assert calls["validate_policy"] == 1, seed
+        assert calls["validate_policy"] == 0, seed
+        assert sum(p is pi for p in joined) == 1, seed
+        assert max(Counter(map(id, joined)).values()) == 1, seed
+
+
+def test_derandomize_leaves_the_model_unchanged():
+    # the pipeline carries each certified vector itself: calls with fresh
+    # policies leave no per-policy state on the model
+    m = random_model(8, 3, 2, seed=5)
+    rng = np.random.default_rng(5)
+    derandomize(m, random_stationary_policy(m, rng), tol=1e-5)
+    state = pickle.dumps(m)
+    for _ in range(4):
+        derandomize(m, random_stationary_policy(m, rng), tol=1e-5)
+    assert pickle.dumps(m) == state
 
 
 def test_derandomize_summary_totals_the_work():
