@@ -58,7 +58,6 @@ __all__ = [
 
 EVAL_TOL = 1e-12          # certified marginal error for performance evaluations
 DISTANCE_CAP = 200        # support calls per distance iteration
-SCALAR_ITERS = 220        # threshold root-solve steps for one criterion
 FACE_ITERS = 40           # secant steps of one witness-face root solve
 
 
@@ -355,21 +354,20 @@ def _membership(sub, target, tol, active, pool, alpha):
 
 
 class _Illinois:
-    """A bracket a < b of a sign change of f, narrowed by a safeguarded
-    Illinois root solve (Dowell & Jarratt, BIT 11, 1971).
+    """A bracket a < b of a sign change of f, narrowed by Illinois steps
+    (Dowell & Jarratt, BIT 11, 1971).
 
     ``f_a`` and ``f_b`` are the ends' f values: of opposite signs, or zero
-    at an end that is itself a root.  ``move`` puts (x, f_x) in place of the
-    end whose f has f_x's sign, and halves the other end's f when that end
-    is kept twice running.
+    at an end that is itself a root.  ``secant`` proposes the next step and
+    ``move`` puts (x, f_x) in place of the end whose f has f_x's sign,
+    halving the other end's f when that end is kept twice running.
     """
 
-    __slots__ = ("a", "f_a", "b", "f_b", "side", "widths")
+    __slots__ = ("a", "f_a", "b", "f_b", "side")
 
     def __init__(self, a: float, f_a: float, b: float, f_b: float):
         self.a, self.f_a, self.b, self.f_b = a, f_a, b, f_b
         self.side = 0                       # +1 when a moved last, -1 when b did
-        self.widths = (np.inf, np.inf)      # b - a before the last two steps
 
     def secant(self) -> float:
         """The secant root of the ends, or the midpoint where that root is
@@ -380,15 +378,6 @@ class _Illinois:
             if a < x < b:
                 return x
         return 0.5 * (a + b)
-
-    def step(self) -> float:
-        """``secant``, or the midpoint where the bracket failed to halve over
-        the last two steps; so narrowing the bracket to a given width takes
-        at most about twice bisection's steps."""
-        a, b = self.a, self.b
-        x = 0.5 * (a + b) if b - a >= 0.5 * self.widths[1] else self.secant()
-        self.widths = (b - a, self.widths[0])
-        return x
 
     def move(self, x: float, f_x: float) -> None:
         if (f_x < 0.0) == (self.f_a < 0.0):
@@ -523,8 +512,8 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     "Inside" there stops with the certificate; "outside" is the next
     "outside" answer.  Otherwise V(alpha) shrinks as alpha grows, so
     g(alpha) = h_alpha(b) - <b, target> is nonincreasing for the separating
-    direction b of the answer, and the search is a safeguarded Illinois
-    root solve of g on [a, hi] (``_Illinois``), one support call per step:
+    direction b of the answer, and the search is an Illinois root solve of
+    g on [a, hi] (``_Illinois``), one support call per step:
     g < -tol certifies "outside" and moves hi, g > 0 moves a, and g in
     [-tol, 0] calls a membership test.  "Inside" stops with the certificate
     (inside, and g <= 0); "outside" gives a new hi and b and restarts the
@@ -538,10 +527,9 @@ def alpha_hat(ctx: TwoPolicyContext, target, tol: float = 1e-7, active=None, *,
     -tol/2 inside the bracket (``_crossing``), where no support call can
     certify "outside": the step lands in the window or moves a with a better
     policy.  Only where ``_crossing`` finds no root strictly inside the
-    bracket is the step ``_Illinois.secant`` (without ``step``'s halving
-    test, whose forced midpoints only added support calls here), counted in
-    ``fallback_steps``.  A bracket that shrinks to adjacent floats before
-    the certificate holds raises ``CertifiedFailure`` with the gap at lo.
+    bracket is the step ``_Illinois.secant``, counted in ``fallback_steps``.
+    A bracket that shrinks to adjacent floats before the certificate holds
+    raises ``CertifiedFailure`` with the gap at lo.
     Returns 1.0 when the target is within tol of V(1).  A ``certificate``
     dict receives b on the active coordinates (None at 1.0) as
     ``direction``, and the search's ``membership_tests``, ``support_calls``,
@@ -655,8 +643,8 @@ class MixCertificate:
         """The run's figures and its work: the trace's totals of alpha_hat's
         membership tests, support calls and face steps, of the support calls
         of the distance iterations that found the reduce directions
-        (``polish_calls``) and of scalar path solves, and the root-solve
-        steps of both searches that no closed-form proposal made
+        (``polish_calls``) and of scalar path solves, and alpha_hat's
+        root-solve steps that no closed-form proposal made
         (``fallback_steps``)."""
         def total(kind, key):
             return sum(e[key] for e in self.trace if e["kind"] == kind)
@@ -673,7 +661,7 @@ class MixCertificate:
             "face_steps": total("reduce", "face_steps"),
             "polish_calls": total("reduce", "polish_calls"),
             "path_solves": total("scalar", "iters"),
-            "fallback_steps": total("reduce", "fallback_steps") + total("scalar", "fallback_steps"),
+            "fallback_steps": total("reduce", "fallback_steps"),
         }
 
 
@@ -693,17 +681,18 @@ def _pair_from_submodel(sub: SubmodelSpec, a0, a1):
 
 
 def _realize_scalar(pair, target, coord, tol, trace):
-    """Intermediate-value root solve along the threshold path for one criterion.
+    """Intermediate-value root along the threshold path for one criterion.
 
     The path's value is in closed form across each pair interval, and
     ``_crossing`` proposes its root in an interval across which
-    v(alpha)[coord] - t turns from negative to nonnegative.  A certified
-    evaluation there (``path_value``) accepts it or, where it misses tol,
-    starts safeguarded Illinois steps on [0, 1] with the same acceptance.
-    The trace entry counts the certified path solves as ``iters`` and the
-    Illinois steps among them as ``fallback_steps``.  Returns the policy and
-    its performance vector: the accepted step's ``path_value`` (bitwise what
-    ``performance`` gives for the policy), or a range end's evaluation.
+    v(alpha)[coord] - t turns from negative to nonnegative.  One certified
+    evaluation there (``path_value``) accepts it; where it misses tol, or
+    ``_crossing`` proposes nothing, the step raises ``CertifiedFailure``
+    with the best residual and the trace.  The trace entry counts the
+    certified path solves as ``iters``: 1, or 0 at a range end.  Returns
+    the policy and its performance vector: the accepted root's
+    ``path_value`` (bitwise what ``performance`` gives for the policy), or
+    a range end's evaluation.
     """
     model = pair.model
     e = _embed(np.array([1.0]), (coord,), model.criteria)
@@ -720,29 +709,20 @@ def _realize_scalar(pair, target, coord, tol, trace):
     t = min(max(t, v_lo), v_hi)
     for phi, v_end in ((phi_hi, v_hi), (phi_lo, v_lo)):
         if abs(v_end - t) <= tol:
-            trace.append({"kind": "scalar", "coord": coord, "achieved": v_end, "iters": 0,
-                          "fallback_steps": 0})
+            trace.append({"kind": "scalar", "coord": coord, "achieved": v_end, "iters": 0})
             return phi, performance(model, phi, tol=EVAL_TOL)
     ctx = _context(*_pair_from_submodel(pair, phi_lo.actions, phi_hi.actions))
     # v(alpha)[coord] - t is below zero at phi_lo's end and above at phi_hi's
-    bracket = _Illinois(0.0, v_lo - t, 1.0, v_hi - t)
-    best_err = abs(v_lo - t)
-    alpha, steps = _crossing(ctx, ctx.a0, e, t), 0
-    for it in range(SCALAR_ITERS):
-        if alpha is None:
-            alpha, steps = bracket.step(), steps + 1
+    alpha, err = _crossing(ctx, ctx.a0, e, t), np.inf
+    if alpha is not None:
         _, v, bound = path_value(ctx, alpha)
         val = float(v[coord])
         err = abs(val - t) + bound
-        best_err = min(best_err, err)
         if err <= tol:
-            trace.append({"kind": "scalar", "coord": coord, "achieved": val, "iters": it + 1,
-                          "fallback_steps": steps})
+            trace.append({"kind": "scalar", "coord": coord, "achieved": val, "iters": 1})
             return path_policy(ctx, alpha), v
-        bracket.move(alpha, val - t)
-        alpha = None
     raise CertifiedFailure("scalar path root solve missed its tolerance",
-                           residual=best_err, trace=trace)
+                           residual=min(t - v_lo, v_hi - t, err), trace=trace)
 
 
 def _realize(pair, a0, a1, target, active, tol, trace, depth=0):
@@ -832,15 +812,14 @@ def mix_pair(model: AtomlessMDP, phi0: DeterministicPolicy, phi1: DeterministicP
     One threshold-path realization of the target at tolerance tol / (2N) per
     level, verified by the returned policy's certified evaluation, which the
     realization hands back; a miss above tol raises ``CertifiedFailure``
-    with the achieved residual and the trace.
+    with the achieved residual and the trace.  The evaluations of phi0 and
+    phi1 are their checks.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must be in [0,1]")
     if not tol > 0:
         raise ValueError("tol must be positive")
     model.certificate()
-    validate_policy(model, phi0)
-    validate_policy(model, phi1)
     return _mix(model, phi0, phi1, lam, tol,
                 performance(model, phi0, tol=EVAL_TOL), performance(model, phi1, tol=EVAL_TOL))
 
@@ -864,15 +843,17 @@ def _mix(model, phi0, phi1, lam, tol, v0, v1):
 
 
 def caratheodory(model: AtomlessMDP, pi: StationaryPolicy, tol: float = 1e-7):
-    """Express v(pi) as a convex combination of at most N+1 deterministic policies."""
+    """Express v(pi) as a convex combination of at most N+1 deterministic policies.
+
+    A randomized ``pi`` is checked by its evaluation.
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
     model.certificate()
-    validate_policy(model, pi)
-    if isinstance(pi, DeterministicPolicy):
-        return [(1.0, pi.canonical())]
-    if pi.is_deterministic(1e-12):
-        return [(1.0, pi.to_deterministic().canonical())]
+    if isinstance(pi, DeterministicPolicy) or pi.is_deterministic(1e-12):
+        validate_policy(model, pi)
+        phi = pi if isinstance(pi, DeterministicPolicy) else pi.to_deterministic()
+        return [(1.0, phi.canonical())]
     return _hull_terms(model, performance(model, pi, tol=EVAL_TOL), tol)
 
 

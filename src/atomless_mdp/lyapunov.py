@@ -211,8 +211,9 @@ def _hausdorff_gap(dirs, values, verts) -> float:
 def find_set(vm: VectorMeasure, target, tol: float = 1e-8) -> IntervalSet:
     """Interval union whose vector integral hits the target within tol.
 
-    The hull iteration's vertex indicator policies and weights, within 0.5
-    tol of the target, are folded pairwise through the mixer at 0.8 tol
+    The hull iteration runs at 0.1 tol, relative to tol, so it works at any
+    scale of the densities.  Its vertex indicator policies and weights, within 0.5 tol of the
+    target, are folded pairwise through the mixer at 0.8 tol
     (``derandomize``'s fold) into a deterministic threshold policy whose
     action-one region is the set.  Every call self-checks the returned set
     by direct integration and raises ``CertifiedFailure`` when it misses by
@@ -226,8 +227,7 @@ def find_set(vm: VectorMeasure, target, tol: float = 1e-8) -> IntervalSet:
     if not np.all(np.isfinite(target)):
         raise ModelFormatError("target", "non-finite entry")
     model = as_onestep_mdp(vm)
-    res = distance_to_performance_set(SubmodelSpec.full(model), target,
-                                      tol=min(1e-9, 0.1 * tol))
+    res = distance_to_performance_set(SubmodelSpec.full(model), target, tol=0.1 * tol)
     if res.g > 0.5 * tol:
         if res.lower > 0.5 * tol:
             raise ModelFormatError(

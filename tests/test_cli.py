@@ -287,6 +287,25 @@ def test_lyapunov_find_linear_density(tmp_path, capsys):
     assert leb == pytest.approx(0.5, abs=2e-6)
 
 
+def test_lyapunov_find_works_at_any_scale(tmp_path):
+    # the (1, 2x) measure above scaled by 1e8, at tol 1e-6 x 1e8: a set for
+    # each target, within tol by direct integration of the cell averages
+    edges = np.linspace(0, 1, 33)
+    second = edges[:-1] + edges[1:]
+    dens = tmp_path / "dens.txt"
+    dens.write_text("".join(f"{float(lo)!r} {float(hi)!r} {float(hi - lo)!r} 1e8 {float(1e8 * d)!r}\n"
+                            for lo, hi, d in zip(edges[:-1], edges[1:], second)))
+    out = tmp_path / "set.txt"
+    for lam in (0.3, 0.7):
+        assert run("lyapunov", "find", dens, lam * 1e8, lam * 1e8, "--tol", 100.0,
+                   "--out", out) == 0, lam
+        sets = np.array([list(map(float, line.split())) for line in out.read_text().splitlines()])
+        overlap = np.clip(np.minimum(sets[:, 1:], edges[1:]) - np.maximum(sets[:, :1], edges[:-1]),
+                          0.0, None).sum(axis=0)
+        achieved = 1e8 * np.array([overlap.sum(), overlap @ second])
+        assert np.linalg.norm(achieved - lam * 1e8) <= 100.0, lam
+
+
 def test_lyapunov_find_rescales_base_masses_that_miss_one(tmp_path):
     # base masses whose total misses 1 by more than the measure's 1e-12 are
     # rescaled, at any miss

@@ -38,6 +38,7 @@ from atomless_mdp.model import (
 from atomless_mdp.occupancy import occupancy, occupancy_total_variation, performance
 from atomless_mdp.scalar_dp import SubmodelSpec, conserving_submodel, support, value_iteration
 from tests.test_model import one_cell_discounted
+from tests.test_scalar_dp import seeded_discounted
 
 
 def unit_interval_pair():
@@ -439,13 +440,22 @@ def test_trusted_submodels_skip_revalidation(monkeypatch):
 
 @pytest.mark.parametrize("criteria", [2, 3])
 def test_realize_builds_no_checked_objects(monkeypatch, criteria):
-    # mix_pair checks its policies once; every level of the recursion below
-    # derives its pair from checked arrays, so no policy is checked or
-    # refined and no submodel goes through the checking constructor
+    # mix_pair checks each policy once, in the evaluation that gives its
+    # vector; every level of the recursion below derives its pair from
+    # checked arrays, so no policy is checked or refined and no submodel
+    # goes through the checking constructor
     module = importlib.import_module("atomless_mdp.derandomize")
+    model_module = importlib.import_module("atomless_mdp.model")
     calls = count_calls(monkeypatch, (module, "validate_policy"), (module, "make_context"),
                         (SubmodelSpec, "__init__"), (SubmodelSpec, "from_pair"),
                         (DeterministicPolicy, "refined_to"))
+    joined, on_joint = [], model_module._on_joint
+
+    def recording(model, policy):
+        joined.append(policy)
+        return on_joint(model, policy)
+
+    monkeypatch.setattr(model_module, "_on_joint", recording)
     inside = Counter()
     original = module._realize
 
@@ -463,11 +473,13 @@ def test_realize_builds_no_checked_objects(monkeypatch, criteria):
     for seed in range(3):
         m = random_model(6, 3, criteria, seed=1700 + 10 * criteria + seed)
         phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        joined.clear()
         _, cert = mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
+        assert sum(p is phi0 for p in joined) == sum(p is phi1 for p in joined) == 1, seed
         depths.append(sum(e["kind"] == "reduce" for e in cert.trace))
         bisected += any(e["kind"] == "scalar" and e["iters"] > 0 for e in cert.trace)
     assert min(depths) >= 1 and max(depths) == criteria - 1 and bisected > 0
-    assert calls["validate_policy"] > 0 and calls["__init__"] > 0
+    assert calls["validate_policy"] == 0 and calls["__init__"] > 0
     assert inside == Counter()
 
 
@@ -767,15 +779,15 @@ def test_membership_decision_matches_full_iteration(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the safeguarded Illinois root solve
+# the Illinois root solve
 # ---------------------------------------------------------------------------
 
 ROOT_CASES = {
     # exactly flat: bitwise-equal values over [0, 0.95), where a plain
     # secant step stalls
     "flat": lambda x: -0.5 if x < 0.95 else 40.0 * (x - 0.9625),
-    # flat at -1e-4, then a slope: plain secant steps stall here, and only
-    # the halving test keeps the solve within twice bisection's steps
+    # flat at -1e-4, then a slope: the secant creeps along the flat part
+    # until the halved end value brings it across
     "hockey-stick": lambda x: -1e-4 + 10.0 * max(0.0, x - 0.2),
     # no value within tol of 0: the solve runs until the bracket is narrow
     "step": lambda x: -1.0 if x < 1.0 / 3.0 else 1.0,
@@ -784,28 +796,28 @@ ROOT_CASES = {
 }
 
 
-def bisection_steps(f, tol, width):
+def bisection_steps(f, tol):
     a, b = 0.0, 1.0
     for k in range(1, 200):
         x = 0.5 * (a + b)
         if abs(f(x)) <= tol:
             return k
         a, b = (x, b) if f(x) < 0.0 else (a, x)
-        if b - a <= width:
-            return k
     raise AssertionError("bisection did not stop")
 
 
 @pytest.mark.parametrize("name", ROOT_CASES)
 @pytest.mark.parametrize("tol", [1e-6, 1e-10])
 def test_illinois_keeps_a_sign_change_within_twice_bisection(name, tol):
-    # every step keeps f(a) < 0 <= f(b), and the solve stops (|f(x)| <= tol
-    # or the bracket under 1e-12 wide) within twice bisection's steps
+    # the secant steps that alpha_hat and the witness face take: every step
+    # lands strictly inside the bracket and keeps f(a) < 0 <= f(b), with the
+    # stored end values of f's signs, and the solve stops with |f(x)| <= tol
+    # or the bracket under 1e-12 wide
     f = ROOT_CASES[name]
     module = importlib.import_module("atomless_mdp.derandomize")
     bracket = module._Illinois(0.0, f(0.0), 1.0, f(1.0))
     for k in range(1, 200):
-        x = bracket.step()
+        x = bracket.secant()
         assert bracket.a < x < bracket.b
         if abs(f(x)) <= tol:
             break
@@ -815,7 +827,7 @@ def test_illinois_keeps_a_sign_change_within_twice_bisection(name, tol):
         assert (bracket.f_b < 0.0) == (f(bracket.b) < 0.0)
         if bracket.b - bracket.a <= 1e-12:
             break
-    assert k <= 2 * bisection_steps(f, tol, 1e-12), k
+    assert abs(f(x)) <= tol or bracket.b - bracket.a <= 1e-12, k
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10])
@@ -829,11 +841,11 @@ def test_illinois_beats_bisection_on_a_smooth_function(tol):
     module = importlib.import_module("atomless_mdp.derandomize")
     bracket = module._Illinois(0.0, f(0.0), 1.0, f(1.0))
     for k in range(1, 200):
-        x = bracket.step()
+        x = bracket.secant()
         if abs(f(x)) <= tol:
             break
         bracket.move(x, f(x))
-    assert 3 * k <= bisection_steps(f, tol, 0.0), k
+    assert 3 * k <= bisection_steps(f, tol), k
 
 
 # ---------------------------------------------------------------------------
@@ -948,10 +960,10 @@ def test_mix_pair_realizes_once(monkeypatch, criteria):
 
 
 def test_scalar_realization_evaluates_one_path_policy(monkeypatch):
-    # root-solve steps are solves on cell weights; only the accepted step is
-    # built as a policy, and the vector handed back with it is its certified
-    # path value, bitwise what performance returns for it, so performance
-    # never evaluates it again
+    # the scalar step solves once, on cell weights, at the closed-form root;
+    # only the accepted root is built as a policy, and the vector handed
+    # back with it is its certified path value, bitwise what performance
+    # returns for it, so performance never evaluates it again
     module = importlib.import_module("atomless_mdp.derandomize")
     evaluated, realized = [], []
 
@@ -973,18 +985,13 @@ def test_scalar_realization_evaluates_one_path_policy(monkeypatch):
     monkeypatch.setattr(module, "performance", counting(performance))
     monkeypatch.setattr(module, "occupancy", counting(occupancy), raising=False)
     monkeypatch.setattr(module, "_realize_scalar", realize)
-    # the same mixes with the closed-form proposal and then without it,
-    # where every step is an Illinois step
-    for proposal in (True, False):
-        if not proposal:
-            monkeypatch.setattr(module, "_crossing", lambda *args, **kwargs: None)
-        rng = np.random.default_rng(17)
-        for seed in range(6):
-            m = random_model(6, 3, 1 + seed % 2, seed=1500 + seed)
-            phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
-            mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
+    rng = np.random.default_rng(17)
+    for seed in range(12):
+        m = random_model(6, 3, 1 + seed % 2, seed=1500 + seed)
+        phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
+        mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
     solved = [(evals, phi, v, m) for iters, evals, phi, v, m in realized if iters > 0]
-    assert len(solved) >= 8 and max(iters for iters, *_ in realized) > 1
+    assert len(solved) >= 8 and all(iters == 1 for iters, *_ in realized if iters > 0)
     for evals, phi, v, m in solved:
         assert evals == []
         assert np.array_equal(v, performance(m, phi, tol=module.EVAL_TOL))
@@ -993,9 +1000,10 @@ def test_scalar_realization_evaluates_one_path_policy(monkeypatch):
 @pytest.mark.parametrize("proposal", ["none", "short"])
 def test_root_solves_certify_without_the_closed_form_proposal(monkeypatch, proposal):
     # where _crossing proposes nothing, or a fraction short of the root it
-    # found, alpha_hat's steps and the scalar step's fall back on Illinois
-    # steps: each search counts them, the scalar one takes more than one
-    # certified path solve, and every mix still meets tol
+    # found, alpha_hat falls back on Illinois steps, counts them and still
+    # certifies its fraction: the target within tol of V(alpha_hat), and
+    # h(b) - <b, target> in [-tol, 0] there; the scalar step has no fallback,
+    # so the mix raises CertifiedFailure with a finite residual
     module = importlib.import_module("atomless_mdp.derandomize")
     original = module._crossing
 
@@ -1005,17 +1013,26 @@ def test_root_solves_certify_without_the_closed_form_proposal(monkeypatch, propo
 
     monkeypatch.setattr(module, "_crossing", crossing)
     rng = np.random.default_rng(23)
-    reduce, scalar = [], []
+    tol, fallback, interior = 1e-7, 0, 0
     for seed in range(6):
         m = random_model(6, 3, 2 + seed % 2, seed=1700 + seed)
         phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
-        _, cert = mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
-        assert cert.error <= 1e-6
-        reduce += [e for e in cert.trace if e["kind"] == "reduce"]
-        scalar += [e for e in cert.trace if e["kind"] == "scalar"]
-    assert sum(e["fallback_steps"] for e in reduce) > 0
-    assert sum(e["fallback_steps"] for e in scalar) > 0
-    assert max(e["iters"] for e in scalar) > 1
+        lam = float(rng.uniform(0.2, 0.8))
+        v = lam * performance(m, phi0, tol=1e-12) + (1.0 - lam) * performance(m, phi1, tol=1e-12)
+        ctx, stop = make_context(m, phi0, phi1), {}
+        a = alpha_hat(ctx, v, tol=tol, certificate=stop)
+        fallback += stop["fallback_steps"]
+        if a < 1.0:
+            interior += 1
+            sub = ctx.submodel_at(a)
+            assert distance_to_performance_set(sub, v, tol=0.25 * tol).g <= tol, seed
+            h, _, _ = support(sub, stop["direction"])
+            slack = 1e-15 * (1.0 + abs(h) + float(np.abs(v).max()))
+            assert -tol - slack <= h - float(stop["direction"] @ v) <= slack, seed
+        with pytest.raises(CertifiedFailure, match="scalar path root solve") as failure:
+            mix_pair(m, phi0, phi1, lam, tol=1e-6)
+        assert np.isfinite(failure.value.residual), seed
+    assert fallback > 0 and interior >= 4
 
 
 def test_no_submodel_solves_a_direction_twice(monkeypatch):
@@ -1048,17 +1065,20 @@ def test_no_submodel_solves_a_direction_twice(monkeypatch):
 
 
 def test_scalar_root_solve_work_counts():
-    # the root solve's path solves on the models above, a count that does not
-    # depend on the host's speed: bisection took 21.2 on average here
+    # the scalar step's path solves, a count that does not depend on the
+    # host's speed: the closed-form root is certified by at most one solve,
+    # on the models above, on a three-criterion model and on a long-lived
+    # discounted one (L = 500)
     rng = np.random.default_rng(17)
+    models = [random_model(6, 3, 1 + seed % 2, seed=1500 + seed) for seed in range(6)]
+    models += [random_model(6, 3, 3, seed=1502), seeded_discounted(2000, beta=0.998)]
     iters = []
-    for seed in range(6):
-        m = random_model(6, 3, 1 + seed % 2, seed=1500 + seed)
+    for m in models:
         phi0, phi1 = random_deterministic_policy(m, rng), random_deterministic_policy(m, rng)
         _, cert = mix_pair(m, phi0, phi1, float(rng.uniform(0.2, 0.8)), tol=1e-6)
         iters += [e["iters"] for e in cert.trace if e["kind"] == "scalar"]
         assert cert.summary()["path_solves"] == iters[-1]
-    assert len(iters) == 6 and np.mean(iters) <= 12 and max(iters) <= 40
+    assert len(iters) == 8 and max(iters) <= 1 and sum(iters) >= 6
 
 
 def test_mix_rejects_bad_lambda():

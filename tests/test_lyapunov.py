@@ -250,6 +250,21 @@ def test_find_set_four_criteria():
     assert np.linalg.norm(vm.integrate(s) - target) <= 1e-6
 
 
+def test_find_set_works_at_any_scale():
+    # the (1, 2x) measure scaled by 1e8, at tol 1e-6 x 1e8: the hull
+    # iteration's tolerance is relative to tol, so every attainable target
+    # gets a set within tol
+    scale = 1e8
+    for cells in (32, 256):
+        vm = vm_linear_second(cells)
+        vm = VectorMeasure(vm.base, scale * vm.densities)
+        rng = np.random.default_rng(cells)
+        for _ in range(10):
+            target = rng.uniform(0.05, 0.95) * vm.total()
+            s = find_set(vm, target, tol=1e-6 * scale)
+            assert np.linalg.norm(vm.integrate(s) - target) <= 1e-6 * scale, cells
+
+
 def test_find_set_infeasible_target():
     vm = random_vm(4, 2, seed=2)
     with pytest.raises(ModelFormatError, match="outside"):
